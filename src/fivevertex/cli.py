@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import crystal, lattice, laurent, render, statedoc, verify
+from . import crystal, lattice, laurent, patterns, render, statedoc, verify
 
 __all__ = ["main"]
 
@@ -44,7 +44,10 @@ def _cmd_states(args) -> int:
     spec = lattice.ModelSpec(_parse_ints(args.lam), _parse_ints(args.w), args.family)
     states = lattice.enumerate_states(spec)
     if args.gtp is not None:
-        wanted = _parse_pattern(args.gtp)
+        wanted = patterns.check_pattern(_parse_pattern(args.gtp))
+        if len(wanted) != spec.r or wanted[0] != spec.top_columns:
+            raise ValueError(f"pattern {args.gtp!r} needs {spec.r} rows and top "
+                             f"row {','.join(map(str, spec.top_columns))}")
         states = tuple(s for s in states if lattice.gtp_of_state(s) == wanted)
     if args.out == "count":
         print(len(states))

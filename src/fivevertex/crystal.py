@@ -17,15 +17,11 @@ from . import laurent, patterns, weyl
 from .patterns import Pattern, Tableau
 
 __all__ = [
-    "raising", "lowering", "eps", "phi", "reading_word",
+    "raising", "lowering", "eps", "phi",
     "highest_weight_tableau", "lowest_weight_tableau", "schuetzenberger",
     "demazure_closure", "demazure_crystal", "demazure_atom_set",
     "DemazureSet", "character", "is_key", "gtp_raise",
 ]
-
-
-def reading_word(tab: Tableau) -> tuple[int, ...]:
-    return tuple(x for row in reversed(tab) for x in row)
 
 
 def _cells_in_reading_order(tab: Tableau):

@@ -356,12 +356,53 @@ def boltzmann(state: LatticeState) -> laurent.LaurentPoly:
     return laurent.monomial(expo)
 
 
+def _row_transfer(top, n: int, right_spin: int, last: bool, family: str):
+    """{(bottom, weight): multiplicity} over the admissible fillings of one
+    row whose top spins are `top`.  Rows of vertical spins are kept sparse,
+    as their (column, color) pairs in decreasing column order, so a long
+    row costs no more to extend than a short one.  The weight counts the
+    row's vertices outside _WEIGHT_ONE."""
+    top = dict(top)
+    partial = {((), 0, 0): 1}  # (bottom so far, carried spin, weight)
+    for j in range(n - 1, -1, -1):
+        above = top.get(j, 0)
+        step = {}
+        for (bottom, left, weight), mult in partial.items():
+            for right, down, kind, _ in _choices(left, above, family):
+                if j == 0 and right != right_spin:
+                    continue
+                if down and last:
+                    continue
+                key = (bottom + ((j, down),) if down else bottom, right,
+                       weight + (kind not in _WEIGHT_ONE))
+                step[key] = step.get(key, 0) + mult
+        partial = step
+    # every carried spin is now right_spin, so (bottom, weight) stays unique
+    return {(bottom, weight): mult for (bottom, _, weight), mult in partial.items()}
+
+
 def partition_function(spec: ModelSpec) -> laurent.LaurentPoly:
-    """Sum of Boltzmann weights over all admissible states."""
-    total = laurent.zero(spec.r)
-    for state in enumerate_states(spec):
-        total = total + boltzmann(state)
-    return total
+    """Sum of Boltzmann weights over all admissible states, by row
+    transfer: a map from each row of vertical spins to the polynomial of
+    the rows above it is pushed down one row at a time, so no state is
+    built.  Open and closed families only."""
+    if spec.family not in ("open", "closed"):
+        raise ValueError(f"weights are undefined for family {spec.family!r}")
+    r, n = spec.r, spec.n
+    flag = spec.flag_spins
+    first = tuple((col, m) for m, col in enumerate(spec.top_columns, start=1))
+    rows = {first: {(): 1}}
+    for i in range(1, r + 1):
+        below = {}
+        for top, terms in rows.items():
+            fillings = _row_transfer(top, n, flag[i - 1], i == r, spec.family)
+            for (bottom, weight), mult in fillings.items():
+                acc = below.setdefault(bottom, {})
+                for expo, coeff in terms.items():
+                    key = expo + (weight,)
+                    acc[key] = acc.get(key, 0) + coeff * mult
+        rows = below
+    return laurent.LaurentPoly(r, rows.get((), {}))
 
 
 def pattern_tableau(state: LatticeState) -> Tableau:

@@ -26,7 +26,7 @@ import itertools
 __all__ = [
     "staircase", "is_pattern", "check_pattern", "is_left_strict",
     "gt_to_tableau", "tableau_to_gt", "subtract_staircase", "add_staircase",
-    "shape_of", "weight", "is_ssyt", "check_tableau", "enumerate_ssyt",
+    "weight", "is_ssyt", "check_tableau", "enumerate_ssyt",
     "enumerate_left_strict", "enumerate_patterns", "dominant_partitions",
 ]
 
@@ -126,10 +126,6 @@ def add_staircase(pattern: Pattern) -> Pattern:
     return check_pattern(tuple(
         tuple(entry + (r - i + 1 - j) for j, entry in enumerate(row, start=1))
         for i, row in enumerate(pattern, start=1)))
-
-
-def shape_of(tab: Tableau) -> tuple[int, ...]:
-    return tuple(len(row) for row in tab)
 
 
 def weight(tab: Tableau, r: int) -> tuple[int, ...]:

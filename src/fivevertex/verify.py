@@ -61,27 +61,43 @@ def _rho_shift(lam, f):
     return laurent.monomial(patterns.staircase(len(lam))) * f
 
 
+def _enumeration_sum(spec):
+    """The partition function the slow way, as an oracle for the row
+    transfer: the Boltzmann weights of every enumerated state, summed."""
+    terms = {}
+    for state in lattice.enumerate_states(spec):
+        for expo, coeff in lattice.boltzmann(state).terms.items():
+            terms[expo] = terms.get(expo, 0) + coeff
+    return laurent.LaurentPoly(spec.r, terms)
+
+
 def check_partition(lam, r):
-    """Closed and open partition functions against the staircase-shifted
-    Demazure character and atom, plus the closed = sum-of-open-below-w
-    decomposition; exact polynomial equality throughout."""
+    """Closed and open partition functions, by row transfer and by state
+    enumeration, against the staircase-shifted Demazure character and
+    atom, plus the closed = sum-of-open-below-w decomposition; exact
+    polynomial equality throughout."""
     lam = tuple(lam)
     flags = weyl.permutations_by_length(r)
     z_closed = {w: lattice.partition_function(_spec(lam, w, "closed")) for w in flags}
     z_open = {w: lattice.partition_function(_spec(lam, w, "open")) for w in flags}
     literal_matches = True
     for w in flags:
-        want_c = _rho_shift(lam, laurent.demazure_char(lam, w))
+        char = laurent.demazure_char(lam, w)
+        want_c = _rho_shift(lam, char)
         want_o = _rho_shift(lam, laurent.demazure_atom(lam, w))
-        if z_closed[w] != laurent.demazure_char(lam, w):
+        enum_c = _enumeration_sum(_spec(lam, w, "closed"))
+        enum_o = _enumeration_sum(_spec(lam, w, "open"))
+        if z_closed[w] != char:
             literal_matches = False
-        if z_closed[w] != want_c or z_open[w] != want_o:
+        if not (z_closed[w] == enum_c == want_c and z_open[w] == enum_o == want_o):
             return [Report("partition", lam, r, "fail",
                            "partition function does not match the shifted character/atom",
                            w=w, counterexample={
                                "closed": laurent.format_poly(z_closed[w]),
+                               "closed_enumerated": laurent.format_poly(enum_c),
                                "closed_expected": laurent.format_poly(want_c),
                                "open": laurent.format_poly(z_open[w]),
+                               "open_enumerated": laurent.format_poly(enum_o),
                                "open_expected": laurent.format_poly(want_o)})]
         total = laurent.zero(r)
         for y in flags:
@@ -338,9 +354,9 @@ def run_checks(names, lam, r):
     for name in names:
         start = time.perf_counter()
         batch = CHECKS[name](lam, r)
-        elapsed = int((time.perf_counter() - start) * 1000)
-        for rep in batch:
-            rep.millis = elapsed
+        # the batch's time goes on its first report only, so that the
+        # millis of a sweep add up to its running time
+        batch[0].millis = int((time.perf_counter() - start) * 1000)
         reports.extend(batch)
     return reports
 
@@ -348,6 +364,10 @@ def run_checks(names, lam, r):
 def sweep(names, rank, lambda_max):
     """Run the named checks over every dominant shape with parts at most
     lambda_max, for every rank up to the given one, smallest cases first."""
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
+    if lambda_max < 0:
+        raise ValueError(f"lambda-max must be at least 0, got {lambda_max}")
     reports = []
     for r in range(1, rank + 1):
         for lam in patterns.dominant_partitions(r, lambda_max):

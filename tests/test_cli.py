@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fivevertex import cli, statedoc
+from fivevertex import cli, laurent, statedoc
 
 
 def _run(capsys, *argv):
@@ -31,10 +31,28 @@ def test_states_json_with_pattern_filter(capsys):
     statedoc.doc_to_state(docs[0])  # loads and revalidates
 
 
+def test_states_rejects_malformed_pattern(capsys):
+    base = ("states", "--lambda", "3,2,0", "--w", "2,3,1", "--family", "closed")
+    code, out, err = _run(capsys, *base, "--gtp", "3,0/1/5")
+    assert code == 2 and out == "" and "Gelfand-Tsetlin" in err
+    code, out, err = _run(capsys, *base, "--gtp", "4,3,0/3,1/1")
+    assert code == 2 and out == "" and "top row 5,3,0" in err
+    code, out, err = _run(capsys, *base, "--gtp", "5,3/3")
+    assert code == 2 and out == "" and "3 rows" in err
+
+
 def test_partfn_golden(capsys):
     code, out, _ = _run(capsys, "partfn", "--lambda", "1,0", "--w", "2,1",
                         "--family", "closed")
     assert code == 0 and out.strip() == "z1^2 + z1*z2"
+
+
+def test_partfn_long_first_part(capsys):
+    # 1204 vertices per state: deeper than the interpreter's recursion limit
+    code, out, _ = _run(capsys, "partfn", "--lambda", "600,0", "--w", "1,2",
+                        "--family", "open")
+    shifted = laurent.monomial((1, 0)) * laurent.demazure_atom((600, 0), (1, 2))
+    assert code == 0 and out.strip() == laurent.format_poly(shifted)
 
 
 def test_char_and_atom_golden(capsys):
@@ -69,6 +87,13 @@ def test_verify_single_check(capsys):
     assert code == 0
     assert all(json.loads(line)["check"] == "bijection"
                for line in out.strip().splitlines())
+
+
+def test_verify_rejects_empty_sweep(capsys):
+    code, out, err = _run(capsys, "verify", "--rank", "0", "--lambda-max", "1")
+    assert code == 2 and out == "" and "rank" in err
+    code, out, err = _run(capsys, "verify", "--rank", "2", "--lambda-max", "-1")
+    assert code == 2 and out == "" and "lambda-max" in err
 
 
 def test_malformed_flags_exit_2(capsys):

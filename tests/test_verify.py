@@ -1,4 +1,5 @@
 import json
+import time
 
 from fivevertex import verify
 
@@ -44,6 +45,20 @@ def test_report_json_schema():
         assert set(doc) >= {"check", "lambda", "r", "w", "status", "detail", "millis"}
         assert doc["lambda"] == [1, 0] and doc["r"] == 2
         assert doc["status"] in ("pass", "fail", "convention-note")
+
+
+def test_millis_add_up_to_wall_time():
+    start = time.perf_counter()
+    reports = verify.run_checks(list(verify.CHECKS), (2, 1, 0), 3)
+    wall_ms = (time.perf_counter() - start) * 1000
+    assert sum(rep.millis for rep in reports) <= wall_ms
+    # one timed report per check; notes and later reports carry 0
+    assert len(reports) > len(verify.CHECKS)
+    seen = set()
+    for rep in reports:
+        if rep.check in seen:
+            assert rep.millis == 0
+        seen.add(rep.check)
 
 
 def test_reports_deterministic():
