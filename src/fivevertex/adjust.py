@@ -7,121 +7,95 @@ flag and pattern.
 
 All operations recolor only the two paths involved: the set of colored
 edges never changes, so the underlying Gelfand-Tsetlin pattern is
-preserved by construction.  Every result is re-validated rather than
-trusted: the no-side-effect claims hold mathematically, but the checks
-are cheap at the scales this library targets.
+preserved by construction.  Results are not trusted but checked once at
+each public exit: the state is admissible, its pattern is unchanged, and
+each pair of paths crosses exactly when the flag inverts it.  The private
+steps in between return unchecked states.
 """
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 from . import weyl
-from .lattice import (LatticeState, ModelSpec, color_path, gtp_of_state,
+from .lattice import (LatticeState, crosses, gtp_of_state, meetings,
                       open_state_of_pattern, pair_crossings,
-                      pair_intersections, state_flag, validate_state)
+                      pair_intersections, validate_state)
 from .patterns import Pattern, check_pattern
 
 __all__ = [
-    "PathDiagram", "path_diagram", "move_crossing", "to_closed", "to_open",
-    "raise_flag", "exit_colors", "closed_state_of",
+    "move_crossing", "to_closed", "to_open", "raise_flag", "exit_colors",
+    "closed_state_of",
 ]
 
 
-@dataclass(frozen=True)
-class PathDiagram:
-    """Per-color ordered edge lists plus, per color pair, the vertices
-    where the paths meet and where they cross."""
-    paths: dict
-    intersections: dict
-    crossings: dict
-
-
-def path_diagram(state: LatticeState) -> PathDiagram:
-    r = state.spec.r
-    paths = {m: color_path(state, m) for m in range(1, r + 1)}
-    inter = {}
-    cross = {}
+def _checked(state: LatticeState, pattern: Pattern) -> LatticeState:
+    """The state, once it passes validation for its family, still has the
+    given pattern, and has each pair of paths crossing exactly when the
+    flag puts the greater color's exit row above the lesser's."""
+    validate_state(state)
+    if gtp_of_state(state) != pattern:
+        raise RuntimeError("surgery changed the pattern")
+    w, r = state.spec.w, state.spec.r
+    crossing = {pair for pair, verts in meetings(state).items()
+                if any(crosses(state, v) for v in verts)}
     for a in range(1, r + 1):
         for b in range(a + 1, r + 1):
-            inter[a, b] = pair_intersections(state, a, b)
-            cross[a, b] = pair_crossings(state, a, b)
-    return PathDiagram(paths, inter, cross)
+            if ((a, b) in crossing) != (w[a - 1] < w[b - 1]):
+                raise RuntimeError(
+                    f"paths {a},{b} disagree with the flag about crossing")
+    return state
 
 
-def _in_edges(i, j):
-    return ("h", i, j + 1), ("v", i - 1, j)
-
-
-def _recolor_pair(state: LatticeState, a: int, b: int, cross_at, family: str,
+def _recolor_pair(state: LatticeState, a: int, b: int, cross_at,
                   flag=None) -> LatticeState:
     """Rebuild the colors along the paths of a and b so that they cross
     exactly at cross_at (or nowhere, if None) and merely touch at every
-    other meeting.  Only edges currently colored a or b are repainted; the
-    colored/uncolored geometry, hence the pattern, is untouched."""
+    other meeting; the result is an unchecked reduced state with the given
+    flag (default: unchanged).  Only edges colored a or b are repainted,
+    and they keep a color of the pair, so the colored/uncolored geometry,
+    hence the pattern, is untouched."""
     spec = state.spec
-    pair = {a, b}
-    pair_edges = set()
-    for m in (a, b):
-        pair_edges.update(color_path(state, m))
+    pair = (a, b)
     horizontal = [list(row) for row in state.horizontal]
     vertical = [list(row) for row in state.vertical]
-
-    def paint(edge, color):
-        kind, x, y = edge
-        if kind == "h":
-            horizontal[x - 1][y] = color
-        else:
-            vertical[x][y] = color
-
-    exits = {}
-    for color in sorted(pair):
-        edge = ("v", 0, spec.top_columns[color - 1])
+    for color in pair:
+        i, j = 1, spec.top_columns[color - 1]  # enter vertex (1, j) from the top
+        vertical[0][j] = color
+        from_left = False
         while True:
-            paint(edge, color)
-            kind, x, y = edge
-            if kind == "v":
-                i, j = x + 1, y
-                from_left = False
-            else:
-                if y == 0:
-                    exits[color] = x
-                    break
-                i, j = x, y - 1
-                from_left = True
-            left_e, top_e = _in_edges(i, j)
-            right_e, bottom_e = ("h", i, j), ("v", i, j)
-            if left_e in pair_edges and top_e in pair_edges:
-                crossing = (i, j) == cross_at
-                if crossing == from_left:
-                    edge = right_e
-                else:
-                    edge = bottom_e
-            elif right_e in pair_edges and bottom_e in pair_edges:
-                raise RuntimeError("inconsistent pair geometry")
-            elif right_e in pair_edges:
-                edge = right_e
-            elif bottom_e in pair_edges:
-                edge = bottom_e
-            else:
+            right = horizontal[i - 1][j] in pair
+            bottom = vertical[i][j] in pair
+            if right and bottom:  # a meeting: pass through only at cross_at
+                right = ((i, j) == cross_at) == from_left
+            elif not (right or bottom):
                 raise RuntimeError(f"pair path vanishes at vertex ({i},{j})")
+            if right:
+                horizontal[i - 1][j] = color
+                if j == 0:
+                    break
+                j, from_left = j - 1, True
+            else:
+                vertical[i][j] = color
+                i, from_left = i + 1, False
+    return LatticeState(
+        replace(spec, w=spec.w if flag is None else flag, family="reduced"),
+        tuple(tuple(row) for row in horizontal),
+        tuple(tuple(row) for row in vertical))
 
-    new_w = flag if flag is not None else spec.w
-    new_spec = ModelSpec(spec.lam, new_w, family)
-    new_state = LatticeState(new_spec,
-                             tuple(tuple(row) for row in horizontal),
-                             tuple(tuple(row) for row in vertical))
-    validate_state(new_state)
-    if gtp_of_state(new_state) != gtp_of_state(state):
-        raise RuntimeError("recoloring changed the pattern")
-    # in a reduced state, a pair crosses exactly when the flag puts the
-    # greater color's exit row above the lesser's; this subsumes the
-    # status-preservation claim for flag-preserving moves
-    for x in range(1, spec.r + 1):
-        for y in range(x + 1, spec.r + 1):
-            crossing = bool(pair_crossings(new_state, x, y))
-            if crossing != (new_w[x - 1] < new_w[y - 1]):
-                raise RuntimeError(
-                    f"paths {x},{y} disagree with the flag about crossing")
-    return new_state
+
+def _close(state: LatticeState) -> LatticeState:
+    """Move the first misplaced crossing (pairs in lex order) to its
+    pair's last meeting until none is misplaced; unchecked."""
+    spec = state.spec
+    for _ in range(spec.r ** 4 * spec.n + 1):  # a guard: a few moves suffice
+        for (a, b), verts in sorted(meetings(state).items()):
+            crossing = [v for v in verts if crosses(state, v)]
+            if crossing and crossing[0] != verts[-1]:
+                state = _recolor_pair(state, a, b, verts[-1])
+                break
+        else:
+            return LatticeState(replace(spec, family="closed"),
+                                state.horizontal, state.vertical)
+    raise RuntimeError("crossing normalization did not terminate")
 
 
 def move_crossing(state: LatticeState, a: int, b: int, target) -> LatticeState:
@@ -131,69 +105,31 @@ def move_crossing(state: LatticeState, a: int, b: int, target) -> LatticeState:
     if state.spec.family not in ("open", "closed", "reduced"):
         raise ValueError("state must be reduced (or open/closed)")
     a, b = min(a, b), max(a, b)
-    crossings = pair_crossings(state, a, b)
-    if len(crossings) != 1:
+    meets = pair_intersections(state, a, b)
+    if sum(crosses(state, v) for v in meets) != 1:
         raise ValueError(f"paths {a} and {b} must cross exactly once")
-    if target not in pair_intersections(state, a, b):
+    if target not in meets:
         raise ValueError(f"{target} is not a meeting vertex of paths {a},{b}")
-    return _recolor_pair(state, a, b, tuple(target), "reduced")
-
-
-def _normalize(state: LatticeState, pick_target, family: str) -> LatticeState:
-    r = state.spec.r
-    for _ in range(r * r * state.spec.n + 1):
-        moved = False
-        for a in range(1, r + 1):
-            for b in range(a + 1, r + 1):
-                crossings = pair_crossings(state, a, b)
-                if not crossings:
-                    continue
-                target = pick_target(pair_intersections(state, a, b))
-                if crossings[0] != target:
-                    state = _recolor_pair(state, a, b, target, "reduced")
-                    moved = True
-        if not moved:
-            state = LatticeState(
-                ModelSpec(state.spec.lam, state.spec.w, family),
-                state.horizontal, state.vertical)
-            validate_state(state)
-            return state
-    raise RuntimeError("crossing normalization did not terminate")
+    return _checked(_recolor_pair(state, a, b, tuple(target)),
+                    gtp_of_state(state))
 
 
 def to_closed(state: LatticeState) -> LatticeState:
     """Move every crossing to its pair's last meeting point; the result is
     the closed state with the same flag and pattern.  Idempotent."""
-    return _normalize(state, lambda inter: inter[-1], "closed")
+    return _checked(_close(state), gtp_of_state(state))
 
 
 def to_open(state: LatticeState) -> LatticeState:
     """The unique open state with the same pattern.  Idempotent.
 
-    Pairs of paths that meet without crossing are first made to cross at
-    their last meeting point, lowering the flag one transposition at a
-    time; every crossing is then moved to its pair's first meeting point.
-    The flag ends at the pattern's forced value, which is the input flag
+    Built by the open propagation rule (lattice.open_state_of_pattern), so
+    the flag is the pattern's forced value, which is the input flag
     whenever an open state with that flag exists (so the flag is preserved
     exactly on the round trip with to_closed)."""
-    r = state.spec.r
-    for _ in range(r * r + 1):
-        for a in range(1, r + 1):
-            for b in range(a + 1, r + 1):
-                if (pair_intersections(state, a, b)
-                        and not pair_crossings(state, a, b)):
-                    flag = weyl.compose(state.spec.w,
-                                        weyl.transposition(a, b, r))
-                    target = pair_intersections(state, a, b)[-1]
-                    state = _recolor_pair(state, a, b, target, "reduced",
-                                          flag=flag)
-                    break
-            else:
-                continue
-            break
-        else:
-            return _normalize(state, lambda inter: inter[0], "open")
-    raise RuntimeError("flag lowering did not terminate")
+    pattern = gtp_of_state(state)
+    _, open_state = open_state_of_pattern(state.spec.lam, pattern)
+    return _checked(open_state, pattern)
 
 
 def raise_flag(state: LatticeState, a: int, b: int) -> LatticeState:
@@ -210,7 +146,8 @@ def raise_flag(state: LatticeState, a: int, b: int) -> LatticeState:
         raise ValueError(f"transposition ({a},{b}) does not raise the length")
     if not pair_crossings(state, a, b):
         raise ValueError(f"paths {a} and {b} do not cross")
-    return _recolor_pair(state, a, b, None, "reduced", flag=yt)
+    return _checked(_recolor_pair(state, a, b, None, flag=yt),
+                    gtp_of_state(state))
 
 
 def exit_colors(pattern: Pattern) -> tuple[int, ...]:
@@ -254,12 +191,12 @@ def closed_state_of(y, lam, pattern: Pattern):
     Built constructively: the open state of the pattern, closed up, then
     walked up the Bruhat order one length-increasing transposition at a
     time (lexicographically first admissible step; any choice reaches y and
-    yields the same state)."""
+    yields the same state).  Only the result is checked."""
     y = weyl.check_permutation(y)
     w, state = open_state_of_pattern(lam, pattern)
     if not weyl.bruhat_leq(w, y):
         return None
-    state = to_closed(state)
+    state = _close(state)
     cur = w
     r = len(y)
     while cur != y:
@@ -267,7 +204,7 @@ def closed_state_of(y, lam, pattern: Pattern):
             for b in range(a + 1, r + 1):
                 nxt = weyl.compose(cur, weyl.transposition(a, b, r))
                 if weyl.length(nxt) == weyl.length(cur) + 1 and weyl.bruhat_leq(nxt, y):
-                    state = to_closed(raise_flag(state, a, b))
+                    state = _close(_recolor_pair(state, a, b, None, flag=nxt))
                     cur = nxt
                     break
             else:
@@ -276,6 +213,4 @@ def closed_state_of(y, lam, pattern: Pattern):
         else:
             raise RuntimeError("no length-increasing step below y; "
                                "Bruhat chain property violated")
-    if gtp_of_state(state) != check_pattern(pattern):
-        raise RuntimeError("constructed state has the wrong pattern")
-    return state
+    return _checked(state, check_pattern(pattern))

@@ -170,7 +170,7 @@ def demazure_crystal(lam, w) -> DemazureSet:
     """The subset of the shape-lam crystal generated from the highest
     weight element by string closures along a reduced word of w.  Grows
     monotonically with w in Bruhat order; its character is demazure_char."""
-    lam, w = _check_args(lam, w)
+    lam, w = weyl.check_dominant(lam, w)
     return DemazureSet(lam, w, _demazure_elements(lam, w))
 
 
@@ -187,18 +187,8 @@ def demazure_atom_set(lam, w) -> DemazureSet:
     """What the Demazure set at w adds over everything strictly below it;
     the atoms are pairwise disjoint and tile each Demazure set along the
     Bruhat interval."""
-    lam, w = _check_args(lam, w)
+    lam, w = weyl.check_dominant(lam, w)
     return DemazureSet(lam, w, _atom_elements(lam, w))
-
-
-def _check_args(lam, w):
-    w = weyl.check_permutation(w)
-    lam = tuple(lam)
-    if len(lam) != len(w):
-        raise ValueError("partition length must equal the permutation rank")
-    if any(a < b for a, b in zip(lam, lam[1:])) or (lam and lam[-1] < 0):
-        raise ValueError(f"not weakly decreasing and nonnegative: {lam!r}")
-    return lam, w
 
 
 def character(elements, r: int) -> laurent.LaurentPoly:

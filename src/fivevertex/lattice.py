@@ -39,7 +39,8 @@ __all__ = [
     "VertexConfig", "classify_vertex", "admissible_for", "enumerate_states",
     "open_state_of_pattern", "gtp_of_state", "boltzmann",
     "partition_function", "pattern_tableau", "crystal_tableau",
-    "color_path", "pair_intersections", "pair_crossings", "state_flag",
+    "color_path", "meetings", "crosses", "pair_intersections",
+    "pair_crossings", "state_flag",
 ]
 
 FAMILIES = ("open", "closed", "generalized", "reduced")
@@ -109,13 +110,9 @@ class ModelSpec:
     family: str
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(self.lam))
-        object.__setattr__(self, "w", weyl.check_permutation(self.w))
-        lam = self.lam
-        if len(lam) != len(self.w):
-            raise ValueError("partition and flag must have the same rank")
-        if any(a < b for a, b in zip(lam, lam[1:])) or (lam and lam[-1] < 0):
-            raise ValueError(f"not a partition: {lam!r}")
+        lam, w = weyl.check_dominant(self.lam, self.w)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "w", w)
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
 
@@ -191,44 +188,65 @@ def _choices(left: int, top: int, family: str):
 
 
 @functools.lru_cache(maxsize=None)
+def _completions(left: int, top: int, right_spin: int, last: bool, family: str):
+    """The _choices of a vertex that fit the boundary: on the right edge
+    (right_spin set) the right spin must be right_spin, and on the last
+    row the bottom spin must be uncolored.  Few distinct arguments occur,
+    so the cache stays small."""
+    return tuple(c for c in _choices(left, top, family)
+                 if right_spin in (0, c[0]) and not (last and c[1]))
+
+
+@functools.lru_cache(maxsize=None)
 def enumerate_states(spec: ModelSpec) -> tuple[LatticeState, ...]:
     """All admissible states, depth-first over vertices in row-major order
-    (deterministic).  The reduced family's one-crossing cap is enforced
-    incrementally while descending."""
+    (deterministic).  The search moves a cursor over the vertices and keeps,
+    per vertex, the completions still to try, so no grid is too large for
+    the interpreter's recursion limit.  The reduced family's one-crossing
+    cap is enforced incrementally while descending."""
     r, n = spec.r, spec.n
     flag = spec.flag_spins
+    reduced = spec.family == "reduced"
     horizontal = [[0] * (n + 1) for _ in range(r)]
     vertical = [list(spec.top_boundary())] + [[0] * n for _ in range(r)]
-    crossings: dict[tuple[int, int], int] = {}
+    cells = [(i, j) for i in range(1, r + 1) for j in range(n - 1, -1, -1)]
+
+    def completions(k: int):
+        i, j = cells[k]
+        return iter(_completions(horizontal[i - 1][j + 1], vertical[i - 1][j],
+                                 flag[i - 1] if j == 0 else 0, i == r,
+                                 spec.family))
+
+    todo = [completions(0)] + [None] * (len(cells) - 1)
+    counted = [None] * len(cells)  # pair whose crossing the vertex's choice counts
+    crossed = set()
     out = []
-
-    def place(i: int, j: int):
-        left, top = horizontal[i - 1][j + 1], vertical[i - 1][j]
-        for right, bottom, kind, pair in _choices(left, top, spec.family):
-            if j == 0 and right != flag[i - 1]:
-                continue
-            if i == r and bottom != 0:
-                continue
-            crossing = kind in ("a21", "a22")
-            if crossing and spec.family == "reduced":
-                if crossings.get(pair, 0) >= 1:
+    k = 0
+    while k >= 0:
+        if counted[k] is not None:
+            crossed.discard(counted[k])
+            counted[k] = None
+        for right, bottom, kind, pair in todo[k]:
+            if reduced and kind in ("a21", "a22"):
+                if pair in crossed:
                     continue
-                crossings[pair] = crossings.get(pair, 0) + 1
-            horizontal[i - 1][j] = right
-            vertical[i][j] = bottom
-            if j > 0:
-                place(i, j - 1)
-            elif i < r:
-                place(i + 1, n - 1)
-            else:
-                out.append(LatticeState(
-                    spec,
-                    tuple(tuple(row) for row in horizontal),
-                    tuple(tuple(row) for row in vertical)))
-            if crossing and spec.family == "reduced":
-                crossings[pair] -= 1
-
-    place(1, n - 1)
+                crossed.add(pair)
+                counted[k] = pair
+            break
+        else:
+            k -= 1
+            continue
+        i, j = cells[k]
+        horizontal[i - 1][j] = right
+        vertical[i][j] = bottom
+        if k + 1 < len(cells):
+            k += 1
+            todo[k] = completions(k)
+        else:
+            out.append(LatticeState(
+                spec,
+                tuple(tuple(row) for row in horizontal),
+                tuple(tuple(row) for row in vertical)))
     return tuple(out)
 
 
@@ -324,10 +342,9 @@ def validate_state(state: LatticeState):
             raise ValueError(
                 f"vertex ({i},{j}) is {cfg.kind}, not allowed in {spec.family}")
     if spec.family == "reduced":
-        for a in range(1, r + 1):
-            for b in range(a + 1, r + 1):
-                if len(pair_crossings(state, a, b)) > 1:
-                    raise ValueError(f"paths {a},{b} cross more than once")
+        for (a, b), verts in sorted(meetings(state).items()):
+            if sum(crosses(state, v) for v in verts) > 1:
+                raise ValueError(f"paths {a},{b} cross more than once")
 
 
 def gtp_of_state(state: LatticeState) -> Pattern:
@@ -448,19 +465,36 @@ def color_path(state: LatticeState, m: int):
     return edges
 
 
+def meetings(state: LatticeState) -> dict:
+    """Every pair (a, b), a < b, of colors whose paths meet, mapped to its
+    meeting vertices in path order (row ascending, then column
+    descending), from one scan of the grid.  In an admissible state a
+    meeting vertex carries exactly two colors, one on its left edge and
+    one on its top edge."""
+    out = {}
+    for i, (left_spins, top_spins) in enumerate(
+            zip(state.horizontal, state.vertical), start=1):
+        for j in range(state.spec.n - 1, -1, -1):
+            left, top = left_spins[j + 1], top_spins[j]
+            if left and top and left != top:
+                out.setdefault((min(left, top), max(left, top)), []).append((i, j))
+    return out
+
+
+def crosses(state: LatticeState, vertex) -> bool:
+    """Whether the two paths meeting at `vertex` pass through each other
+    transversally: its left spin equals its right spin."""
+    i, j = vertex
+    return state.horizontal[i - 1][j + 1] == state.horizontal[i - 1][j]
+
+
 def pair_intersections(state: LatticeState, a: int, b: int):
     """Vertices where the paths of colors a and b meet, in path order
     (row ascending, then column descending)."""
-    hits = []
-    for i, j in state.vertices():
-        spins = set(state.vertex_spins(i, j))
-        if a in spins and b in spins:
-            hits.append((i, j))
-    return sorted(hits, key=lambda v: (v[0], -v[1]))
+    return meetings(state).get((min(a, b), max(a, b)), [])
 
 
 def pair_crossings(state: LatticeState, a: int, b: int):
     """The subset of pair_intersections where the two paths pass through
     each other transversally (left spin equals right spin)."""
-    return [v for v in pair_intersections(state, a, b)
-            if state.config(*v).kind in ("a21", "a22")]
+    return [v for v in pair_intersections(state, a, b) if crosses(state, v)]

@@ -178,7 +178,7 @@ def _apply_word(f: LaurentPoly, word, op) -> LaurentPoly:
 def demazure_char(lam, w) -> LaurentPoly:
     """Demazure character: the composite Demazure operator over a reduced
     word of w, applied to z^lam.  Word-independent."""
-    lam = _check_dominant(lam, len(w))
+    lam, w = weyl.check_dominant(lam, w)
     return _apply_word(monomial(lam), weyl.reduced_word(w), demazure)
 
 
@@ -186,17 +186,8 @@ def demazure_atom(lam, w) -> LaurentPoly:
     """Demazure atom: the composite atom operator over a reduced word of w,
     applied to z^lam.  Characters decompose as the sum of atoms over the
     Bruhat interval below w."""
-    lam = _check_dominant(lam, len(w))
+    lam, w = weyl.check_dominant(lam, w)
     return _apply_word(monomial(lam), weyl.reduced_word(w), demazure_atom_op)
-
-
-def _check_dominant(lam, r):
-    lam = tuple(lam)
-    if len(lam) != r:
-        raise ValueError("partition length must equal the permutation rank")
-    if any(a < b for a, b in zip(lam, lam[1:])) or (lam and lam[-1] < 0):
-        raise ValueError(f"not weakly decreasing and nonnegative: {lam!r}")
-    return lam
 
 
 def format_poly(f: LaurentPoly) -> str:

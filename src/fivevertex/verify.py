@@ -123,11 +123,15 @@ def check_states(lam, r):
     exactly one state when the flag dominates the pattern's forced flag,
     none otherwise; the constructive builder agrees with enumeration."""
     lam = tuple(lam)
+    flags = weyl.permutations_by_length(r)
+    by_pattern = {y: {} for y in flags}
+    for y in flags:
+        for s in lattice.enumerate_states(_spec(lam, y, "closed")):
+            by_pattern[y].setdefault(lattice.gtp_of_state(s), []).append(s)
     for pattern in sorted(patterns.enumerate_left_strict(lam, r)):
         w_a, _ = lattice.open_state_of_pattern(lam, pattern)
-        for y in weyl.permutations_by_length(r):
-            states = [s for s in lattice.enumerate_states(_spec(lam, y, "closed"))
-                      if lattice.gtp_of_state(s) == pattern]
+        for y in flags:
+            states = by_pattern[y].get(pattern, [])
             want = 1 if weyl.bruhat_leq(w_a, y) else 0
             built = adjust.closed_state_of(y, lam, pattern)
             ok = (len(states) == want

@@ -24,7 +24,7 @@ __all__ = [
     "simple_reflection", "transposition", "mult_simple_right", "length",
     "longest_element", "reduced_word", "all_reduced_words", "bruhat_leq",
     "bruhat_less", "coset_longest", "stabilizer", "boundary_flag",
-    "all_permutations", "permutations_by_length",
+    "all_permutations", "permutations_by_length", "check_dominant",
 ]
 
 Perm = tuple[int, ...]
@@ -40,6 +40,18 @@ def check_permutation(w: Perm) -> Perm:
     if not is_permutation(w):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
     return w
+
+
+def check_dominant(lam, w: Perm) -> tuple[tuple[int, ...], Perm]:
+    """(lam, w) as tuples, after checking that w is a permutation and lam a
+    partition of the same rank: weakly decreasing and nonnegative."""
+    w = check_permutation(w)
+    lam = tuple(lam)
+    if len(lam) != len(w):
+        raise ValueError("partition and flag must have the same rank")
+    if any(a < b for a, b in zip(lam, lam[1:])) or (lam and lam[-1] < 0):
+        raise ValueError(f"not weakly decreasing and nonnegative: {lam!r}")
+    return lam, w
 
 
 def identity(r: int) -> Perm:

@@ -136,20 +136,67 @@ def test_raise_flag_rejects():
         adjust.raise_flag(raised, 1, 2)  # length would drop, not rise
 
 
-def test_path_diagram():
+def test_meeting_scan_worked_example():
     closed = adjust.to_closed(_fig4_open())
-    diagram = adjust.path_diagram(closed)
-    assert set(diagram.paths) == {1, 2, 3}
-    for pair, crossings in diagram.crossings.items():
-        assert set(crossings) <= set(diagram.intersections[pair])
-    assert diagram.crossings[1, 2] == [(2, 1)]
-    assert diagram.intersections[1, 2] == [(1, 3), (2, 1)]
-    assert diagram.intersections[1, 3] == []
+    meets = lattice.meetings(closed)
+    assert meets[1, 2] == [(1, 3), (2, 1)]
+    assert (1, 3) not in meets
+    for (a, b), verts in meets.items():
+        assert lattice.pair_intersections(closed, a, b) == verts
+        assert set(lattice.pair_crossings(closed, a, b)) <= set(verts)
+    assert lattice.pair_crossings(closed, 1, 2) == [(2, 1)]
+    assert lattice.pair_intersections(closed, 1, 3) == []
     # each path is a connected monotone walk: rows never decrease and the
-    # column label never increases along it
-    for path in diagram.paths.values():
-        rows = [a if kind == "v" else a for kind, a, _ in path]
+    # column label never increases along it (edges placed at their
+    # midpoints on a doubled grid)
+    for m in (1, 2, 3):
+        points = [(2 * x + 1, 2 * y) if kind == "v" else (2 * x, 2 * y - 1)
+                  for kind, x, y in lattice.color_path(closed, m)]
+        rows = [row for row, _ in points]
+        cols = [col for _, col in points]
         assert rows == sorted(rows)
+        assert cols == sorted(cols, reverse=True)
+
+
+def test_to_open_matches_enumeration_on_every_reduced_state():
+    # oracle: the enumerated open state with the same pattern, drawn from
+    # the open states of every flag
+    lam = (2, 1, 1, 0)
+    flags = weyl.all_permutations(4)
+    open_of = {}
+    for w in flags:
+        for state in lattice.enumerate_states(ModelSpec(lam, w, "open")):
+            pattern = lattice.gtp_of_state(state)
+            assert pattern not in open_of
+            open_of[pattern] = state
+    for w in flags:
+        for state in lattice.enumerate_states(ModelSpec(lam, w, "reduced")):
+            assert adjust.to_open(state) == open_of[lattice.gtp_of_state(state)]
+
+
+def test_public_exits_check_the_recolored_state(monkeypatch):
+    open_state = _fig4_open()
+    closed = adjust.to_closed(open_state)
+    recolor = adjust._recolor_pair
+
+    def recolor_then_break_one_edge(state, a, b, cross_at, flag=None):
+        out = recolor(state, a, b, cross_at, flag)
+        horizontal = [list(row) for row in out.horizontal]
+        i, j = next((i, j) for i, row in enumerate(horizontal, start=1)
+                    for j, spin in enumerate(row) if spin == a and j > 0)
+        horizontal[i - 1][j] = b
+        return lattice.LatticeState(out.spec, tuple(map(tuple, horizontal)),
+                                    out.vertical)
+
+    monkeypatch.setattr(adjust, "_recolor_pair", recolor_then_break_one_edge)
+    with pytest.raises(ValueError):
+        adjust.move_crossing(open_state, 1, 2, (2, 1))
+    with pytest.raises(ValueError):
+        adjust.to_closed(open_state)
+    with pytest.raises(ValueError):
+        adjust.raise_flag(closed, 1, 2)
+    with pytest.raises(ValueError):
+        adjust.closed_state_of((3, 2, 1), (3, 2, 0), FIG_PATTERN)
 
 
 def test_exit_colors_examples():

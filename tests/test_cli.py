@@ -55,6 +55,15 @@ def test_partfn_long_first_part(capsys):
     assert code == 0 and out.strip() == laurent.format_poly(shifted)
 
 
+def test_states_long_first_part(capsys):
+    # 1204 vertices per state: deeper than the interpreter's recursion
+    # limit, so enumeration must not recurse per vertex; the one state is
+    # the shifted atom z1^601
+    code, out, _ = _run(capsys, "states", "--lambda", "600,0", "--w", "1,2",
+                        "--family", "open", "--out", "count")
+    assert code == 0 and out.strip() == "1"
+
+
 def test_char_and_atom_golden(capsys):
     code, out, _ = _run(capsys, "char", "--lambda", "1,0,0", "--w", "3,2,1")
     assert code == 0 and out.strip() == "z1 + z2 + z3"
@@ -107,6 +116,10 @@ def test_malformed_flags_exit_2(capsys):
     code, _, err = _run(capsys, "partfn", "--lambda", "1,0", "--w", "2,2",
                         "--family", "closed")
     assert code == 2
+    code, _, err = _run(capsys, "char", "--lambda", "0,1", "--w", "1,2")
+    assert code == 2 and "error" in err
+    code, _, err = _run(capsys, "crystal", "--lambda", "1,0,0", "--w", "2,1")
+    assert code == 2 and "error" in err
 
 
 def test_render_and_determinism(tmp_path, capsys):

@@ -68,6 +68,10 @@ def test_demazure_crystal_examples():
         frozenset(patterns.enumerate_ssyt(lam, 3))
     assert crystal.demazure_crystal((1, 0, 0), (2, 1, 3)).elements == \
         frozenset({((1,),), ((2,),)})
+    with pytest.raises(ValueError):
+        crystal.demazure_crystal((0, 1), (1, 2))  # not weakly decreasing
+    with pytest.raises(ValueError):
+        crystal.demazure_atom_set((1, 0), (1, 2, 3))  # rank mismatch
 
 
 def test_demazure_crystal_bruhat_monotone():

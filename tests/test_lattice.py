@@ -55,6 +55,10 @@ def test_model_spec_invariants():
         ModelSpec((2, 3, 0), (1, 2, 3), "closed")
     with pytest.raises(ValueError):
         ModelSpec((1, 0), (1, 2), "bogus")
+    with pytest.raises(ValueError):
+        ModelSpec((1, -1), (1, 2), "closed")  # negative part
+    with pytest.raises(ValueError):
+        ModelSpec((1, 0), (1, 2, 3), "closed")  # rank mismatch
 
 
 def test_bootstrap_counts_and_weights():

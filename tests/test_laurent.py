@@ -154,4 +154,8 @@ def test_rank_checks():
     with pytest.raises(ValueError):
         laurent.demazure_char((0, 1), (1, 2))  # not weakly decreasing
     with pytest.raises(ValueError):
+        laurent.demazure_atom((1, 0), (1, 2, 3))  # rank mismatch
+    with pytest.raises(ValueError):
+        laurent.demazure_atom((1, -1), (2, 1))  # negative part
+    with pytest.raises(ValueError):
         laurent.swap_vars(monomial((1, 0)), 2)

@@ -146,3 +146,8 @@ def test_rank_mismatch_errors():
         weyl.bruhat_leq((1, 2), (1, 2, 3))
     with pytest.raises(ValueError):
         weyl.check_permutation((1, 1, 3))
+    assert weyl.check_dominant([2, 2, 0], [3, 1, 2]) == ((2, 2, 0), (3, 1, 2))
+    for lam, w in [((1, 0), (1, 2, 3)), ((0, 1), (1, 2)), ((1, -1), (2, 1)),
+                   ((1, 0), (1, 1))]:
+        with pytest.raises(ValueError):
+            weyl.check_dominant(lam, w)
