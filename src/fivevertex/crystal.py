@@ -18,7 +18,7 @@ from .patterns import Pattern, Tableau
 
 __all__ = [
     "raising", "lowering", "eps", "phi",
-    "highest_weight_tableau", "lowest_weight_tableau", "schuetzenberger",
+    "highest_weight_tableau", "schuetzenberger",
     "demazure_closure", "demazure_crystal", "demazure_atom_set",
     "DemazureSet", "character", "is_key", "gtp_raise",
 ]
@@ -80,10 +80,6 @@ def lowering(tab: Tableau, i: int):
 def highest_weight_tableau(lam) -> Tableau:
     """Row i filled with the entry i."""
     return tuple((i,) * p for i, p in enumerate(lam, start=1) if p > 0)
-
-
-def lowest_weight_tableau(lam, r: int) -> Tableau:
-    return schuetzenberger(highest_weight_tableau(lam), r)
 
 
 def schuetzenberger(tab: Tableau, r: int) -> Tableau:

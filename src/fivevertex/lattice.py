@@ -36,7 +36,7 @@ from .patterns import (Pattern, Tableau, check_pattern, gt_to_tableau,
 
 __all__ = [
     "FAMILIES", "NonAdmissibleError", "ModelSpec", "LatticeState",
-    "VertexConfig", "classify_vertex", "admissible_for", "enumerate_states",
+    "classify_vertex", "admissible_for", "enumerate_states",
     "open_state_of_pattern", "gtp_of_state", "boltzmann",
     "partition_function", "pattern_tableau", "crystal_tableau",
     "color_path", "meetings", "crosses", "pair_intersections",
@@ -58,43 +58,6 @@ _WEIGHT_ONE = frozenset({"a1", "c2"})
 
 class NonAdmissibleError(ValueError):
     """A local spin configuration matches none of the nine patterns."""
-
-
-@dataclass(frozen=True)
-class VertexConfig:
-    kind: str
-    colors: tuple[int, ...]  # () for a1; (c,) for b/c kinds; (hi, lo) pair
-
-
-def classify_vertex(left: int, top: int, right: int, bottom: int) -> VertexConfig:
-    """Match the four spins around a vertex against the nine local
-    patterns.  Color conservation (in-multiset equals out-multiset) is a
-    consequence of matching; anything else raises."""
-    quad = (left, top, right, bottom)
-    if quad == (0, 0, 0, 0):
-        return VertexConfig("a1", ())
-    colors = {s for s in quad if s}
-    if len(colors) == 1:
-        c = colors.pop()
-        kind = {
-            (c, 0, c, 0): "b2",
-            (0, c, 0, c): "b1",
-            (c, 0, 0, c): "c1",
-            (0, c, c, 0): "c2",
-        }.get(quad)
-        if kind is None:
-            raise NonAdmissibleError(f"bad one-color configuration {quad}")
-        return VertexConfig(kind, (c,))
-    if len(colors) == 2 and 0 not in quad:
-        pair = tuple(sorted(colors))  # (greater, lesser) by rank
-        if (right, bottom) == (left, top):
-            kind = "a21" if left < top else "a22"
-        elif (right, bottom) == (top, left):
-            kind = "a23" if left < top else "a24"
-        else:
-            raise NonAdmissibleError(f"colors not conserved at {quad}")
-        return VertexConfig(kind, pair)
-    raise NonAdmissibleError(f"bad configuration {quad}")
 
 
 def admissible_for(kind: str, family: str) -> bool:
@@ -158,7 +121,7 @@ class LatticeState:
             for j in range(n - 1, -1, -1):
                 yield i, j
 
-    def config(self, i: int, j: int) -> VertexConfig:
+    def config(self, i: int, j: int) -> str:
         return classify_vertex(*self.vertex_spins(i, j))
 
 
@@ -185,6 +148,17 @@ def _choices(left: int, top: int, family: str):
     if admissible_for(turn_kind, family):
         out.append((top, left, turn_kind, pair))
     return out
+
+
+def classify_vertex(left: int, top: int, right: int, bottom: int) -> str:
+    """The kind of the completion of (left, top) whose (right, bottom) is
+    the given pair; color conservation follows, and anything that matches
+    no completion raises."""
+    for r, b, kind, _ in _choices(left, top, "generalized"):
+        if (r, b) == (right, bottom):
+            return kind
+    raise NonAdmissibleError(
+        f"bad configuration {(left, top, right, bottom)}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -270,7 +244,9 @@ def open_state_of_pattern(lam, pattern: Pattern):
     top turns right; when a traveling color meets an entering one, the
     greater of the two keeps moving right and the lesser drops; a traveling
     color otherwise drops exactly at the columns the next pattern row
-    prescribes.  Returns (flag, state).
+    prescribes.  So at each vertex exactly one open completion colors the
+    bottom edge just when the next row lists the column.  Returns
+    (flag, state).
     """
     pattern = check_pattern(pattern)
     lam = tuple(lam)
@@ -283,37 +259,24 @@ def open_state_of_pattern(lam, pattern: Pattern):
     if pattern[0] != top:
         raise ValueError(f"top row {pattern[0]} != partition plus staircase {top}")
     n = lam[0] + r
-    horizontal = []
+    horizontal = [[0] * (n + 1) for _ in range(r)]
     vertical = [[0] * n for _ in range(r + 1)]
-    incoming = {col: m for m, col in enumerate(top, start=1)}
-    w = [0] * r
+    for m, col in enumerate(top, start=1):
+        vertical[0][col] = m
     for i in range(1, r + 1):
-        out_cols = set(pattern[i]) if i < r else set()
-        hrow = [0] * (n + 1)
-        for col, m in incoming.items():
-            vertical[i - 1][col] = m
-        dropped = {}
-        cur = 0
+        below = set(pattern[i]) if i < r else set()
+        hrow, above, beneath = horizontal[i - 1], vertical[i - 1], vertical[i]
         for j in range(n - 1, -1, -1):
-            t = incoming.get(j, 0)
-            if t and cur == 0:
-                cur = t
-            elif t:
-                keep, drop = min(cur, t), max(cur, t)
-                dropped[j] = drop
-                cur = keep
-            elif cur and j in out_cols:
-                dropped[j] = cur
-                cur = 0
-            hrow[j] = cur
-        if cur == 0 or set(dropped) != out_cols:
+            fit = [c for c in _choices(hrow[j + 1], above[j], "open")
+                   if bool(c[1]) == (j in below)]
+            if not fit:
+                raise RuntimeError("open propagation failed; pattern invalid")
+            hrow[j], beneath[j] = fit[0][:2]
+        if not hrow[0]:
             raise RuntimeError("open propagation failed; pattern invalid")
-        w[cur - 1] = i
-        horizontal.append(tuple(hrow))
-        incoming = dropped
-    w = tuple(w)
-    spec = ModelSpec(lam, w, "open")
-    state = LatticeState(spec, tuple(horizontal),
+    horizontal = tuple(tuple(row) for row in horizontal)
+    w = state_flag(horizontal)
+    state = LatticeState(ModelSpec(lam, w, "open"), horizontal,
                          tuple(tuple(row) for row in vertical))
     validate_state(state)
     return w, state
@@ -337,10 +300,10 @@ def validate_state(state: LatticeState):
     if state_flag(state.horizontal) != spec.w:
         raise ValueError("right boundary does not match the flag")
     for i, j in state.vertices():
-        cfg = state.config(i, j)
-        if not admissible_for(cfg.kind, spec.family):
+        kind = state.config(i, j)
+        if not admissible_for(kind, spec.family):
             raise ValueError(
-                f"vertex ({i},{j}) is {cfg.kind}, not allowed in {spec.family}")
+                f"vertex ({i},{j}) is {kind}, not allowed in {spec.family}")
     if spec.family == "reduced":
         for (a, b), verts in sorted(meetings(state).items()):
             if sum(crosses(state, v) for v in verts) > 1:
@@ -366,11 +329,10 @@ def boltzmann(state: LatticeState) -> laurent.LaurentPoly:
     spec = state.spec
     if spec.family not in ("open", "closed"):
         raise ValueError(f"weights are undefined for family {spec.family!r}")
-    expo = [0] * spec.r
-    for i, j in state.vertices():
-        if state.config(i, j).kind not in _WEIGHT_ONE:
-            expo[i - 1] += 1
-    return laurent.monomial(expo)
+    return laurent.monomial(
+        sum(classify_vertex(h[j + 1], top[j], h[j], bottom[j]) not in _WEIGHT_ONE
+            for j in range(spec.n))
+        for h, top, bottom in zip(state.horizontal, state.vertical, state.vertical[1:]))
 
 
 def _row_transfer(top, n: int, right_spin: int, last: bool, family: str):
@@ -385,11 +347,8 @@ def _row_transfer(top, n: int, right_spin: int, last: bool, family: str):
         above = top.get(j, 0)
         step = {}
         for (bottom, left, weight), mult in partial.items():
-            for right, down, kind, _ in _choices(left, above, family):
-                if j == 0 and right != right_spin:
-                    continue
-                if down and last:
-                    continue
+            for right, down, kind, _ in _completions(
+                    left, above, right_spin if j == 0 else 0, last, family):
                 key = (bottom + ((j, down),) if down else bottom, right,
                        weight + (kind not in _WEIGHT_ONE))
                 step[key] = step.get(key, 0) + mult

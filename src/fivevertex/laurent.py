@@ -4,16 +4,13 @@ the Demazure (isobaric divided-difference) operator and its atom variant.
 
 A polynomial stores a map from exponent vectors (length-r integer tuples,
 entries may be negative) to nonzero integer coefficients.  Coefficients are
-Python ints, so nothing here can overflow.  The Demazure operator is
-computed by exact division of z_i*f - z_{i+1}*f(s_i z) by (z_i - z_{i+1});
-the division always leaves zero remainder on valid input and raises if it
-does not, since that would indicate a bug rather than bad data.
+Python ints, so nothing here can overflow.
 """
 
 from . import weyl
 
 __all__ = [
-    "LaurentPoly", "zero", "one", "monomial", "variable", "eval_ones",
+    "LaurentPoly", "zero", "monomial", "eval_ones",
     "swap_vars", "demazure", "demazure_atom_op", "demazure_char",
     "demazure_atom", "format_poly",
 ]
@@ -90,21 +87,10 @@ def zero(nvars: int) -> LaurentPoly:
     return LaurentPoly(nvars, {})
 
 
-def one(nvars: int) -> LaurentPoly:
-    return monomial((0,) * nvars)
-
-
 def monomial(mu) -> LaurentPoly:
     """The single term z^mu with coefficient 1."""
     mu = tuple(mu)
     return LaurentPoly(len(mu), {mu: 1})
-
-
-def variable(i: int, nvars: int) -> LaurentPoly:
-    """z_i."""
-    if not 1 <= i <= nvars:
-        raise ValueError(f"variable index {i} out of range")
-    return monomial(tuple(1 if k == i else 0 for k in range(1, nvars + 1)))
 
 
 def eval_ones(f: LaurentPoly) -> int:
@@ -124,42 +110,27 @@ def swap_vars(f: LaurentPoly, i: int) -> LaurentPoly:
     return LaurentPoly(f.nvars, out)
 
 
-def _divide_exact(f: LaurentPoly, i: int) -> LaurentPoly:
-    """Exact division of f by (z_i - z_{i+1}); raises if inexact.
-
-    Terms are grouped by the exponents away from positions i, i+1 together
-    with the pair's total degree (the divisor is homogeneous in the pair);
-    within a group the quotient coefficients follow from a descending
-    recurrence in the z_i exponent, and the telescoped remainder must vanish.
-    """
-    a, b = i - 1, i
-    groups: dict[tuple, dict[int, int]] = {}
-    for expo, coeff in f.terms.items():
-        rest = expo[:a] + expo[b + 1:]
-        d = expo[a] + expo[b]
-        groups.setdefault((rest, d), {})[expo[a]] = coeff
-    out = {}
-    for (rest, d), coeffs in groups.items():
-        q = 0
-        for p in range(max(coeffs), min(coeffs) - 1, -1):
-            q = coeffs.get(p, 0) + q  # quotient coeff of z_i^(p-1) z_{i+1}^(d-p)
-            if q:
-                expo = rest[:a] + (p - 1, d - p) + rest[a:]
-                out[expo] = q
-        if q != 0:
-            raise RuntimeError("inexact division by (z_i - z_{i+1}); "
-                               "this indicates a bug in the caller")
-    return LaurentPoly(f.nvars, out)
-
-
 def demazure(f: LaurentPoly, i: int) -> LaurentPoly:
-    """The Demazure operator (z_i*f - z_{i+1}*f(s_i z)) / (z_i - z_{i+1}).
+    """The Demazure operator (z_i*f - z_{i+1}*f(s_i z)) / (z_i - z_{i+1}),
+    term by term: a term whose exponents of z_i, z_{i+1} are (p, q) goes to
+    the terms with exponents (x, p+q-x) for q <= x <= p when p >= q, and to
+    minus those for p < x < q otherwise.
 
     Idempotent, and fixes anything symmetric in z_i, z_{i+1}.
     """
-    zi = variable(i, f.nvars)
-    zi1 = variable(i + 1, f.nvars)
-    return _divide_exact(zi * f - zi1 * swap_vars(f, i), i)
+    if not 1 <= i <= f.nvars - 1:
+        raise ValueError(f"simple index {i} out of range")
+    out = {}
+    for expo, coeff in f.terms.items():
+        p, q = expo[i - 1], expo[i]
+        if p >= q:
+            xs = range(q, p + 1)
+        else:
+            xs, coeff = range(p + 1, q), -coeff
+        for x in xs:
+            key = expo[:i - 1] + (x, p + q - x) + expo[i + 1:]
+            out[key] = out.get(key, 0) + coeff
+    return LaurentPoly(f.nvars, out)
 
 
 def demazure_atom_op(f: LaurentPoly, i: int) -> LaurentPoly:

@@ -57,23 +57,34 @@ def state_to_doc(state: lattice.LatticeState) -> dict:
     }
 
 
+def _ints(values, field: str) -> tuple[int, ...]:
+    """The entries of a JSON array, each of which must be an integer
+    (not a bool, a float or a string)."""
+    values = tuple(values)
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"{field} must hold integers, got {list(values)!r}")
+    return values
+
+
 def doc_to_state(doc: dict) -> lattice.LatticeState:
     try:
         if doc["schema_version"] != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {doc['schema_version']!r}")
-        lam = tuple(doc["lambda"])
-        if doc["r"] != len(lam):
+        lam = _ints(doc["lambda"], "lambda")
+        if type(doc["r"]) is not int or doc["r"] != len(lam):
             raise ValueError("r does not match the partition length")
-        spec = lattice.ModelSpec(lam, tuple(doc["w"]), doc["family"])
+        spec = lattice.ModelSpec(lam, _ints(doc["w"], "w"), doc["family"])
         state = lattice.LatticeState(
             spec,
-            tuple(tuple(int(s) for s in row) for row in doc["horizontal"]),
-            tuple(tuple(int(s) for s in row) for row in doc["vertical"]))
+            tuple(_ints(row, "horizontal") for row in doc["horizontal"]),
+            tuple(_ints(row, "vertical") for row in doc["vertical"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state document: {exc}") from exc
     lattice.validate_state(state)
     derived = doc.get("derived")
     if derived is not None:
+        if not isinstance(derived, dict):
+            raise ValueError("derived must be an object")
         recomputed = state_to_doc(state)["derived"]
         for key, value in derived.items():
             if key not in recomputed or recomputed[key] != value:

@@ -21,10 +21,10 @@ import itertools
 
 __all__ = [
     "is_permutation", "check_permutation", "identity", "inverse", "compose",
-    "simple_reflection", "transposition", "mult_simple_right", "length",
-    "longest_element", "reduced_word", "all_reduced_words", "bruhat_leq",
-    "bruhat_less", "coset_longest", "stabilizer", "boundary_flag",
-    "all_permutations", "permutations_by_length", "check_dominant",
+    "simple_reflection", "transposition", "length", "longest_element",
+    "reduced_word", "all_reduced_words", "bruhat_leq", "coset_longest",
+    "stabilizer", "boundary_flag", "all_permutations",
+    "permutations_by_length", "check_dominant",
 ]
 
 Perm = tuple[int, ...]
@@ -92,13 +92,6 @@ def transposition(i: int, j: int, r: int) -> Perm:
         raise ValueError(f"bad transposition ({i},{j}) for rank {r}")
     out = list(range(1, r + 1))
     out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
-    return tuple(out)
-
-
-def mult_simple_right(w: Perm, i: int) -> Perm:
-    """w * s_i: swap the one-line entries at positions i, i+1."""
-    out = list(w)
-    out[i - 1], out[i] = out[i], out[i - 1]
     return tuple(out)
 
 
@@ -179,10 +172,6 @@ def bruhat_leq(y: Perm, w: Perm) -> bool:
         if any(a > b for a, b in zip(ys, ws)):
             return False
     return True
-
-
-def bruhat_less(y: Perm, w: Perm) -> bool:
-    return y != w and bruhat_leq(y, w)
 
 
 def stabilizer(lam: tuple[int, ...]):

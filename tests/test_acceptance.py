@@ -156,10 +156,10 @@ def test_criterion_7_worked_example_regression():
         closed = adjust.to_closed(open_state)
         assert lattice.gtp_of_state(open_state) == pattern
         assert lattice.gtp_of_state(closed) == pattern
-        assert open_state.config(1, 3).kind == "a21"
-        assert open_state.config(2, 1).kind == "a24"
-        assert closed.config(1, 3).kind == "a23"
-        assert closed.config(2, 1).kind == "a21"
+        assert open_state.config(1, 3) == "a21"
+        assert open_state.config(2, 1) == "a24"
+        assert closed.config(1, 3) == "a23"
+        assert closed.config(2, 1) == "a21"
         assert adjust.to_open(closed) == open_state
         again = adjust.to_closed(open_state)
         assert (again.horizontal, again.vertical) == \

@@ -14,11 +14,11 @@ def _fig4_open():
 
 def test_worked_example_open_and_closed_vertices():
     open_state = _fig4_open()
-    assert open_state.config(1, 3).kind == "a21"
-    assert open_state.config(2, 1).kind == "a24"
+    assert open_state.config(1, 3) == "a21"
+    assert open_state.config(2, 1) == "a24"
     closed = adjust.to_closed(open_state)
-    assert closed.config(1, 3).kind == "a23"
-    assert closed.config(2, 1).kind == "a21"
+    assert closed.config(1, 3) == "a23"
+    assert closed.config(2, 1) == "a21"
     assert lattice.gtp_of_state(closed) == FIG_PATTERN
     assert closed.spec.w == (2, 3, 1)
 
@@ -258,7 +258,7 @@ def test_raising_chain_is_injective_and_pattern_preserving():
     lam = (2, 1, 0)
     for y in weyl.all_permutations(3):
         for w in weyl.all_permutations(3):
-            if not weyl.bruhat_less(y, w):
+            if y == w or not weyl.bruhat_leq(y, w):
                 continue
             images = {}
             for state in lattice.enumerate_states(ModelSpec(lam, y, "closed")):

@@ -139,11 +139,17 @@ def test_render_and_determinism(tmp_path, capsys):
 
 
 def test_render_rejects_invalid_document(tmp_path, capsys):
+    code, out, _ = _run(capsys, "states", "--lambda", "1,0", "--w", "2,1",
+                        "--family", "closed", "--out", "json")
+    docs = [{"schema_version": 1}]
+    for field, value in [("derived", [1]), ("lambda", [1.0, 0]), ("w", [2.0, 1])]:
+        docs.append({**json.loads(out)[0], field: value})
     bad = tmp_path / "bad.json"
-    bad.write_text("{\"schema_version\": 1}")
-    code, _, err = _run(capsys, "render", "--state", str(bad),
-                        "--out", str(tmp_path / "x.svg"))
-    assert code == 2 and "invalid state document" in err
+    for doc in docs:
+        bad.write_text(json.dumps(doc))
+        code, _, err = _run(capsys, "render", "--state", str(bad),
+                            "--out", str(tmp_path / "x.svg"))
+        assert code == 2 and "invalid state document" in err, doc
 
 
 def test_states_svg_output(tmp_path, capsys):

@@ -12,7 +12,7 @@ def test_raising_examples():
 
 def test_lowering_examples():
     assert crystal.lowering(((1, 1), (2,)), 1) == ((1, 2), (2,))
-    low = crystal.lowest_weight_tableau((2, 1, 0), 3)
+    low = crystal.schuetzenberger(crystal.highest_weight_tableau((2, 1, 0)), 3)
     assert all(crystal.lowering(low, i) is None for i in (1, 2))
 
 
@@ -44,7 +44,7 @@ def test_weight_relation():
 def test_schuetzenberger_examples():
     assert crystal.schuetzenberger(((1,),), 2) == ((2,),)
     hw = crystal.highest_weight_tableau((2, 1, 0))
-    assert crystal.schuetzenberger(hw, 3) == crystal.lowest_weight_tableau((2, 1, 0), 3)
+    assert crystal.schuetzenberger(hw, 3) == ((2, 3), (3,))
     assert crystal.schuetzenberger(((1, 3), (2,)), 3) == ((1, 2), (3,))
 
 

