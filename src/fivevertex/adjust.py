@@ -3,7 +3,10 @@ State surgery on reduced lattice states: relocating the crossing of a pair
 of paths, converting between open and closed states, raising the boundary
 flag along a Bruhat cover, reading the flag directly off a pattern, and
 the constructive production of the unique closed state with a prescribed
-flag and pattern.
+flag and pattern.  That production walks once per pattern: one pass up
+the Bruhat interval above the pattern's forced flag builds the closed
+state of every flag in it, and the walk of the last pattern asked about
+is kept, so asking for every flag of a pattern in turn costs one walk.
 
 All operations recolor only the two paths involved: the set of colored
 edges never changes, so the underlying Gelfand-Tsetlin pattern is
@@ -13,6 +16,8 @@ each pair of paths crosses exactly when the flag inverts it.  The private
 steps in between return unchecked states.
 """
 
+import functools
+import itertools
 from dataclasses import replace
 
 from . import weyl
@@ -184,33 +189,42 @@ def exit_colors(pattern: Pattern) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=1)
+def _closed_walk(lam, pattern: Pattern) -> dict:
+    """Every closed state of the pattern, keyed by flag: the interval from
+    the pattern's forced flag w_a up to the longest element, built from
+    covers alone.  closed(P, w_a) is the open state closed up; a longer
+    flag y joins once some y*t with t = (a, b) and one inversion fewer has
+    joined, as closed(P, y*t) with a, b uncrossed and then closed up.
+    Unchecked.  One slot of memo serves a caller that asks for every flag
+    of one pattern before moving on to the next."""
+    w, state = open_state_of_pattern(lam, pattern)
+    r = len(w)
+    flags = weyl.permutations_by_length(r)
+    lengths = {y: weyl.length(y) for y in flags}
+    built = {w: _close(state)}
+    for y in flags[flags.index(w) + 1:]:
+        for a, b in itertools.combinations(range(1, r + 1), 2):
+            below = weyl.compose(y, weyl.transposition(a, b, r))
+            if below in built and lengths[below] == lengths[y] - 1:
+                built[y] = _close(_recolor_pair(built[below], a, b, None, flag=y))
+                break
+    return built
+
+
 def closed_state_of(y, lam, pattern: Pattern):
     """The unique closed state with flag y and the given left-strict
     pattern, or None when the pattern's forced flag is not below y.
 
-    Built constructively: the open state of the pattern, closed up, then
-    walked up the Bruhat order one length-increasing transposition at a
-    time (lexicographically first admissible step; any choice reaches y and
-    yields the same state).  Only the result is checked."""
+    Read off one walk per pattern (_closed_walk), which builds the closed
+    states of every flag above the forced one, each by a single uncrossing
+    step from a covered flag; the walk of the last pattern asked about is
+    kept.  Only the result is checked, here, on every call."""
     y = weyl.check_permutation(y)
-    w, state = open_state_of_pattern(lam, pattern)
-    if not weyl.bruhat_leq(w, y):
+    pattern = check_pattern(pattern)
+    if len(y) != len(pattern):
+        raise ValueError("rank mismatch")
+    state = _closed_walk(tuple(lam), pattern).get(y)
+    if state is None:
         return None
-    state = _close(state)
-    cur = w
-    r = len(y)
-    while cur != y:
-        for a in range(1, r + 1):
-            for b in range(a + 1, r + 1):
-                nxt = weyl.compose(cur, weyl.transposition(a, b, r))
-                if weyl.length(nxt) == weyl.length(cur) + 1 and weyl.bruhat_leq(nxt, y):
-                    state = _close(_recolor_pair(state, a, b, None, flag=nxt))
-                    cur = nxt
-                    break
-            else:
-                continue
-            break
-        else:
-            raise RuntimeError("no length-increasing step below y; "
-                               "Bruhat chain property violated")
-    return _checked(state, check_pattern(pattern))
+    return _checked(state, pattern)

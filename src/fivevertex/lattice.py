@@ -272,8 +272,6 @@ def open_state_of_pattern(lam, pattern: Pattern):
             if not fit:
                 raise RuntimeError("open propagation failed; pattern invalid")
             hrow[j], beneath[j] = fit[0][:2]
-        if not hrow[0]:
-            raise RuntimeError("open propagation failed; pattern invalid")
     horizontal = tuple(tuple(row) for row in horizontal)
     w = state_flag(horizontal)
     state = LatticeState(ModelSpec(lam, w, "open"), horizontal,

@@ -151,9 +151,16 @@ def check_states(lam, r):
                    "matches the constructive state")]
 
 
-def _image(lam, y):
+def _image(lam, y, tableau_of):
+    """The closed states of flag y and their crystal tableaux; a tableau
+    depends on the pattern alone, so tableau_of keeps one per pattern."""
     states = lattice.enumerate_states(_spec(lam, y, "closed"))
-    tabs = [lattice.crystal_tableau(s) for s in states]
+    tabs = []
+    for s in states:
+        pattern = lattice.gtp_of_state(s)
+        if pattern not in tableau_of:
+            tableau_of[pattern] = lattice.crystal_tableau(s)
+        tabs.append(tableau_of[pattern])
     return states, tabs
 
 
@@ -167,8 +174,9 @@ def check_bijection(lam, r):
     reports = []
     unrestricted_holds = True
     unrestricted_example = None
+    tableau_of = {}
     for y in weyl.permutations_by_length(r):
-        states, tabs = _image(lam, y)
+        states, tabs = _image(lam, y, tableau_of)
         injective = len(set(tabs)) == len(tabs)
         target = crystal.demazure_crystal(lam, y).elements
         matches = injective and set(tabs) == target
@@ -201,11 +209,18 @@ def check_bijection(lam, r):
 def check_shortcut(lam, r):
     """The pattern-level raising rule against the direct composite
     (evacuate, raise, evacuate) on every closed state and index, including
-    the bridge that raising vanishes iff the mirrored lowering does."""
+    the bridge that raising vanishes iff the mirrored lowering does.  Both
+    sides depend on the state's pattern alone, so each pattern is tested
+    once, at the first flag (in sweep order) that holds it."""
     lam = tuple(lam)
+    seen = set()
     for w in weyl.permutations_by_length(r):
         for state in lattice.enumerate_states(_spec(lam, w, "closed")):
-            shifted = patterns.subtract_staircase(lattice.gtp_of_state(state))
+            pattern = lattice.gtp_of_state(state)
+            if pattern in seen:
+                continue
+            seen.add(pattern)
+            shifted = patterns.subtract_staircase(pattern)
             plain = lattice.pattern_tableau(state)
             embedded = lattice.crystal_tableau(state)
             for i in range(1, r):

@@ -195,6 +195,7 @@ def test_public_exits_check_the_recolored_state(monkeypatch):
         adjust.to_closed(open_state)
     with pytest.raises(ValueError):
         adjust.raise_flag(closed, 1, 2)
+    adjust._closed_walk.cache_clear()  # a remembered good walk would hide the fault
     with pytest.raises(ValueError):
         adjust.closed_state_of((3, 2, 1), (3, 2, 0), FIG_PATTERN)
 
@@ -226,12 +227,35 @@ def test_closed_state_of_examples():
     assert built is not None and built.spec.w == (2, 1)
     assert lattice.boltzmann(built) == laurent.monomial((2, 0))
     assert adjust.closed_state_of((1, 2), (1, 0), ((2, 0), (1,))) is None
+    with pytest.raises(ValueError):  # a flag of the wrong rank is no answer
+        adjust.closed_state_of((1, 2, 3), (1, 0), ((2, 0), (0,)))
     # flag equal to the forced flag: just the closed-up open state
     w, open_state = lattice.open_state_of_pattern((3, 2, 0), FIG_PATTERN)
     built = adjust.closed_state_of(w, (3, 2, 0), FIG_PATTERN)
     expected = adjust.to_closed(open_state)
     assert (built.horizontal, built.vertical) == \
         (expected.horizontal, expected.vertical)
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 1, 0), (2, 2, 1, 0)])
+def test_closed_state_of_matches_enumeration_on_every_cell(lam):
+    # flags longest first and patterns interleaved, so that no call finds
+    # its pattern's walk remembered from the call before
+    r = len(lam)
+    enumerated = {}
+    for y in weyl.all_permutations(r):
+        for state in lattice.enumerate_states(ModelSpec(lam, y, "closed")):
+            enumerated[y, lattice.gtp_of_state(state)] = state
+    pats = sorted(patterns.enumerate_left_strict(lam, r))
+    forced = {p: lattice.open_state_of_pattern(lam, p)[0] for p in pats}
+    adjust._closed_walk.cache_clear()
+    for y in reversed(weyl.permutations_by_length(r)):
+        for p in pats:
+            misses = adjust._closed_walk.cache_info().misses
+            built = adjust.closed_state_of(y, lam, p)
+            assert adjust._closed_walk.cache_info().misses == misses + 1
+            assert (built is None) == (not weyl.bruhat_leq(forced[p], y))
+            assert built == enumerated.get((y, p))
 
 
 def test_closed_state_of_path_independence():

@@ -7,21 +7,32 @@ from fivevertex import laurent, patterns, weyl
 from fivevertex.laurent import monomial
 
 
-def _monomial_demazure_oracle(mu, i):
-    """Closed-form action on a single monomial: for k = mu_i - mu_{i+1},
-    the geometric string from mu down to its reflection when k >= 0, zero
-    at k = -1, and minus the interior string when k < -1."""
-    r = len(mu)
-    alpha = tuple(1 if p == i else -1 if p == i + 1 else 0 for p in range(1, r + 1))
-    k = mu[i - 1] - mu[i]
-    total = laurent.zero(r)
-    if k >= 0:
-        for step in range(k + 1):
-            total = total + monomial(tuple(m - step * a for m, a in zip(mu, alpha)))
-    elif k < -1:
-        for step in range(1, -k):
-            total = total - monomial(tuple(m + step * a for m, a in zip(mu, alpha)))
-    return total
+def _variable(k, r):
+    return monomial(tuple(int(p == k) for p in range(1, r + 1)))
+
+
+def _divided_difference_oracle(f, i):
+    """(z_i*f - z_{i+1}*f(s_i z)) / (z_i - z_{i+1}) by exact long division.
+
+    Leading terms are taken in lex order with the exponent of z_i compared
+    first.  That order is total and invariant under multiplication by a
+    monomial, so the leading term of q*(z_i - z_{i+1}) is z_i times that of
+    q, and each step takes one term of the quotient off the numerator.  A
+    quotient term has z_i-degree at least the least one of the numerator,
+    which bounds the loop when the division is not exact."""
+    r = f.nvars
+    divisor = _variable(i, r) - _variable(i + 1, r)
+    num = _variable(i, r) * f - _variable(i + 1, r) * laurent.swap_vars(f, i)
+    low = min((e[i - 1] for e in num.terms), default=0)
+    quotient = laurent.zero(r)
+    while num:
+        lead = max(num.terms, key=lambda e: (e[i - 1],) + e)
+        assert lead[i - 1] > low, "not divisible by z_i - z_{i+1}"
+        term = num.terms[lead] * monomial(
+            tuple(e - (p == i) for p, e in enumerate(lead, start=1)))
+        quotient = quotient + term
+        num = num - term * divisor
+    return quotient
 
 
 def test_monomial_and_eval():
@@ -49,7 +60,7 @@ def test_demazure_matches_monomial_oracle(r):
     for mu in itertools.product(range(-2, 4), repeat=r):
         for i in range(1, r):
             assert laurent.demazure(monomial(mu), i) == \
-                _monomial_demazure_oracle(mu, i), (mu, i)
+                _divided_difference_oracle(monomial(mu), i), (mu, i)
 
 
 def test_atom_op_examples():

@@ -1,7 +1,7 @@
 import json
 import time
 
-from fivevertex import verify
+from fivevertex import crystal, lattice, patterns, verify, weyl
 
 
 def _statuses(reports):
@@ -37,6 +37,24 @@ def test_bijection_scope_note_for_nonstrict_shapes():
     assert len(notes) == 1
     strict_reports = verify.check_bijection((2, 1), 2)
     assert _statuses(strict_reports) == {"pass"}
+
+
+def test_shortcut_reports_the_first_flag_of_a_bad_pattern(monkeypatch):
+    # each pattern is tested once; a wrong rule on one pattern must still
+    # be reported at its forced flag, the first flag that holds it
+    lam = (2, 1, 0)
+    pats = sorted(patterns.enumerate_left_strict(lam, 3))
+    forced = {p: lattice.open_state_of_pattern(lam, p)[0] for p in pats}
+    bad = next(p for p in reversed(pats)
+               if forced[p] not in (weyl.identity(3), weyl.longest_element(3)))
+    bad_shifted = patterns.subtract_staircase(bad)
+    gtp_raise = crystal.gtp_raise
+    monkeypatch.setattr(crystal, "gtp_raise", lambda pattern, i: (
+        ((0,),) if pattern == bad_shifted else gtp_raise(pattern, i)))
+    (report,) = verify.check_shortcut(lam, 3)
+    assert report.failed
+    assert report.w == forced[bad]
+    assert report.counterexample["pattern"] == [list(row) for row in bad_shifted]
 
 
 def test_report_json_schema():
