@@ -12,7 +12,7 @@ Command-line front end.
 Partitions are comma lists with trailing zeros kept (so the rank is
 explicit), flags are one-line comma lists, patterns are rows joined by
 '/'.  Exit codes: 0 success, 1 internal invariant violation, 2 malformed
-arguments or input, 3 verification failure.
+arguments or input or an unwritable output path, 3 verification failure.
 """
 
 import argparse
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -4,13 +4,16 @@ lowering operators, string statistics, the evacuation (Schuetzenberger)
 involution, Demazure subsets and their atoms, key tableaux, and a
 pattern-level shortcut for the raising operator conjugated by evacuation.
 
+Demazure sets and atoms follow laurent's rule for characters and atoms:
+from the highest weight element, string closures along a reduced word of
+w, each minus its input for atoms.  Nothing is cached.
+
 Operators use the row reading word (rows bottom to top, each left to
 right) with the matching bracket rule: scanning the subword of letters
 i and i+1, each i+1 opens and a later i closes; e_i lifts the leftmost
 unmatched i+1, f_i drops the rightmost unmatched i.
 """
 
-import functools
 from dataclasses import dataclass
 
 from . import laurent, patterns, weyl
@@ -151,15 +154,10 @@ class DemazureSet:
         return len(self.elements)
 
 
-@functools.lru_cache(maxsize=None)
-def _demazure_elements(lam, w) -> frozenset[Tableau]:
-    r = len(w)
-    if w == weyl.identity(r):
-        return frozenset({highest_weight_tableau(lam)})
-    winv = weyl.inverse(w)
-    i = next(i for i in range(1, r) if winv[i - 1] > winv[i])  # left descent
-    shorter = weyl.compose(weyl.simple_reflection(i, r), w)
-    return demazure_closure(_demazure_elements(lam, shorter), i)
+def _atom_step(elements, i: int) -> frozenset[Tableau]:
+    """The crystal twin of laurent.demazure_atom_op: the string closure
+    along i minus its input."""
+    return demazure_closure(elements, i) - elements
 
 
 def demazure_crystal(lam, w) -> DemazureSet:
@@ -167,24 +165,18 @@ def demazure_crystal(lam, w) -> DemazureSet:
     weight element by string closures along a reduced word of w.  Grows
     monotonically with w in Bruhat order; its character is demazure_char."""
     lam, w = weyl.check_dominant(lam, w)
-    return DemazureSet(lam, w, _demazure_elements(lam, w))
-
-
-@functools.lru_cache(maxsize=None)
-def _atom_elements(lam, w) -> frozenset[Tableau]:
-    out = set(_demazure_elements(lam, w))
-    for y in weyl.all_permutations(len(w)):
-        if y != w and weyl.bruhat_leq(y, w):
-            out -= _demazure_elements(lam, y)
-    return frozenset(out)
+    start = frozenset({highest_weight_tableau(lam)})
+    return DemazureSet(lam, w, weyl.apply_reduced_word(start, w, demazure_closure))
 
 
 def demazure_atom_set(lam, w) -> DemazureSet:
-    """What the Demazure set at w adds over everything strictly below it;
-    the atoms are pairwise disjoint and tile each Demazure set along the
-    Bruhat interval."""
+    """Atom steps along a reduced word of w from the highest weight element:
+    what the Demazure set at w adds over everything strictly below it.  The
+    atoms are disjoint and tile each Demazure set along the Bruhat interval;
+    the character is demazure_atom."""
     lam, w = weyl.check_dominant(lam, w)
-    return DemazureSet(lam, w, _atom_elements(lam, w))
+    start = frozenset({highest_weight_tableau(lam)})
+    return DemazureSet(lam, w, weyl.apply_reduced_word(start, w, _atom_step))
 
 
 def character(elements, r: int) -> laurent.LaurentPoly:

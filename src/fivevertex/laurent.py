@@ -138,19 +138,11 @@ def demazure_atom_op(f: LaurentPoly, i: int) -> LaurentPoly:
     return demazure(f, i) - f
 
 
-def _apply_word(f: LaurentPoly, word, op) -> LaurentPoly:
-    # word (a_1..a_k) encodes the product s_{a_1}...s_{a_k}; the rightmost
-    # factor acts first, so apply operators right to left.
-    for i in reversed(word):
-        f = op(f, i)
-    return f
-
-
 def demazure_char(lam, w) -> LaurentPoly:
     """Demazure character: the composite Demazure operator over a reduced
     word of w, applied to z^lam.  Word-independent."""
     lam, w = weyl.check_dominant(lam, w)
-    return _apply_word(monomial(lam), weyl.reduced_word(w), demazure)
+    return weyl.apply_reduced_word(monomial(lam), w, demazure)
 
 
 def demazure_atom(lam, w) -> LaurentPoly:
@@ -158,7 +150,7 @@ def demazure_atom(lam, w) -> LaurentPoly:
     applied to z^lam.  Characters decompose as the sum of atoms over the
     Bruhat interval below w."""
     lam, w = weyl.check_dominant(lam, w)
-    return _apply_word(monomial(lam), weyl.reduced_word(w), demazure_atom_op)
+    return weyl.apply_reduced_word(monomial(lam), w, demazure_atom_op)
 
 
 def format_poly(f: LaurentPoly) -> str:

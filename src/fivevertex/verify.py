@@ -129,7 +129,7 @@ def check_states(lam, r):
         for s in lattice.enumerate_states(_spec(lam, y, "closed")):
             by_pattern[y].setdefault(lattice.gtp_of_state(s), []).append(s)
     for pattern in sorted(patterns.enumerate_left_strict(lam, r)):
-        w_a, _ = lattice.open_state_of_pattern(lam, pattern)
+        w_a = weyl.inverse(adjust.exit_colors(pattern))
         for y in flags:
             states = by_pattern[y].get(pattern, [])
             want = 1 if weyl.bruhat_leq(w_a, y) else 0
@@ -269,7 +269,11 @@ def check_tau(lam, r):
 def check_crystal(lam, r):
     """Crystal axioms, string trichotomy, evacuation involutivity,
     character identities for Demazure sets and atoms, the disjoint atom
-    union, and key-tableau uniqueness per nonempty atom."""
+    union, and key-tableau uniqueness per nonempty atom.
+
+    The tiling test is the oracle for the atoms' reduced-word rule: atoms
+    below every w are disjoint and tile Dem(w) iff every atom(w) is Dem(w)
+    minus the Dem(y), y < w (by induction up the Bruhat order)."""
     lam = tuple(lam)
     elements = sorted(patterns.enumerate_ssyt(lam, r))
 
@@ -329,11 +333,12 @@ def check_crystal(lam, r):
         for i in range(1, r):
             strings.setdefault(string_of(tab, i), None)
     flags = weyl.permutations_by_length(r)
+    atoms = {w: crystal.demazure_atom_set(lam, w).elements for w in flags}
     for w in flags:
         dem = crystal.demazure_crystal(lam, w).elements
         if crystal.character(dem, r) != laurent.demazure_char(lam, w):
             return fail("Demazure set character mismatch", w=list(w))
-        atom = crystal.demazure_atom_set(lam, w).elements
+        atom = atoms[w]
         if crystal.character(atom, r) != laurent.demazure_atom(lam, w):
             return fail("atom character mismatch", w=list(w))
         for head, chain in strings:
@@ -343,7 +348,7 @@ def check_crystal(lam, r):
         union = set()
         for y in flags:
             if weyl.bruhat_leq(y, w):
-                part = crystal.demazure_atom_set(lam, y).elements
+                part = atoms[y]
                 if union & part:
                     return fail("atoms are not disjoint", w=list(w))
                 union |= part

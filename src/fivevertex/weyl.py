@@ -22,8 +22,8 @@ import itertools
 __all__ = [
     "is_permutation", "check_permutation", "identity", "inverse", "compose",
     "simple_reflection", "transposition", "length", "longest_element",
-    "reduced_word", "all_reduced_words", "bruhat_leq", "coset_longest",
-    "stabilizer", "boundary_flag", "all_permutations",
+    "reduced_word", "apply_reduced_word", "all_reduced_words", "bruhat_leq",
+    "coset_longest", "stabilizer", "boundary_flag", "all_permutations",
     "permutations_by_length", "check_dominant",
 ]
 
@@ -138,6 +138,14 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
         # left-multiply by s_i: swap the values i, i+1 in w
         w = tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
         winv = inverse(w)
+
+
+def apply_reduced_word(x, w: Perm, op):
+    """op along reduced_word(w) = (a_1, ..., a_k), rightmost letter first,
+    as s_{a_1} * ... * s_{a_k} acts: op(...op(op(x, a_k), a_{k-1})..., a_1)."""
+    for i in reversed(reduced_word(w)):
+        x = op(x, i)
+    return x
 
 
 def all_reduced_words(w: Perm):

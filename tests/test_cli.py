@@ -159,3 +159,22 @@ def test_states_svg_output(tmp_path, capsys):
     assert code == 0
     files = sorted(p.name for p in tmp_path.glob("*.svg"))
     assert files == ["state-000.svg", "state-001.svg"]
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    code, out, _ = _run(capsys, "states", "--lambda", "1,0", "--w", "1,2",
+                        "--family", "closed", "--out", "json")
+    state_file = tmp_path / "state.json"
+    state_file.write_text(json.dumps(json.loads(out)[0]))
+    missing = tmp_path / "missing" / "dir"
+    runs = [
+        ("verify", "--rank", "1", "--lambda-max", "0",
+         "--out", str(missing / "r.jsonl")),
+        ("render", "--state", str(state_file), "--out", str(missing / "x.svg")),
+        ("states", "--lambda", "1,0", "--w", "2,1", "--family", "closed",
+         "--out", "svg", "--dest", str(state_file)),
+    ]
+    for argv in runs:
+        code, _, err = _run(capsys, *argv)
+        assert code == 2 and err.startswith("error: "), argv
+    assert not missing.exists()

@@ -86,15 +86,18 @@ def test_demazure_crystal_bruhat_monotone():
 def test_demazure_word_independence():
     lam = (2, 1, 0)
     u = crystal.highest_weight_tableau(lam)
-    for w in weyl.all_permutations(3):
-        results = set()
-        for word in weyl.all_reduced_words(w):
-            elements = frozenset({u})
-            for a in reversed(word):
-                elements = crystal.demazure_closure(elements, a)
-            results.add(elements)
-        assert len(results) == 1
-        assert results.pop() == crystal.demazure_crystal(lam, w).elements
+    cases = [(crystal.demazure_closure, crystal.demazure_crystal),
+             (crystal._atom_step, crystal.demazure_atom_set)]
+    for step, public in cases:
+        for w in weyl.all_permutations(3):
+            results = set()
+            for word in weyl.all_reduced_words(w):
+                elements = frozenset({u})
+                for a in reversed(word):
+                    elements = step(elements, a)
+                results.add(elements)
+            assert len(results) == 1
+            assert results.pop() == public(lam, w).elements
 
 
 def test_atom_examples():
@@ -103,6 +106,30 @@ def test_atom_examples():
         frozenset({((1,),)})
     assert crystal.demazure_atom_set(lam, (2, 1, 3)).elements == \
         frozenset({((2,),)})
+
+
+def _set_difference_atom(lam, w):
+    """The atom by its definition: the Demazure set of w minus the
+    Demazure sets of every flag strictly below w, each set built by
+    closures along a reduced word, rightmost letter first."""
+    def dem(y):
+        elements = frozenset({crystal.highest_weight_tableau(lam)})
+        for a in reversed(weyl.reduced_word(y)):
+            elements = crystal.demazure_closure(elements, a)
+        return elements
+
+    out = set(dem(w))
+    for y in weyl.all_permutations(len(w)):
+        if y != w and weyl.bruhat_leq(y, w):
+            out -= dem(y)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 1, 0), (2, 2, 1, 0), (3, 1, 0, 0)])
+def test_atom_step_matches_set_difference(lam):
+    for w in weyl.all_permutations(4):
+        assert crystal.demazure_atom_set(lam, w).elements == \
+            _set_difference_atom(lam, w)
 
 
 def test_atoms_partition_crystal():
