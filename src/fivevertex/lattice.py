@@ -150,10 +150,12 @@ def _choices(left: int, top: int, family: str):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def classify_vertex(left: int, top: int, right: int, bottom: int) -> str:
     """The kind of the completion of (left, top) whose (right, bottom) is
     the given pair; color conservation follows, and anything that matches
-    no completion raises."""
+    no completion raises (and so is not cached).  Spins run over 0..r, so
+    the cache stays small."""
     for r, b, kind, _ in _choices(left, top, "generalized"):
         if (r, b) == (right, bottom):
             return kind

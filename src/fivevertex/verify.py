@@ -74,10 +74,12 @@ def _enumeration_sum(spec):
 def check_partition(lam, r):
     """Closed and open partition functions, by row transfer and by state
     enumeration, against the staircase-shifted Demazure character and
-    atom, plus the closed = sum-of-open-below-w decomposition; exact
-    polynomial equality throughout."""
+    atom, plus the closed = sum-of-open-below-w decomposition, summed over
+    the lower interval of w read from weyl.bruhat_table; exact polynomial
+    equality throughout."""
     lam = tuple(lam)
-    flags = weyl.permutations_by_length(r)
+    table = weyl.bruhat_table(r)
+    flags = table.flags
     z_closed = {w: lattice.partition_function(_spec(lam, w, "closed")) for w in flags}
     z_open = {w: lattice.partition_function(_spec(lam, w, "open")) for w in flags}
     literal_matches = True
@@ -100,9 +102,8 @@ def check_partition(lam, r):
                                "open_enumerated": laurent.format_poly(enum_o),
                                "open_expected": laurent.format_poly(want_o)})]
         total = laurent.zero(r)
-        for y in flags:
-            if weyl.bruhat_leq(y, w):
-                total = total + z_open[y]
+        for y in table.below(w):
+            total = total + z_open[y]
         if total != z_closed[w]:
             return [Report("partition", lam, r, "fail",
                            "closed function is not the sum of open ones below",
@@ -120,10 +121,12 @@ def check_partition(lam, r):
 
 def check_states(lam, r):
     """Existence/uniqueness of closed states per (flag, pattern) cell:
-    exactly one state when the flag dominates the pattern's forced flag,
-    none otherwise; the constructive builder agrees with enumeration."""
+    exactly one state when the flag dominates the pattern's forced flag in
+    the Bruhat order (read from weyl.bruhat_table), none otherwise; the
+    constructive builder agrees with enumeration."""
     lam = tuple(lam)
-    flags = weyl.permutations_by_length(r)
+    table = weyl.bruhat_table(r)
+    flags = table.flags
     by_pattern = {y: {} for y in flags}
     for y in flags:
         for s in lattice.enumerate_states(_spec(lam, y, "closed")):
@@ -132,7 +135,7 @@ def check_states(lam, r):
         w_a = weyl.inverse(adjust.exit_colors(pattern))
         for y in flags:
             states = by_pattern[y].get(pattern, [])
-            want = 1 if weyl.bruhat_leq(w_a, y) else 0
+            want = 1 if table.leq(w_a, y) else 0
             built = adjust.closed_state_of(y, lam, pattern)
             ok = (len(states) == want
                   and (built is None) == (want == 0)
@@ -273,7 +276,8 @@ def check_crystal(lam, r):
 
     The tiling test is the oracle for the atoms' reduced-word rule: atoms
     below every w are disjoint and tile Dem(w) iff every atom(w) is Dem(w)
-    minus the Dem(y), y < w (by induction up the Bruhat order)."""
+    minus the Dem(y), y < w (by induction up the Bruhat order).  It walks
+    the lower interval of w from weyl.bruhat_table, in sweep order."""
     lam = tuple(lam)
     elements = sorted(patterns.enumerate_ssyt(lam, r))
 
@@ -332,7 +336,8 @@ def check_crystal(lam, r):
     for tab in elements:
         for i in range(1, r):
             strings.setdefault(string_of(tab, i), None)
-    flags = weyl.permutations_by_length(r)
+    table = weyl.bruhat_table(r)
+    flags = table.flags
     atoms = {w: crystal.demazure_atom_set(lam, w).elements for w in flags}
     for w in flags:
         dem = crystal.demazure_crystal(lam, w).elements
@@ -346,12 +351,11 @@ def check_crystal(lam, r):
             if inter not in (frozenset(), chain, frozenset({head})):
                 return fail("string trichotomy violated", w=list(w))
         union = set()
-        for y in flags:
-            if weyl.bruhat_leq(y, w):
-                part = atoms[y]
-                if union & part:
-                    return fail("atoms are not disjoint", w=list(w))
-                union |= part
+        for y in table.below(w):
+            part = atoms[y]
+            if union & part:
+                return fail("atoms are not disjoint", w=list(w))
+            union |= part
         if union != dem:
             return fail("atoms below w do not tile the Demazure set", w=list(w))
         keys = [t for t in atom if crystal.is_key(t)]

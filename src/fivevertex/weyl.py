@@ -17,12 +17,16 @@ Conventions:
 All values are plain tuples; nothing here is mutated after construction.
 """
 
+import functools
 import itertools
+from types import MappingProxyType
+from typing import NamedTuple
 
 __all__ = [
-    "is_permutation", "check_permutation", "identity", "inverse", "compose",
-    "simple_reflection", "transposition", "length", "longest_element",
+    "is_permutation", "check_permutation", "inverse", "compose",
+    "transposition", "length", "longest_element",
     "reduced_word", "apply_reduced_word", "all_reduced_words", "bruhat_leq",
+    "BruhatTable", "bruhat_table",
     "coset_longest", "stabilizer", "boundary_flag", "all_permutations",
     "permutations_by_length", "check_dominant",
 ]
@@ -54,10 +58,6 @@ def check_dominant(lam, w: Perm) -> tuple[tuple[int, ...], Perm]:
     return lam, w
 
 
-def identity(r: int) -> Perm:
-    return tuple(range(1, r + 1))
-
-
 def inverse(w: Perm) -> Perm:
     """
     >>> inverse((2, 3, 1))
@@ -78,13 +78,6 @@ def compose(u: Perm, v: Perm) -> Perm:
     if len(u) != len(v):
         raise ValueError("rank mismatch")
     return tuple(u[vi - 1] for vi in v)
-
-
-def simple_reflection(i: int, r: int) -> Perm:
-    """s_i in S_r, swapping i and i+1."""
-    if not 1 <= i <= r - 1:
-        raise ValueError(f"simple index {i} out of range for rank {r}")
-    return transposition(i, i + 1, r)
 
 
 def transposition(i: int, j: int, r: int) -> Perm:
@@ -180,6 +173,55 @@ def bruhat_leq(y: Perm, w: Perm) -> bool:
         if any(a > b for a, b in zip(ys, ws)):
             return False
     return True
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class BruhatTable(NamedTuple):
+    """The Bruhat order on S_r as lower intervals: flags is
+    permutations_by_length(r), index maps a flag to its position there, and
+    bit j of lower[k] is set iff flags[j] <= flags[k].  The table is shared
+    by every caller, so none of its parts can be changed."""
+    flags: tuple[Perm, ...]
+    index: MappingProxyType
+    lower: tuple[int, ...]
+
+    def leq(self, y: Perm, w: Perm) -> bool:
+        return bool(self.lower[self.index[w]] >> self.index[y] & 1)
+
+    def below(self, w: Perm) -> list[Perm]:
+        """Every y <= w, in the order of flags."""
+        return [self.flags[j] for j in _bits(self.lower[self.index[w]])]
+
+
+@functools.lru_cache(maxsize=None)
+def bruhat_table(r: int) -> BruhatTable:
+    """The BruhatTable of S_r, built once per rank by the lifting property:
+    for a right descent s of w, [e, w] = [e, ws] U [e, ws]*s, and ws comes
+    before w in length order.  It holds r!^2 bits, so only the sweeps that
+    ask every pair of flags build it."""
+    flags = tuple(permutations_by_length(r))
+    index = {w: k for k, w in enumerate(flags)}
+    lower = []
+    for k, w in enumerate(flags):
+        i = next((i for i in range(r - 1) if w[i] > w[i + 1]), None)
+        if i is None:  # the identity
+            lower.append(1 << k)
+            continue
+        # right multiplication by s_{i+1} swaps one-line positions i, i+1
+        shorter = lower[index[w[:i] + (w[i + 1], w[i]) + w[i + 2:]]]
+        mask = shorter
+        for j in _bits(shorter):
+            y = flags[j]
+            mask |= 1 << index[y[:i] + (y[i + 1], y[i]) + y[i + 2:]]
+        lower.append(mask)
+    return BruhatTable(flags, MappingProxyType(index), tuple(lower))
 
 
 def stabilizer(lam: tuple[int, ...]):

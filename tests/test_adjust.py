@@ -301,7 +301,7 @@ def test_tau_monotone_under_vanishing_raise():
         r = len(lam)
         for y in weyl.all_permutations(r):
             for i in range(1, r):
-                siy = weyl.compose(weyl.simple_reflection(i, r), y)
+                siy = weyl.compose(weyl.transposition(i, i + 1, r), y)
                 if weyl.length(siy) <= weyl.length(y):
                     continue
                 for state in lattice.enumerate_states(ModelSpec(lam, siy, "closed")):

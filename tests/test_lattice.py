@@ -34,6 +34,25 @@ def test_classify_vertex_rejects():
         classify_vertex(1, 1, 1, 1)       # one path cannot use all four edges
 
 
+def test_classify_vertex_matches_the_completions():
+    for left, top, right, bottom in itertools.product(range(4), repeat=4):
+        kinds = [kind for r, b, kind, _ in
+                 lattice._choices(left, top, "generalized")
+                 if (r, b) == (right, bottom)]
+        if kinds:
+            assert [classify_vertex(left, top, right, bottom)] == kinds
+        else:
+            with pytest.raises(NonAdmissibleError):
+                classify_vertex(left, top, right, bottom)
+
+
+def test_classify_vertex_raises_again_on_a_repeat_call():
+    # the memo keeps kinds only; a rejected configuration is rejected anew
+    for _ in range(2):
+        with pytest.raises(NonAdmissibleError):
+            classify_vertex(2, 0, 0, 0)
+
+
 def test_admissible_for():
     assert not lattice.admissible_for("a23", "open")
     assert lattice.admissible_for("a23", "closed")
@@ -75,7 +94,7 @@ def test_partition_function_examples():
     # identity flag: the single state carries the staircase-shifted weight
     for lam in [(0, 0), (2, 1), (3, 1, 0), (2, 2, 2)]:
         r = len(lam)
-        spec = ModelSpec(lam, weyl.identity(r), "closed")
+        spec = ModelSpec(lam, tuple(range(1, r + 1)), "closed")
         assert len(lattice.enumerate_states(spec)) == 1
         expected = tuple(p + s for p, s in zip(lam, patterns.staircase(r)))
         assert lattice.partition_function(spec) == laurent.monomial(expected)
@@ -143,7 +162,7 @@ def test_crystal_tableau_examples():
             assert lattice.crystal_tableau(state) == ((2,),)
     # identity-flag states map to the highest weight element
     for lam in [(1, 0), (2, 1, 0), (3, 2, 0)]:
-        spec = ModelSpec(lam, weyl.identity(len(lam)), "closed")
+        spec = ModelSpec(lam, tuple(range(1, len(lam) + 1)), "closed")
         (state,) = lattice.enumerate_states(spec)
         assert lattice.crystal_tableau(state) == crystal.highest_weight_tableau(lam)
 

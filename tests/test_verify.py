@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from fivevertex import crystal, lattice, patterns, verify, weyl
 
 
@@ -19,6 +21,19 @@ def test_every_check_passes_on_three_row_shape():
     for name, check in verify.CHECKS.items():
         reports = check((2, 1, 0), 3)
         assert all(not rep.failed for rep in reports), name
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0)])
+def test_interval_checks_ask_no_pairwise_bruhat_question(monkeypatch, lam):
+    # the loops over pairs of flags read weyl.bruhat_table, not bruhat_leq
+    def refuse(y, w):
+        raise AssertionError("bruhat_leq called by a sweep")
+    monkeypatch.setattr(weyl, "bruhat_leq", refuse)
+    for check in (verify.check_partition, verify.check_states,
+                  verify.check_crystal):
+        reports = check(lam, len(lam))
+        assert all(not rep.failed for rep in reports), check.__name__
+        assert reports[0].status == "pass", check.__name__
 
 
 def test_partition_convention_note():
@@ -46,7 +61,7 @@ def test_shortcut_reports_the_first_flag_of_a_bad_pattern(monkeypatch):
     pats = sorted(patterns.enumerate_left_strict(lam, 3))
     forced = {p: lattice.open_state_of_pattern(lam, p)[0] for p in pats}
     bad = next(p for p in reversed(pats)
-               if forced[p] not in (weyl.identity(3), weyl.longest_element(3)))
+               if forced[p] not in ((1, 2, 3), weyl.longest_element(3)))
     bad_shifted = patterns.subtract_staircase(bad)
     gtp_raise = crystal.gtp_raise
     monkeypatch.setattr(crystal, "gtp_raise", lambda pattern, i: (

@@ -20,15 +20,15 @@ def test_longest_element():
 
 def test_inverse_compose():
     for w in weyl.all_permutations(4):
-        assert weyl.compose(w, weyl.inverse(w)) == weyl.identity(4)
-        assert weyl.compose(weyl.inverse(w), w) == weyl.identity(4)
+        assert weyl.compose(w, weyl.inverse(w)) == (1, 2, 3, 4)
+        assert weyl.compose(weyl.inverse(w), w) == (1, 2, 3, 4)
 
 
 def test_simple_multiplication_conventions():
     # right multiplication by s_i swaps one-line positions, left swaps values
     w = (2, 3, 1)
-    assert weyl.compose(w, weyl.simple_reflection(1, 3)) == (3, 2, 1)
-    assert weyl.compose(weyl.simple_reflection(1, 3), w) == (1, 3, 2)
+    assert weyl.compose(w, weyl.transposition(1, 2, 3)) == (3, 2, 1)
+    assert weyl.compose(weyl.transposition(1, 2, 3), w) == (1, 3, 2)
 
 
 def test_reduced_word_examples():
@@ -43,9 +43,9 @@ def test_reduced_word_multiplies_back(r):
     for w in weyl.all_permutations(r):
         word = weyl.reduced_word(w)
         assert len(word) == weyl.length(w)
-        prod = weyl.identity(r)
+        prod = tuple(range(1, r + 1))
         for a in word:
-            prod = weyl.compose(prod, weyl.simple_reflection(a, r))
+            prod = weyl.compose(prod, weyl.transposition(a, a + 1, r))
         assert prod == w
 
 
@@ -58,7 +58,7 @@ def test_all_reduced_words_agree():
 def test_descent_length_rule():
     for w in weyl.all_permutations(4):
         for i in range(1, 4):
-            longer = weyl.length(weyl.compose(w, weyl.simple_reflection(i, 4))) == weyl.length(w) + 1
+            longer = weyl.length(weyl.compose(w, weyl.transposition(i, i + 1, 4))) == weyl.length(w) + 1
             assert longer == (w[i - 1] < w[i])
 
 
@@ -120,6 +120,22 @@ def test_longest_element_antiautomorphisms(r):
             leq = weyl.bruhat_leq(y, w)
             assert leq == weyl.bruhat_leq(weyl.compose(w, w0), weyl.compose(y, w0))
             assert leq == weyl.bruhat_leq(weyl.compose(w0, w), weyl.compose(w0, y))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_bruhat_table_matches_bruhat_leq(r):
+    table = weyl.bruhat_table(r)
+    assert list(table.flags) == weyl.permutations_by_length(r)
+    assert all(table.flags[table.index[w]] == w for w in table.flags)
+    for w in table.flags:
+        below = [y for y in table.flags if weyl.bruhat_leq(y, w)]
+        assert table.below(w) == below
+        for y in table.flags:
+            assert table.leq(y, w) == (y in below)
+
+
+def test_bruhat_table_is_built_once_per_rank():
+    assert weyl.bruhat_table(4) is weyl.bruhat_table(4)
 
 
 def test_coset_longest():
