@@ -15,7 +15,9 @@ PATTERN = ((5, 3, 0), (3, 1), (1,))
 
 
 def describe(name, state):
-    crossings = {(a, b): lattice.pair_crossings(state, a, b)
+    meets = lattice.meetings(state)
+    crossings = {(a, b): [v for v in meets.get((a, b), [])
+                          if lattice.crosses(state, v)]
                  for a in (1, 2) for b in range(a + 1, 4)}
     print(f"{name}: family {state.spec.family}, flag {state.spec.w}, "
           f"pattern {lattice.gtp_of_state(state)}")

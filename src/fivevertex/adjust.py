@@ -22,8 +22,8 @@ from dataclasses import replace
 
 from . import weyl
 from .lattice import (LatticeState, crosses, gtp_of_state, meetings,
-                      open_state_of_pattern, pair_crossings,
-                      pair_intersections, validate_state)
+                      open_state_of_pattern, pair_intersections,
+                      validate_state)
 from .patterns import Pattern, check_pattern
 
 __all__ = [
@@ -149,7 +149,7 @@ def raise_flag(state: LatticeState, a: int, b: int) -> LatticeState:
     yt = weyl.compose(y, weyl.transposition(a, b, spec.r))
     if weyl.length(yt) != weyl.length(y) + 1:
         raise ValueError(f"transposition ({a},{b}) does not raise the length")
-    if not pair_crossings(state, a, b):
+    if not any(crosses(state, v) for v in meetings(state).get((a, b), [])):
         raise ValueError(f"paths {a} and {b} do not cross")
     return _checked(_recolor_pair(state, a, b, None, flag=yt),
                     gtp_of_state(state))

@@ -39,8 +39,7 @@ __all__ = [
     "classify_vertex", "admissible_for", "enumerate_states",
     "open_state_of_pattern", "gtp_of_state", "boltzmann",
     "partition_function", "pattern_tableau", "crystal_tableau",
-    "color_path", "meetings", "crosses", "pair_intersections",
-    "pair_crossings", "state_flag",
+    "color_path", "meetings", "crosses", "pair_intersections", "state_flag",
 ]
 
 FAMILIES = ("open", "closed", "generalized", "reduced")
@@ -94,8 +93,8 @@ class ModelSpec:
 
     @property
     def flag_spins(self) -> tuple[int, ...]:
-        """Right-boundary color at row i, index i-1."""
-        return weyl.boundary_flag(self.w)
+        """Right-boundary color at row i, index i-1: the color w^{-1}(i)."""
+        return weyl.inverse(self.w)
 
     def top_boundary(self) -> tuple[int, ...]:
         row = [0] * self.n
@@ -173,13 +172,14 @@ def _completions(left: int, top: int, right_spin: int, last: bool, family: str):
                  if right_spin in (0, c[0]) and not (last and c[1]))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def enumerate_states(spec: ModelSpec) -> tuple[LatticeState, ...]:
     """All admissible states, depth-first over vertices in row-major order
     (deterministic).  The search moves a cursor over the vertices and keeps,
     per vertex, the completions still to try, so no grid is too large for
     the interpreter's recursion limit.  The reduced family's one-crossing
-    cap is enforced incrementally while descending."""
+    cap is enforced incrementally while descending.  Only the last model
+    asked for stays cached."""
     r, n = spec.r, spec.n
     flag = spec.flag_spins
     reduced = spec.family == "reduced"
@@ -451,9 +451,3 @@ def pair_intersections(state: LatticeState, a: int, b: int):
     """Vertices where the paths of colors a and b meet, in path order
     (row ascending, then column descending)."""
     return meetings(state).get((min(a, b), max(a, b)), [])
-
-
-def pair_crossings(state: LatticeState, a: int, b: int):
-    """The subset of pair_intersections where the two paths pass through
-    each other transversally (left spin equals right spin)."""
-    return [v for v in pair_intersections(state, a, b) if crosses(state, v)]

@@ -232,15 +232,12 @@ def enumerate_patterns(top_row) -> set[Pattern]:
     return out
 
 
-def dominant_partitions(r: int, max_part: int, strict: bool = False):
+def dominant_partitions(r: int, max_part: int):
     """Weakly decreasing nonnegative vectors of length r with parts at most
-    max_part, in graded-lex order (sweeps meet small cases first).  With
-    strict=True only vectors with pairwise distinct parts are kept."""
+    max_part, in graded-lex order (sweeps meet small cases first)."""
     out = []
     for parts in itertools.product(range(max_part, -1, -1), repeat=r):
         if any(a < b for a, b in zip(parts, parts[1:])):
-            continue
-        if strict and len(set(parts)) != r:
             continue
         out.append(parts)
     out.sort(key=lambda p: (sum(p), p))

@@ -7,8 +7,14 @@ lex, so the first failure found is minimal) and returns structured
 reports.  Statuses are "pass", "fail", and "convention-note"; notes record
 normalization findings and scope comparisons and never signal failure.
 JSON-lines serialization lives here too, one object per report.
+
+A partition's closed states are enumerated once, into a census that keeps
+the last partition only; run_checks runs one partition's checks in a row,
+so the partition, states, bijection and shortcut checks share it.
 """
 
+import functools
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -61,14 +67,27 @@ def _rho_shift(lam, f):
     return laurent.monomial(patterns.staircase(len(lam))) * f
 
 
-def _enumeration_sum(spec):
+def _enumeration_sum(r, states):
     """The partition function the slow way, as an oracle for the row
-    transfer: the Boltzmann weights of every enumerated state, summed."""
+    transfer: the Boltzmann weights of the enumerated states, summed."""
     terms = {}
-    for state in lattice.enumerate_states(spec):
+    for state in states:
         for expo, coeff in lattice.boltzmann(state).terms.items():
             terms[expo] = terms.get(expo, 0) + coeff
-    return laurent.LaurentPoly(spec.r, terms)
+    return laurent.LaurentPoly(r, terms)
+
+
+@functools.lru_cache(maxsize=1)
+def _closed_census(lam, r):
+    """For each flag in sweep order, its enumerated closed states grouped
+    by pattern: pattern -> states, both in enumeration order, so a cell
+    holding two states still shows."""
+    census = {}
+    for y in weyl.bruhat_table(r).flags:
+        cells = census[y] = {}
+        for s in lattice.enumerate_states(_spec(lam, y, "closed")):
+            cells.setdefault(lattice.gtp_of_state(s), []).append(s)
+    return census
 
 
 def check_partition(lam, r):
@@ -80,6 +99,7 @@ def check_partition(lam, r):
     lam = tuple(lam)
     table = weyl.bruhat_table(r)
     flags = table.flags
+    census = _closed_census(lam, r)
     z_closed = {w: lattice.partition_function(_spec(lam, w, "closed")) for w in flags}
     z_open = {w: lattice.partition_function(_spec(lam, w, "open")) for w in flags}
     literal_matches = True
@@ -87,8 +107,10 @@ def check_partition(lam, r):
         char = laurent.demazure_char(lam, w)
         want_c = _rho_shift(lam, char)
         want_o = _rho_shift(lam, laurent.demazure_atom(lam, w))
-        enum_c = _enumeration_sum(_spec(lam, w, "closed"))
-        enum_o = _enumeration_sum(_spec(lam, w, "open"))
+        enum_c = _enumeration_sum(r, itertools.chain.from_iterable(
+            census[w].values()))
+        enum_o = _enumeration_sum(
+            r, lattice.enumerate_states(_spec(lam, w, "open")))
         if z_closed[w] != char:
             literal_matches = False
         if not (z_closed[w] == enum_c == want_c and z_open[w] == enum_o == want_o):
@@ -127,10 +149,7 @@ def check_states(lam, r):
     lam = tuple(lam)
     table = weyl.bruhat_table(r)
     flags = table.flags
-    by_pattern = {y: {} for y in flags}
-    for y in flags:
-        for s in lattice.enumerate_states(_spec(lam, y, "closed")):
-            by_pattern[y].setdefault(lattice.gtp_of_state(s), []).append(s)
+    by_pattern = _closed_census(lam, r)
     for pattern in sorted(patterns.enumerate_left_strict(lam, r)):
         w_a = weyl.inverse(adjust.exit_colors(pattern))
         for y in flags:
@@ -154,45 +173,38 @@ def check_states(lam, r):
                    "matches the constructive state")]
 
 
-def _image(lam, y, tableau_of):
-    """The closed states of flag y and their crystal tableaux; a tableau
-    depends on the pattern alone, so tableau_of keeps one per pattern."""
-    states = lattice.enumerate_states(_spec(lam, y, "closed"))
-    tabs = []
-    for s in states:
-        pattern = lattice.gtp_of_state(s)
-        if pattern not in tableau_of:
-            tableau_of[pattern] = lattice.crystal_tableau(s)
-        tabs.append(tableau_of[pattern])
-    return states, tabs
-
-
 def check_bijection(lam, r):
     """The crystal embedding restricted to closed states of each flag is
     injective with image the Demazure set of that flag.  Longest-coset
     flags carry the asserted claim; for non-strict shapes the unrestricted
-    reading is compared separately and reported as a note."""
+    reading is compared separately and reported as a note.  A tableau
+    depends on the pattern alone, so each pattern's is computed once."""
     lam = tuple(lam)
     strict = len(set(lam)) == r
     reports = []
     unrestricted_holds = True
     unrestricted_example = None
     tableau_of = {}
-    for y in weyl.permutations_by_length(r):
-        states, tabs = _image(lam, y, tableau_of)
-        injective = len(set(tabs)) == len(tabs)
+    for y, cells in _closed_census(lam, r).items():
+        image = set()
+        for pattern, states in cells.items():
+            if pattern not in tableau_of:
+                tableau_of[pattern] = lattice.crystal_tableau(states[0])
+            image.add(tableau_of[pattern])
+        count = sum(map(len, cells.values()))
+        injective = len(image) == count
         target = crystal.demazure_crystal(lam, y).elements
-        matches = injective and set(tabs) == target
-        count_ok = len(states) == laurent.eval_ones(laurent.demazure_char(lam, y))
+        matches = injective and image == target
+        count_ok = count == laurent.eval_ones(laurent.demazure_char(lam, y))
         restricted = strict or weyl.coset_longest(y, lam) == y
         if restricted and not (matches and count_ok):
             return [Report("bijection", lam, r, "fail",
                            "image of closed states is not the Demazure set",
                            w=y, counterexample={
                                "injective": injective,
-                               "image_size": len(set(tabs)),
+                               "image_size": len(image),
                                "demazure_size": len(target),
-                               "state_count": len(states)})]
+                               "state_count": count})]
         if not matches:
             unrestricted_holds = False
             if unrestricted_example is None:
@@ -217,15 +229,14 @@ def check_shortcut(lam, r):
     once, at the first flag (in sweep order) that holds it."""
     lam = tuple(lam)
     seen = set()
-    for w in weyl.permutations_by_length(r):
-        for state in lattice.enumerate_states(_spec(lam, w, "closed")):
-            pattern = lattice.gtp_of_state(state)
+    for w, cells in _closed_census(lam, r).items():
+        for pattern, states in cells.items():
             if pattern in seen:
                 continue
             seen.add(pattern)
             shifted = patterns.subtract_staircase(pattern)
-            plain = lattice.pattern_tableau(state)
-            embedded = lattice.crystal_tableau(state)
+            plain = lattice.pattern_tableau(states[0])
+            embedded = lattice.crystal_tableau(states[0])
             for i in range(1, r):
                 raised = crystal.gtp_raise(shifted, i)
                 direct = crystal.raising(embedded, i)

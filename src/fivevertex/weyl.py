@@ -27,7 +27,7 @@ __all__ = [
     "transposition", "length", "longest_element",
     "reduced_word", "apply_reduced_word", "all_reduced_words", "bruhat_leq",
     "BruhatTable", "bruhat_table",
-    "coset_longest", "stabilizer", "boundary_flag", "all_permutations",
+    "coset_longest", "stabilizer", "all_permutations",
     "permutations_by_length", "check_dominant",
 ]
 
@@ -253,16 +253,6 @@ def coset_longest(w: Perm, lam: tuple[int, ...]) -> Perm:
     if len(lam) != len(w):
         raise ValueError("rank mismatch")
     return max((compose(w, u) for u in stabilizer(lam)), key=length)
-
-
-def boundary_flag(w: Perm) -> Perm:
-    """Right-boundary colors of the model with flag w: entry at row i is the
-    color index sitting on row i, i.e. w^{-1}(i).
-
-    >>> boundary_flag((2, 3, 1))
-    (3, 1, 2)
-    """
-    return inverse(w)
 
 
 def all_permutations(r: int) -> list[Perm]:

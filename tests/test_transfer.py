@@ -34,14 +34,16 @@ def _longest(lam):
                          ids=lambda spec: f"{spec.family}-{spec.lam}-{spec.w}")
 def test_transfer_equals_enumeration_and_divided_differences(spec):
     z = lattice.partition_function(spec)
-    assert z == verify._enumeration_sum(spec) == _shifted(spec)
+    states = lattice.enumerate_states(spec)
+    assert z == verify._enumeration_sum(spec.r, states) == _shifted(spec)
 
 
 def test_transfer_on_the_22050_state_shape():
     spec = _longest((5, 3, 2, 1, 0, 0))
     z = lattice.partition_function(spec)
-    assert z == verify._enumeration_sum(spec) == _shifted(spec)
-    assert laurent.eval_ones(z) == len(lattice.enumerate_states(spec)) == 22050
+    states = lattice.enumerate_states(spec)
+    assert z == verify._enumeration_sum(spec.r, states) == _shifted(spec)
+    assert laurent.eval_ones(z) == len(states) == 22050
     lattice.enumerate_states.cache_clear()
 
 

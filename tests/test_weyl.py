@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from fivevertex import weyl
+from fivevertex.lattice import ModelSpec
 
 
 def test_length_examples():
@@ -145,9 +146,12 @@ def test_coset_longest():
 
 
 def test_boundary_flag():
-    assert weyl.boundary_flag((2, 3, 1)) == (3, 1, 2)
-    assert weyl.boundary_flag((1, 2, 3)) == (1, 2, 3)
-    assert weyl.boundary_flag((3, 2, 1)) == (3, 2, 1)
+    # the right-boundary color at row i is w^{-1}(i)
+    def flag_spins(w):
+        return ModelSpec((0, 0, 0), w, "closed").flag_spins
+    assert flag_spins((2, 3, 1)) == (3, 1, 2)
+    assert flag_spins((1, 2, 3)) == (1, 2, 3)
+    assert flag_spins((3, 2, 1)) == (3, 2, 1)
 
 
 def test_permutations_by_length_order():
