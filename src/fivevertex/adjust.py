@@ -17,7 +17,6 @@ steps in between return unchecked states.
 """
 
 import functools
-import itertools
 from dataclasses import replace
 
 from . import weyl
@@ -138,8 +137,8 @@ def to_open(state: LatticeState) -> LatticeState:
 
 
 def raise_flag(state: LatticeState, a: int, b: int) -> LatticeState:
-    """Uncross the paths of colors a < b in a closed state whose flag y
-    satisfies length(y * t) = length(y) + 1 for t = (a, b); the result is a
+    """Uncross the paths of colors a < b in a closed state whose flag y is
+    covered by y * t for t = (a, b) (weyl.lower_covers); the result is a
     reduced state with flag y*t, the same pattern, and a,b not crossing."""
     a, b = min(a, b), max(a, b)
     spec = state.spec
@@ -147,7 +146,7 @@ def raise_flag(state: LatticeState, a: int, b: int) -> LatticeState:
         raise ValueError("raise_flag expects a closed state")
     y = spec.w
     yt = weyl.compose(y, weyl.transposition(a, b, spec.r))
-    if weyl.length(yt) != weyl.length(y) + 1:
+    if ((a, b), y) not in weyl.lower_covers(yt):
         raise ValueError(f"transposition ({a},{b}) does not raise the length")
     if not any(crosses(state, v) for v in meetings(state).get((a, b), [])):
         raise ValueError(f"paths {a} and {b} do not cross")
@@ -194,19 +193,17 @@ def _closed_walk(lam, pattern: Pattern) -> dict:
     """Every closed state of the pattern, keyed by flag: the interval from
     the pattern's forced flag w_a up to the longest element, built from
     covers alone.  closed(P, w_a) is the open state closed up; a longer
-    flag y joins once some y*t with t = (a, b) and one inversion fewer has
-    joined, as closed(P, y*t) with a, b uncrossed and then closed up.
-    Unchecked.  One slot of memo serves a caller that asks for every flag
-    of one pattern before moving on to the next."""
+    flag y joins from the first lower cover y*t, t = (a, b), that
+    weyl.lower_covers yields and that has joined, as closed(P, y*t) with
+    a, b uncrossed and then closed up.  Unchecked.  One slot of memo
+    serves a caller that asks for every flag of one pattern before moving
+    on to the next."""
     w, state = open_state_of_pattern(lam, pattern)
-    r = len(w)
-    flags = weyl.permutations_by_length(r)
-    lengths = {y: weyl.length(y) for y in flags}
+    flags = weyl.permutations_by_length(len(w))
     built = {w: _close(state)}
     for y in flags[flags.index(w) + 1:]:
-        for a, b in itertools.combinations(range(1, r + 1), 2):
-            below = weyl.compose(y, weyl.transposition(a, b, r))
-            if below in built and lengths[below] == lengths[y] - 1:
+        for (a, b), below in weyl.lower_covers(y):
+            if below in built:
                 built[y] = _close(_recolor_pair(built[below], a, b, None, flag=y))
                 break
     return built

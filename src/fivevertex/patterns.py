@@ -191,12 +191,11 @@ def enumerate_ssyt(lam, r: int) -> set[Tableau]:
     return out
 
 
-def enumerate_left_strict(lam, r: int) -> set[Pattern]:
-    """All left-strict patterns with top row lam + staircase."""
-    lam = tuple(lam)
-    if len(lam) != r:
-        raise ValueError("partition length must equal the rank")
-    top = tuple(p + s for p, s in zip(lam, staircase(r)))
+def _interleavings(top: tuple[int, ...], gap: int) -> set[Pattern]:
+    """All patterns below the top row whose entry j lies in
+    [row[j+1], row[j] - gap] for the row above it: gap 1 gives the
+    left-strict patterns, gap 0 the weak ones.  Interleaving alone keeps
+    each row weakly decreasing."""
     out = set()
 
     def descend(rows):
@@ -204,8 +203,8 @@ def enumerate_left_strict(lam, r: int) -> set[Pattern]:
         if len(row) == 1:
             out.add(tuple(rows))
             return
-        # entry j of the next row ranges freely in [row[j+1], row[j] - 1]
-        ranges = [range(row[j + 1], row[j]) for j in range(len(row) - 1)]
+        ranges = [range(row[j + 1], row[j] + 1 - gap)
+                  for j in range(len(row) - 1)]
         for nxt in itertools.product(*ranges):
             descend(rows + [nxt])
 
@@ -213,23 +212,17 @@ def enumerate_left_strict(lam, r: int) -> set[Pattern]:
     return out
 
 
+def enumerate_left_strict(lam, r: int) -> set[Pattern]:
+    """All left-strict patterns with top row lam + staircase."""
+    lam = tuple(lam)
+    if len(lam) != r:
+        raise ValueError("partition length must equal the rank")
+    return _interleavings(tuple(p + s for p, s in zip(lam, staircase(r))), 1)
+
+
 def enumerate_patterns(top_row) -> set[Pattern]:
     """All weak patterns with the given (weakly decreasing) top row."""
-    top = tuple(top_row)
-    out = set()
-
-    def descend(rows):
-        row = rows[-1]
-        if len(row) == 1:
-            out.add(tuple(rows))
-            return
-        ranges = [range(row[j + 1], row[j] + 1) for j in range(len(row) - 1)]
-        for nxt in itertools.product(*ranges):
-            if all(a >= b for a, b in zip(nxt, nxt[1:])):
-                descend(rows + [nxt])
-
-    descend([top])
-    return out
+    return _interleavings(tuple(top_row), 0)
 
 
 def dominant_partitions(r: int, max_part: int):

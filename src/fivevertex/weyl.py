@@ -1,7 +1,6 @@
 """
 Permutations of {1, ..., r} in one-line notation, with lengths, the Bruhat
-order, reduced words, coset representatives, and the boundary-color
-bookkeeping used by the lattice models.
+order and its covers, reduced words, and coset representatives.
 
 Conventions:
 
@@ -26,8 +25,8 @@ __all__ = [
     "is_permutation", "check_permutation", "inverse", "compose",
     "transposition", "length", "longest_element",
     "reduced_word", "apply_reduced_word", "all_reduced_words", "bruhat_leq",
-    "BruhatTable", "bruhat_table",
-    "coset_longest", "stabilizer", "all_permutations",
+    "lower_covers", "BruhatTable", "bruhat_table",
+    "coset_longest", "all_permutations",
     "permutations_by_length", "check_dominant",
 ]
 
@@ -175,6 +174,24 @@ def bruhat_leq(y: Perm, w: Perm) -> bool:
     return True
 
 
+def lower_covers(w: Perm):
+    """Yield ((a, b), w*(a, b)) for every lower cover of w in the Bruhat
+    order, pairs a < b in lex order: w*(a, b) is covered by w iff
+    w(a) > w(b) and no position between a and b holds a value between
+    them (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 2).
+
+    >>> [t for t, _ in lower_covers((3, 1, 2))]
+    [(1, 2), (1, 3)]
+    """
+    for a in range(len(w) - 1):
+        floor = 0  # the greatest value below w(a) seen between a and b
+        for b in range(a + 1, len(w)):
+            if floor < w[b] < w[a]:
+                floor = w[b]
+                swapped = w[:a] + (w[b],) + w[a + 1:b] + (w[a],) + w[b + 1:]
+                yield (a + 1, b + 1), swapped
+
+
 def _bits(mask: int):
     """The positions of the set bits of mask, ascending."""
     while mask:
@@ -202,48 +219,24 @@ class BruhatTable(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def bruhat_table(r: int) -> BruhatTable:
-    """The BruhatTable of S_r, built once per rank by the lifting property:
-    for a right descent s of w, [e, w] = [e, ws] U [e, ws]*s, and ws comes
-    before w in length order.  It holds r!^2 bits, so only the sweeps that
-    ask every pair of flags build it."""
+    """The BruhatTable of S_r, built once per rank from covers: [e, w] is w
+    together with [e, v] for every lower cover v of w (lower_covers), and
+    each v comes before w in length order.  It holds r!^2 bits, so only the
+    sweeps that ask every pair of flags build it."""
     flags = tuple(permutations_by_length(r))
     index = {w: k for k, w in enumerate(flags)}
     lower = []
     for k, w in enumerate(flags):
-        i = next((i for i in range(r - 1) if w[i] > w[i + 1]), None)
-        if i is None:  # the identity
-            lower.append(1 << k)
-            continue
-        # right multiplication by s_{i+1} swaps one-line positions i, i+1
-        shorter = lower[index[w[:i] + (w[i + 1], w[i]) + w[i + 2:]]]
-        mask = shorter
-        for j in _bits(shorter):
-            y = flags[j]
-            mask |= 1 << index[y[:i] + (y[i + 1], y[i]) + y[i + 2:]]
+        mask = 1 << k
+        for _, v in lower_covers(w):
+            mask |= lower[index[v]]
         lower.append(mask)
     return BruhatTable(flags, MappingProxyType(index), tuple(lower))
 
 
-def stabilizer(lam: tuple[int, ...]):
-    """All u in S_r with lam(u(i)) = lam(i) for every i, i.e. the product of
-    symmetric groups on the blocks of equal parts."""
-    r = len(lam)
-    blocks = []
-    start = 0
-    for i in range(1, r + 1):
-        if i == r or lam[i] != lam[start]:
-            blocks.append(list(range(start + 1, i + 1)))
-            start = i
-    for parts in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        u = [0] * r
-        for block, image in zip(blocks, parts):
-            for pos, val in zip(block, image):
-                u[pos - 1] = val
-        yield tuple(u)
-
-
 def coset_longest(w: Perm, lam: tuple[int, ...]) -> Perm:
-    """The longest element of the coset w * W_lam, where W_lam stabilizes lam.
+    """The longest element of the coset w * W_lam, where W_lam stabilizes lam:
+    w with its entries in decreasing order inside each block of equal parts.
 
     >>> coset_longest((1, 2), (0, 0))
     (2, 1)
@@ -252,7 +245,10 @@ def coset_longest(w: Perm, lam: tuple[int, ...]) -> Perm:
     """
     if len(lam) != len(w):
         raise ValueError("rank mismatch")
-    return max((compose(w, u) for u in stabilizer(lam)), key=length)
+    out = []
+    for _, block in itertools.groupby(zip(lam, w), key=lambda pair: pair[0]):
+        out.extend(sorted((x for _, x in block), reverse=True))
+    return tuple(out)
 
 
 def all_permutations(r: int) -> list[Perm]:
@@ -264,9 +260,3 @@ def permutations_by_length(r: int) -> list[Perm]:
     """All of S_r ordered by (length, one-line lex); used to make the first
     counterexample found by a sweep the minimal one."""
     return sorted(all_permutations(r), key=lambda w: (length(w), w))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -1,8 +1,9 @@
+import doctest
 import itertools
 
 import pytest
 
-from fivevertex import weyl
+from fivevertex import patterns, weyl
 from fivevertex.lattice import ModelSpec
 
 
@@ -124,6 +125,20 @@ def test_longest_element_antiautomorphisms(r):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_lower_covers_are_the_length_covers(r):
+    # w*t is covered by w iff it is one inversion shorter
+    for w in weyl.all_permutations(r):
+        by_length = {}
+        for a, b in itertools.combinations(range(1, r + 1), 2):
+            below = weyl.compose(w, weyl.transposition(a, b, r))
+            if weyl.length(below) == weyl.length(w) - 1:
+                by_length[a, b] = below
+        covers = list(weyl.lower_covers(w))
+        assert dict(covers) == by_length
+        assert [t for t, _ in covers] == sorted(by_length)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_bruhat_table_matches_bruhat_leq(r):
     table = weyl.bruhat_table(r)
     assert list(table.flags) == weyl.permutations_by_length(r)
@@ -143,6 +158,35 @@ def test_coset_longest():
     assert weyl.coset_longest((2, 3, 1), (3, 1, 0)) == (2, 3, 1)  # strict stabilizer
     assert weyl.coset_longest((1, 2), (0, 0)) == (2, 1)
     assert weyl.coset_longest((1, 2, 3), (1, 1, 0)) == (2, 1, 3)
+
+
+def _coset_longest_by_search(w, lam):
+    """Independent oracle: the longest w*u over every u that permutes the
+    positions inside each block of equal parts of lam."""
+    blocks = [[i for i in range(len(lam)) if lam[i] == part]
+              for part in sorted(set(lam), reverse=True)]
+    best = None
+    for images in itertools.product(*map(itertools.permutations, blocks)):
+        u = [0] * len(lam)
+        for block, image in zip(blocks, images):
+            for pos, val in zip(block, image):
+                u[pos] = val + 1
+        wu = weyl.compose(w, tuple(u))
+        if best is None or weyl.length(wu) > weyl.length(best):
+            best = wu
+    return best
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_coset_longest_matches_search(r):
+    for lam in patterns.dominant_partitions(r, r - 1):
+        for w in weyl.all_permutations(r):
+            assert weyl.coset_longest(w, lam) == _coset_longest_by_search(w, lam)
+
+
+def test_weyl_doctests():
+    failed, attempted = doctest.testmod(weyl)
+    assert failed == 0 and attempted >= 10
 
 
 def test_boundary_flag():
