@@ -199,7 +199,9 @@ def _closed_walk(lam, pattern: Pattern) -> dict:
     serves a caller that asks for every flag of one pattern before moving
     on to the next."""
     w, state = open_state_of_pattern(lam, pattern)
-    flags = weyl.permutations_by_length(len(w))
+    # lex order lists each lower cover y*t before y, since the swap puts
+    # the smaller value first, so it serves as length order would, unsorted
+    flags = weyl.all_permutations(len(w))
     built = {w: _close(state)}
     for y in flags[flags.index(w) + 1:]:
         for (a, b), below in weyl.lower_covers(y):

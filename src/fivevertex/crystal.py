@@ -6,7 +6,8 @@ pattern-level shortcut for the raising operator conjugated by evacuation.
 
 Demazure sets and atoms follow laurent's rule for characters and atoms:
 from the highest weight element, string closures along a reduced word of
-w, each minus its input for atoms.  Nothing is cached.
+w, each minus its input for atoms; for every flag at once, each set is
+one step from that of its left-descent parent.  Nothing is cached.
 
 Operators use the row reading word (rows bottom to top, each left to
 right) with the matching bracket rule: scanning the subword of letters
@@ -160,23 +161,34 @@ def _atom_step(elements, i: int) -> frozenset[Tableau]:
     return demazure_closure(elements, i) - elements
 
 
+def _along(lam, w, op):
+    """op along a reduced word of w from the highest weight element, as a
+    DemazureSet; for w None, a dict from every flag to its DemazureSet,
+    each one op step from its left-descent parent
+    (weyl.apply_to_every_flag)."""
+    lam, w = weyl.check_dominant(lam, w)
+    start = frozenset({highest_weight_tableau(lam)})
+    if w is None:
+        sets = weyl.apply_to_every_flag(start, len(lam), op)
+        return {y: DemazureSet(lam, y, elements) for y, elements in sets.items()}
+    return DemazureSet(lam, w, weyl.apply_reduced_word(start, w, op))
+
+
 def demazure_crystal(lam, w) -> DemazureSet:
     """The subset of the shape-lam crystal generated from the highest
     weight element by string closures along a reduced word of w.  Grows
-    monotonically with w in Bruhat order; its character is demazure_char."""
-    lam, w = weyl.check_dominant(lam, w)
-    start = frozenset({highest_weight_tableau(lam)})
-    return DemazureSet(lam, w, weyl.apply_reduced_word(start, w, demazure_closure))
+    monotonically with w in Bruhat order; its character is demazure_char.
+    With w None, a dict from every flag to its set."""
+    return _along(lam, w, demazure_closure)
 
 
 def demazure_atom_set(lam, w) -> DemazureSet:
     """Atom steps along a reduced word of w from the highest weight element:
     what the Demazure set at w adds over everything strictly below it.  The
     atoms are disjoint and tile each Demazure set along the Bruhat interval;
-    the character is demazure_atom."""
-    lam, w = weyl.check_dominant(lam, w)
-    start = frozenset({highest_weight_tableau(lam)})
-    return DemazureSet(lam, w, weyl.apply_reduced_word(start, w, _atom_step))
+    the character is demazure_atom.  With w None, a dict from every flag to
+    its atom."""
+    return _along(lam, w, _atom_step)
 
 
 def character(elements, r: int) -> laurent.LaurentPoly:

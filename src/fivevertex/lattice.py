@@ -24,10 +24,17 @@ Four vertex families share the grid: "generalized" admits all nine local
 configurations; "open" forbids a22, a23, b1; "closed" forbids a22, a24,
 b1; "reduced" forbids b1 and additionally caps every pair of colored
 paths at one crossing.
+
+A model whose flag is None stands for every flag at once: its right
+boundary only has to be colored, and the colors leaving the rows spell
+each state's flag.  State enumeration and the row-transfer partition
+function each run once for it, and a single flag is the same routine
+with a filter on that boundary.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import compress
 
 from . import laurent, weyl
 from .crystal import schuetzenberger
@@ -67,8 +74,10 @@ def admissible_for(kind: str, family: str) -> bool:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A model: partition, flag and family.  A flag of None stands for
+    every flag at once, for enumerate_states and partition_function."""
     lam: tuple[int, ...]
-    w: tuple[int, ...]
+    w: tuple[int, ...] | None
     family: str
 
     def __post_init__(self):
@@ -92,9 +101,10 @@ class ModelSpec:
         return tuple(p + s for p, s in zip(self.lam, staircase(self.r)))
 
     @property
-    def flag_spins(self) -> tuple[int, ...]:
-        """Right-boundary color at row i, index i-1: the color w^{-1}(i)."""
-        return weyl.inverse(self.w)
+    def flag_spins(self) -> tuple[int, ...] | None:
+        """Right-boundary color at row i, index i-1: the color w^{-1}(i);
+        None for every flag."""
+        return None if self.w is None else weyl.inverse(self.w)
 
     def top_boundary(self) -> tuple[int, ...]:
         row = [0] * self.n
@@ -163,13 +173,15 @@ def classify_vertex(left: int, top: int, right: int, bottom: int) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _completions(left: int, top: int, right_spin: int, last: bool, family: str):
+def _completions(left: int, top: int, right_spin: int | None, last: bool,
+                 family: str):
     """The _choices of a vertex that fit the boundary: on the right edge
-    (right_spin set) the right spin must be right_spin, and on the last
-    row the bottom spin must be uncolored.  Few distinct arguments occur,
-    so the cache stays small."""
+    (right_spin not None) the right spin must be colored, and be right_spin
+    unless that is 0 (every flag), and on the last row the bottom spin must
+    be uncolored.  Few distinct arguments occur, so the cache stays small."""
     return tuple(c for c in _choices(left, top, family)
-                 if right_spin in (0, c[0]) and not (last and c[1]))
+                 if (right_spin is None or c[0] and right_spin in (0, c[0]))
+                 and not (last and c[1]))
 
 
 @functools.lru_cache(maxsize=1)
@@ -179,9 +191,15 @@ def enumerate_states(spec: ModelSpec) -> tuple[LatticeState, ...]:
     per vertex, the completions still to try, so no grid is too large for
     the interpreter's recursion limit.  The reduced family's one-crossing
     cap is enforced incrementally while descending.  Only the last model
-    asked for stays cached."""
+    asked for stays cached.
+
+    The right boundary only has to be colored; a flag is a filter there,
+    so the states of one flag come in the order the search for a spec with
+    flag None (every flag) meets them.  Each state carries the spec of its
+    own flag, read off by state_flag."""
     r, n = spec.r, spec.n
-    flag = spec.flag_spins
+    exits = spec.flag_spins or (0,) * r  # 0: any color leaves the row
+    specs = {} if spec.w is None else {spec.flag_spins: spec}
     reduced = spec.family == "reduced"
     horizontal = [[0] * (n + 1) for _ in range(r)]
     vertical = [list(spec.top_boundary())] + [[0] * n for _ in range(r)]
@@ -190,7 +208,7 @@ def enumerate_states(spec: ModelSpec) -> tuple[LatticeState, ...]:
     def completions(k: int):
         i, j = cells[k]
         return iter(_completions(horizontal[i - 1][j + 1], vertical[i - 1][j],
-                                 flag[i - 1] if j == 0 else 0, i == r,
+                                 exits[i - 1] if j == 0 else None, i == r,
                                  spec.family))
 
     todo = [completions(0)] + [None] * (len(cells) - 1)
@@ -219,10 +237,12 @@ def enumerate_states(spec: ModelSpec) -> tuple[LatticeState, ...]:
             k += 1
             todo[k] = completions(k)
         else:
-            out.append(LatticeState(
-                spec,
-                tuple(tuple(row) for row in horizontal),
-                tuple(tuple(row) for row in vertical)))
+            rows = tuple(tuple(row) for row in horizontal)
+            colors = tuple(row[0] for row in rows)
+            own = specs.get(colors)
+            if own is None:
+                own = specs[colors] = replace(spec, w=state_flag(rows))
+            out.append(LatticeState(own, rows, tuple(tuple(row) for row in vertical)))
     return tuple(out)
 
 
@@ -293,17 +313,22 @@ def validate_state(state: LatticeState):
         raise ValueError("vertical grid has the wrong shape")
     if state.vertical[0] != spec.top_boundary():
         raise ValueError("top boundary does not match the model")
-    if any(state.vertical[r][j] != 0 for j in range(n)):
+    if any(state.vertical[r]):
         raise ValueError("bottom boundary must be uncolored")
-    if any(state.horizontal[i][n] != 0 for i in range(r)):
+    if any(row[n] for row in state.horizontal):
         raise ValueError("left boundary must be uncolored")
     if state_flag(state.horizontal) != spec.w:
         raise ValueError("right boundary does not match the flag")
-    for i, j in state.vertices():
-        kind = state.config(i, j)
-        if not admissible_for(kind, spec.family):
-            raise ValueError(
-                f"vertex ({i},{j}) is {kind}, not allowed in {spec.family}")
+    forbidden = _FORBIDDEN[spec.family]
+    # row by row, each right to left (the order of LatticeState.vertices):
+    # the k-th vertex of a row is column n-1-k, with left spin h[n-k]
+    for i, (h, top, bottom) in enumerate(
+            zip(state.horizontal, state.vertical, state.vertical[1:]), start=1):
+        kinds = map(classify_vertex, h[:0:-1], top[::-1], h[-2::-1], bottom[::-1])
+        for k, kind in enumerate(kinds):
+            if kind in forbidden:
+                raise ValueError(f"vertex ({i},{n - 1 - k}) is {kind}, "
+                                 f"not allowed in {spec.family}")
     if spec.family == "reduced":
         for (a, b), verts in sorted(meetings(state).items()):
             if sum(crosses(state, v) for v in verts) > 1:
@@ -313,11 +338,9 @@ def validate_state(state: LatticeState):
 def gtp_of_state(state: LatticeState) -> Pattern:
     """Row i lists the columns of the colored vertical edges above row i,
     left to right (so in decreasing column label)."""
-    rows = []
-    for k in range(state.spec.r):
-        cols = sorted((j for j, s in enumerate(state.vertical[k]) if s), reverse=True)
-        rows.append(tuple(cols))
-    pattern = check_pattern(rows)
+    columns = range(state.spec.n - 1, -1, -1)
+    pattern = check_pattern(tuple(compress(columns, row[::-1]))
+                            for row in state.vertical[:state.spec.r])
     if state.spec.family != "generalized" and not is_left_strict(pattern):
         raise RuntimeError("state without b1 vertices must give a left-strict pattern")
     return pattern
@@ -336,11 +359,12 @@ def boltzmann(state: LatticeState) -> laurent.LaurentPoly:
 
 
 def _row_transfer(top, n: int, right_spin: int, last: bool, family: str):
-    """{(bottom, weight): multiplicity} over the admissible fillings of one
-    row whose top spins are `top`.  Rows of vertical spins are kept sparse,
-    as their (column, color) pairs in decreasing column order, so a long
-    row costs no more to extend than a short one.  The weight counts the
-    row's vertices outside _WEIGHT_ONE."""
+    """{(bottom, exit, weight): multiplicity} over the admissible fillings
+    of one row whose top spins are `top`, where exit is the color leaving
+    the row's right end (right_spin, or any color when that is 0).  Rows
+    of vertical spins are kept sparse, as their (column, color) pairs in
+    decreasing column order, so a long row costs no more to extend than a
+    short one.  The weight counts the row's vertices outside _WEIGHT_ONE."""
     top = dict(top)
     partial = {((), 0, 0): 1}  # (bottom so far, carried spin, weight)
     for j in range(n - 1, -1, -1):
@@ -348,37 +372,45 @@ def _row_transfer(top, n: int, right_spin: int, last: bool, family: str):
         step = {}
         for (bottom, left, weight), mult in partial.items():
             for right, down, kind, _ in _completions(
-                    left, above, right_spin if j == 0 else 0, last, family):
+                    left, above, right_spin if j == 0 else None, last, family):
                 key = (bottom + ((j, down),) if down else bottom, right,
                        weight + (kind not in _WEIGHT_ONE))
                 step[key] = step.get(key, 0) + mult
         partial = step
-    # every carried spin is now right_spin, so (bottom, weight) stays unique
-    return {(bottom, weight): mult for (bottom, _, weight), mult in partial.items()}
+    return partial
 
 
-def partition_function(spec: ModelSpec) -> laurent.LaurentPoly:
+def partition_function(spec: ModelSpec) -> laurent.LaurentPoly | dict:
     """Sum of Boltzmann weights over all admissible states, by row
-    transfer: a map from each row of vertical spins to the polynomial of
-    the rows above it is pushed down one row at a time, so no state is
-    built.  Open and closed families only."""
+    transfer: a map from each row of vertical spins, with the colors that
+    have left the rows so far, to the polynomial of the rows above it is
+    pushed down one row at a time, so no state is built.  The colors that
+    leave the rows spell the flag, so one transfer gives every flag's sum:
+    for a spec with flag None the result is a dict from every flag of S_r
+    (zero where there is no state) to its polynomial, and a flag is a
+    filter on the colors leaving each row.  Open and closed families
+    only."""
     if spec.family not in ("open", "closed"):
         raise ValueError(f"weights are undefined for family {spec.family!r}")
     r, n = spec.r, spec.n
-    flag = spec.flag_spins
     first = tuple((col, m) for m, col in enumerate(spec.top_columns, start=1))
-    rows = {first: {(): 1}}
-    for i in range(1, r + 1):
+    rows = {(first, ()): {(): 1}}
+    for i, right_spin in enumerate(spec.flag_spins or (0,) * r, start=1):
         below = {}
-        for top, terms in rows.items():
-            fillings = _row_transfer(top, n, flag[i - 1], i == r, spec.family)
-            for (bottom, weight), mult in fillings.items():
-                acc = below.setdefault(bottom, {})
+        for (top, exits), terms in rows.items():
+            fillings = _row_transfer(top, n, right_spin, i == r, spec.family)
+            for (bottom, exit, weight), mult in fillings.items():
+                acc = below.setdefault((bottom, exits + (exit,)), {})
                 for expo, coeff in terms.items():
                     key = expo + (weight,)
                     acc[key] = acc.get(key, 0) + coeff * mult
         rows = below
-    return laurent.LaurentPoly(r, rows.get((), {}))
+    # the last row leaves nothing below, and its exits are w^{-1}
+    sums = {weyl.inverse(exits): terms for (_, exits), terms in rows.items()}
+    if spec.w is not None:
+        return laurent.LaurentPoly(r, sums.get(spec.w, {}))
+    return {w: laurent.LaurentPoly(r, sums.get(w, {}))
+            for w in weyl.permutations_by_length(r)}
 
 
 def pattern_tableau(state: LatticeState) -> Tableau:
@@ -431,12 +463,16 @@ def meetings(state: LatticeState) -> dict:
     meeting vertex carries exactly two colors, one on its left edge and
     one on its top edge."""
     out = {}
+    n = state.spec.n
     for i, (left_spins, top_spins) in enumerate(
             zip(state.horizontal, state.vertical), start=1):
-        for j in range(state.spec.n - 1, -1, -1):
-            left, top = left_spins[j + 1], top_spins[j]
-            if left and top and left != top:
-                out.setdefault((min(left, top), max(left, top)), []).append((i, j))
+        for j in range(n - 1, -1, -1):
+            top = top_spins[j]
+            if top:
+                left = left_spins[j + 1]
+                if left and left != top:
+                    pair = (left, top) if left < top else (top, left)
+                    out.setdefault(pair, []).append((i, j))
     return out
 
 

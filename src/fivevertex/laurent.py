@@ -138,19 +138,29 @@ def demazure_atom_op(f: LaurentPoly, i: int) -> LaurentPoly:
     return demazure(f, i) - f
 
 
+def _along(lam, w, op):
+    """op along a reduced word of w from z^lam; for w None, a dict from
+    every flag to its value, each one op step from its left-descent parent
+    (weyl.apply_to_every_flag)."""
+    lam, w = weyl.check_dominant(lam, w)
+    if w is None:
+        return weyl.apply_to_every_flag(monomial(lam), len(lam), op)
+    return weyl.apply_reduced_word(monomial(lam), w, op)
+
+
 def demazure_char(lam, w) -> LaurentPoly:
     """Demazure character: the composite Demazure operator over a reduced
-    word of w, applied to z^lam.  Word-independent."""
-    lam, w = weyl.check_dominant(lam, w)
-    return weyl.apply_reduced_word(monomial(lam), w, demazure)
+    word of w, applied to z^lam.  Word-independent.  With w None, a dict
+    from every flag to its character."""
+    return _along(lam, w, demazure)
 
 
 def demazure_atom(lam, w) -> LaurentPoly:
     """Demazure atom: the composite atom operator over a reduced word of w,
     applied to z^lam.  Characters decompose as the sum of atoms over the
-    Bruhat interval below w."""
-    lam, w = weyl.check_dominant(lam, w)
-    return weyl.apply_reduced_word(monomial(lam), w, demazure_atom_op)
+    Bruhat interval below w.  With w None, a dict from every flag to its
+    atom."""
+    return _along(lam, w, demazure_atom_op)
 
 
 def format_poly(f: LaurentPoly) -> str:

@@ -39,16 +39,19 @@ def staircase(r: int) -> tuple[int, ...]:
 
 
 def is_pattern(rows) -> bool:
-    """Valid triangular interleaving array."""
+    """Valid triangular interleaving array, in one pass over the rows: each
+    row interleaves the row above, upper[j] >= lower[j] >= upper[j+1].
+    That already makes every row weakly decreasing, since each pair of
+    neighbours in a row brackets the entry below them, and the last row
+    has one entry."""
     r = len(rows)
-    if r == 0 or any(len(rows[i]) != r - i for i in range(r)):
+    if r == 0 or len(rows[0]) != r:
         return False
-    for row in rows:
-        if any(a < b for a, b in zip(row, row[1:])):
-            return False
     for upper, lower in zip(rows, rows[1:]):
-        for j in range(len(lower)):
-            if not upper[j] >= lower[j] >= upper[j + 1]:
+        if len(lower) != len(upper) - 1:
+            return False
+        for j, x in enumerate(lower):
+            if not upper[j] >= x >= upper[j + 1]:
                 return False
     return True
 

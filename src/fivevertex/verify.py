@@ -8,9 +8,14 @@ reports.  Statuses are "pass", "fail", and "convention-note"; notes record
 normalization findings and scope comparisons and never signal failure.
 JSON-lines serialization lives here too, one object per report.
 
-A partition's closed states are enumerated once, into a census that keeps
-the last partition only; run_checks runs one partition's checks in a row,
-so the partition, states, bijection and shortcut checks share it.
+Every flag of a partition is answered from one piece of work per family:
+one enumeration of the states of every flag, grouped by flag; one row
+transfer giving every flag's partition function; and one table each of
+characters, atoms, Demazure sets and atom sets, each flag one operator
+step from its left-descent parent.  The closed states go into a census
+that keeps the last partition only; run_checks runs one partition's
+checks in a row, so the partition, states, bijection and shortcut checks
+share it.
 """
 
 import functools
@@ -77,15 +82,26 @@ def _enumeration_sum(r, states):
     return laurent.LaurentPoly(r, terms)
 
 
+def _by_flag(lam, r, family):
+    """Every flag in sweep order, mapped to its states of the family in
+    enumeration order, from one enumeration of every flag at once: each
+    state's spec carries the flag that state_flag reads off its right
+    boundary."""
+    groups = {y: [] for y in weyl.bruhat_table(r).flags}
+    for s in lattice.enumerate_states(_spec(lam, None, family)):
+        groups[s.spec.w].append(s)
+    return groups
+
+
 @functools.lru_cache(maxsize=1)
 def _closed_census(lam, r):
     """For each flag in sweep order, its enumerated closed states grouped
     by pattern: pattern -> states, both in enumeration order, so a cell
     holding two states still shows."""
     census = {}
-    for y in weyl.bruhat_table(r).flags:
+    for y, states in _by_flag(lam, r, "closed").items():
         cells = census[y] = {}
-        for s in lattice.enumerate_states(_spec(lam, y, "closed")):
+        for s in states:
             cells.setdefault(lattice.gtp_of_state(s), []).append(s)
     return census
 
@@ -93,24 +109,29 @@ def _closed_census(lam, r):
 def check_partition(lam, r):
     """Closed and open partition functions, by row transfer and by state
     enumeration, against the staircase-shifted Demazure character and
-    atom, plus the closed = sum-of-open-below-w decomposition, summed over
-    the lower interval of w read from weyl.bruhat_table; exact polynomial
-    equality throughout."""
+    atom, plus the closed = sum-of-open-below-w decomposition; exact
+    polynomial equality throughout.  Each of these is computed for every
+    flag at once, once per family.  The sum runs over the open support,
+    the flags whose open function is nonzero, that lie in the lower
+    interval of w read from weyl.bruhat_table."""
     lam = tuple(lam)
     table = weyl.bruhat_table(r)
     flags = table.flags
     census = _closed_census(lam, r)
-    z_closed = {w: lattice.partition_function(_spec(lam, w, "closed")) for w in flags}
-    z_open = {w: lattice.partition_function(_spec(lam, w, "open")) for w in flags}
+    opened = _by_flag(lam, r, "open")
+    z_closed = lattice.partition_function(_spec(lam, None, "closed"))
+    z_open = lattice.partition_function(_spec(lam, None, "open"))
+    chars = laurent.demazure_char(lam, None)
+    atoms = laurent.demazure_atom(lam, None)
+    support = [y for y in flags if z_open[y]]
     literal_matches = True
     for w in flags:
-        char = laurent.demazure_char(lam, w)
+        char = chars[w]
         want_c = _rho_shift(lam, char)
-        want_o = _rho_shift(lam, laurent.demazure_atom(lam, w))
+        want_o = _rho_shift(lam, atoms[w])
         enum_c = _enumeration_sum(r, itertools.chain.from_iterable(
             census[w].values()))
-        enum_o = _enumeration_sum(
-            r, lattice.enumerate_states(_spec(lam, w, "open")))
+        enum_o = _enumeration_sum(r, opened[w])
         if z_closed[w] != char:
             literal_matches = False
         if not (z_closed[w] == enum_c == want_c and z_open[w] == enum_o == want_o):
@@ -124,8 +145,9 @@ def check_partition(lam, r):
                                "open_enumerated": laurent.format_poly(enum_o),
                                "open_expected": laurent.format_poly(want_o)})]
         total = laurent.zero(r)
-        for y in table.below(w):
-            total = total + z_open[y]
+        for y in support:
+            if table.leq(y, w):
+                total = total + z_open[y]
         if total != z_closed[w]:
             return [Report("partition", lam, r, "fail",
                            "closed function is not the sum of open ones below",
@@ -185,6 +207,8 @@ def check_bijection(lam, r):
     unrestricted_holds = True
     unrestricted_example = None
     tableau_of = {}
+    dems = crystal.demazure_crystal(lam, None)
+    chars = laurent.demazure_char(lam, None)
     for y, cells in _closed_census(lam, r).items():
         image = set()
         for pattern, states in cells.items():
@@ -193,9 +217,9 @@ def check_bijection(lam, r):
             image.add(tableau_of[pattern])
         count = sum(map(len, cells.values()))
         injective = len(image) == count
-        target = crystal.demazure_crystal(lam, y).elements
+        target = dems[y].elements
         matches = injective and image == target
-        count_ok = count == laurent.eval_ones(laurent.demazure_char(lam, y))
+        count_ok = count == laurent.eval_ones(chars[y])
         restricted = strict or weyl.coset_longest(y, lam) == y
         if restricted and not (matches and count_ok):
             return [Report("bijection", lam, r, "fail",
@@ -288,7 +312,10 @@ def check_crystal(lam, r):
     The tiling test is the oracle for the atoms' reduced-word rule: atoms
     below every w are disjoint and tile Dem(w) iff every atom(w) is Dem(w)
     minus the Dem(y), y < w (by induction up the Bruhat order).  It walks
-    the lower interval of w from weyl.bruhat_table, in sweep order."""
+    the nonempty atoms in the lower interval of w from weyl.bruhat_table,
+    in sweep order; an empty atom adds nothing to the union and meets
+    nothing.  Sets, atoms and characters are computed for every flag at
+    once."""
     lam = tuple(lam)
     elements = sorted(patterns.enumerate_ssyt(lam, r))
 
@@ -348,21 +375,26 @@ def check_crystal(lam, r):
         for i in range(1, r):
             strings.setdefault(string_of(tab, i), None)
     table = weyl.bruhat_table(r)
-    flags = table.flags
-    atoms = {w: crystal.demazure_atom_set(lam, w).elements for w in flags}
-    for w in flags:
-        dem = crystal.demazure_crystal(lam, w).elements
-        if crystal.character(dem, r) != laurent.demazure_char(lam, w):
+    dems = crystal.demazure_crystal(lam, None)
+    atoms = {w: a.elements for w, a in crystal.demazure_atom_set(lam, None).items()}
+    chars = laurent.demazure_char(lam, None)
+    atom_chars = laurent.demazure_atom(lam, None)
+    support = [y for y in table.flags if atoms[y]]
+    for w in table.flags:
+        dem = dems[w].elements
+        if crystal.character(dem, r) != chars[w]:
             return fail("Demazure set character mismatch", w=list(w))
         atom = atoms[w]
-        if crystal.character(atom, r) != laurent.demazure_atom(lam, w):
+        if crystal.character(atom, r) != atom_chars[w]:
             return fail("atom character mismatch", w=list(w))
         for head, chain in strings:
             inter = dem & chain
             if inter not in (frozenset(), chain, frozenset({head})):
                 return fail("string trichotomy violated", w=list(w))
         union = set()
-        for y in table.below(w):
+        for y in support:
+            if not table.leq(y, w):
+                continue
             part = atoms[y]
             if union & part:
                 return fail("atoms are not disjoint", w=list(w))

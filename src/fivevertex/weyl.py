@@ -24,7 +24,8 @@ from typing import NamedTuple
 __all__ = [
     "is_permutation", "check_permutation", "inverse", "compose",
     "transposition", "length", "longest_element",
-    "reduced_word", "apply_reduced_word", "all_reduced_words", "bruhat_leq",
+    "reduced_word", "apply_reduced_word", "apply_to_every_flag",
+    "all_reduced_words", "bruhat_leq",
     "lower_covers", "BruhatTable", "bruhat_table",
     "coset_longest", "all_permutations",
     "permutations_by_length", "check_dominant",
@@ -45,13 +46,15 @@ def check_permutation(w: Perm) -> Perm:
     return w
 
 
-def check_dominant(lam, w: Perm) -> tuple[tuple[int, ...], Perm]:
+def check_dominant(lam, w: Perm | None) -> tuple[tuple[int, ...], Perm | None]:
     """(lam, w) as tuples, after checking that w is a permutation and lam a
-    partition of the same rank: weakly decreasing and nonnegative."""
-    w = check_permutation(w)
+    partition of the same rank: weakly decreasing and nonnegative.  A flag
+    of None, meaning every flag, passes through."""
     lam = tuple(lam)
-    if len(lam) != len(w):
-        raise ValueError("partition and flag must have the same rank")
+    if w is not None:
+        w = check_permutation(w)
+        if len(lam) != len(w):
+            raise ValueError("partition and flag must have the same rank")
     if any(a < b for a, b in zip(lam, lam[1:])) or (lam and lam[-1] < 0):
         raise ValueError(f"not weakly decreasing and nonnegative: {lam!r}")
     return lam, w
@@ -106,6 +109,17 @@ def longest_element(r: int) -> Perm:
     return tuple(range(r, 0, -1))
 
 
+def _left_descent_parent(w: Perm):
+    """(a, s_a * w) for the smallest left descent a of w, i.e. the smallest
+    a with a + 1 before a in w, or None when w is the identity."""
+    winv = inverse(w)
+    for a in range(1, len(w)):
+        if winv[a - 1] > winv[a]:
+            # left-multiply by s_a: swap the values a, a+1 in w
+            return a, tuple(a + 1 if x == a else a if x == a + 1 else x for x in w)
+    return None
+
+
 def reduced_word(w: Perm) -> tuple[int, ...]:
     """A reduced word (a_1, ..., a_k) with w = s_{a_1} * s_{a_2} * ... * s_{a_k}.
 
@@ -118,18 +132,11 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
     ()
     """
     w = tuple(w)
-    winv = inverse(w)
     word = []
-    while True:
-        for i in range(1, len(w)):
-            if winv[i - 1] > winv[i]:  # s_i * w is shorter
-                break
-        else:
-            return tuple(word)
-        word.append(i)
-        # left-multiply by s_i: swap the values i, i+1 in w
-        w = tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
-        winv = inverse(w)
+    while (step := _left_descent_parent(w)) is not None:
+        a, w = step
+        word.append(a)
+    return tuple(word)
 
 
 def apply_reduced_word(x, w: Perm, op):
@@ -138,6 +145,24 @@ def apply_reduced_word(x, w: Perm, op):
     for i in reversed(reduced_word(w)):
         x = op(x, i)
     return x
+
+
+def apply_to_every_flag(x, r: int, op) -> dict:
+    """apply_reduced_word(x, w, op) for every w in S_r, keyed in
+    bruhat_table(r).flags order.  reduced_word(w) is a_1 followed by
+    reduced_word(s_{a_1} * w), so each value is one step op(., a_1) from
+    that of the left-descent parent s_{a_1} * w, which is shorter and so
+    comes first: the same operator sequence, one step per flag.
+
+    >>> apply_to_every_flag("", 2, lambda x, a: x + str(a))
+    {(1, 2): '', (2, 1): '1'}
+    """
+    flags = bruhat_table(r).flags
+    out = {flags[0]: x}
+    for w in flags[1:]:
+        a, parent = _left_descent_parent(w)
+        out[w] = op(out[parent], a)
+    return out
 
 
 def all_reduced_words(w: Perm):

@@ -109,6 +109,72 @@ def test_enumerated_states_validate():
             lattice.validate_state(state)
 
 
+_EVERY_FLAG_SHAPES = [lam for r in (1, 2, 3)
+                      for lam in patterns.dominant_partitions(r, 2)] + [(2, 1, 1, 0)]
+
+
+@pytest.mark.parametrize("lam", _EVERY_FLAG_SHAPES, ids=str)
+def test_every_flag_at_once_matches_each_flag(lam):
+    # a flag is a filter on one search and one transfer: grouping the
+    # every-flag states by flag gives each flag's states in its order, and
+    # the every-flag transfer gives each flag's partition function
+    r = len(lam)
+    flags = weyl.permutations_by_length(r)
+    for family in lattice.FAMILIES:
+        grouped = {}
+        for state in lattice.enumerate_states(ModelSpec(lam, None, family)):
+            grouped.setdefault(lattice.state_flag(state.horizontal), []).append(state)
+        per_flag = {w: list(lattice.enumerate_states(ModelSpec(lam, w, family)))
+                    for w in flags}
+        assert set(grouped) <= set(flags)
+        for w in flags:
+            assert grouped.get(w, []) == per_flag[w], (family, w)
+        if family not in ("open", "closed"):
+            continue
+        every = lattice.partition_function(ModelSpec(lam, None, family))
+        assert list(every) == flags
+        for w in flags:
+            assert every[w] == lattice.partition_function(ModelSpec(lam, w, family))
+            if not per_flag[w]:
+                assert every[w] == laurent.zero(r)
+
+
+def test_every_flag_spec_has_no_flag():
+    spec = ModelSpec([2, 1, 0], None, "open")
+    assert (spec.lam, spec.w, spec.flag_spins) == ((2, 1, 0), None, None)
+    with pytest.raises(ValueError):
+        ModelSpec((1, 2), None, "open")
+    # (2, 2, 0) has open states at 3 of the 6 flags only
+    zeros = [w for w, z in lattice.partition_function(
+        ModelSpec((2, 2, 0), None, "open")).items() if not z]
+    assert len(zeros) == 3
+
+
+def test_validate_state_names_the_first_forbidden_vertex():
+    # generalized states read as closed: their a22, a24 and b1 vertices are
+    # planted violations; the error names the first in vertex order (rows
+    # ascending, each right to left), with the family in the message
+    forbidden = {"a22", "a24", "b1"}
+    checked, same_row = 0, 0
+    for w in weyl.permutations_by_length(3):
+        for state in lattice.enumerate_states(ModelSpec((2, 1, 0), w, "generalized")):
+            bad = [(i, j) for i, j in state.vertices()
+                   if state.config(i, j) in forbidden]
+            if len(bad) < 2:
+                continue
+            read = lattice.LatticeState(
+                ModelSpec(state.spec.lam, w, "closed"), state.horizontal, state.vertical)
+            (i, j) = bad[0]
+            message = f"vertex ({i},{j}) is {state.config(i, j)}, not allowed in closed"
+            with pytest.raises(ValueError) as err:
+                lattice.validate_state(read)
+            assert str(err.value) == message
+            checked += 1
+            same_row += bad[0][0] == bad[1][0]
+    # both orders matter: the first two share a row, or they do not
+    assert checked == 8 and same_row == 4
+
+
 def test_open_state_of_pattern_examples():
     w, _ = lattice.open_state_of_pattern((3, 2, 0), ((5, 3, 0), (3, 1), (1,)))
     assert w == (2, 3, 1)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from fivevertex import patterns
@@ -20,6 +22,57 @@ def test_pattern_validation():
     assert not patterns.is_pattern(((3, 1),))          # wrong row count
     with pytest.raises(ValueError):
         patterns.check_pattern(((3, 1), (4,)))
+
+
+def _is_pattern_oracle(rows):
+    """The definition word for word: r rows, row i (from 0) of r - i
+    entries, every row weakly decreasing, and each entry of a lower row
+    between its upper-left and upper-right neighbours."""
+    r = len(rows)
+    if r == 0:
+        return False
+    for i, row in enumerate(rows):
+        if len(row) != r - i:
+            return False
+        if any(row[j] < row[j + 1] for j in range(len(row) - 1)):
+            return False
+    for i in range(1, r):
+        for j in range(r - i):
+            if not rows[i - 1][j] >= rows[i][j] >= rows[i - 1][j + 1]:
+                return False
+    return True
+
+
+def _shaped(lengths, flat):
+    rows, k = [], 0
+    for n in lengths:
+        rows.append(tuple(flat[k:k + n]))
+        k += n
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_is_pattern_matches_the_definition(r):
+    lengths = range(r, 0, -1)
+    size = sum(lengths)
+    found = 0
+    for flat in itertools.product(range(4), repeat=size):
+        rows = _shaped(lengths, flat)
+        want = _is_pattern_oracle(rows)
+        assert patterns.is_pattern(rows) == want, rows
+        found += want
+    assert found > 0
+    # wrong shapes: every row-length vector of up to r + 1 rows of at most
+    # r + 1 entries that is not a triangle, filled with a decreasing run or
+    # with zeros
+    for count in range(r + 2):
+        for bad in itertools.product(range(r + 2), repeat=count):
+            if bad and bad == tuple(range(count, 0, -1)):
+                continue
+            for fill in (tuple(range(sum(bad), 0, -1)), (0,) * sum(bad)):
+                rows = _shaped(bad, fill)
+                assert not _is_pattern_oracle(rows)
+                assert not patterns.is_pattern(rows), rows
 
 
 def test_gt_to_tableau_examples():

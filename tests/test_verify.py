@@ -37,15 +37,15 @@ def test_interval_checks_ask_no_pairwise_bruhat_question(monkeypatch, lam):
 
 
 def test_checks_enumerate_each_model_once_and_keep_one_partition():
-    # four checks share one census of the partition's closed states, so
-    # each (flag, family) model is enumerated once, and neither cache holds
-    # more than the last thing asked for
+    # four checks share one census of the partition's closed states, each
+    # family is enumerated once for every flag at once, and neither cache
+    # holds more than the last thing asked for
     lattice.enumerate_states.cache_clear()
     verify._closed_census.cache_clear()
     reports = verify.run_checks(list(verify.CHECKS), (2, 1, 1, 0), 4)
     assert all(not rep.failed for rep in reports)
     states = lattice.enumerate_states.cache_info()
-    assert states.misses == 2 * 24  # closed and open, at each flag of S_4
+    assert states.misses == 2  # closed and open, every flag of S_4 at once
     assert states.currsize <= 1
     assert verify._closed_census.cache_info().misses == 1
     verify.run_checks(list(verify.CHECKS), (2, 1, 0), 3)

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from fivevertex import patterns, weyl
+from fivevertex import crystal, laurent, patterns, weyl
 from fivevertex.lattice import ModelSpec
 
 
@@ -49,6 +49,33 @@ def test_reduced_word_multiplies_back(r):
         for a in word:
             prod = weyl.compose(prod, weyl.transposition(a, a + 1, r))
         assert prod == w
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_every_flag_table_applies_the_reduced_word(r):
+    # one step per flag from its left-descent parent is the operator
+    # sequence apply_reduced_word runs, for both Demazure operators on
+    # polynomials and both steps on tableau sets
+    lam = ((2, 1) + (0,) * r)[:r]
+    top = frozenset({crystal.highest_weight_tableau(lam)})
+    for x, op in [(laurent.monomial(lam), laurent.demazure),
+                  (laurent.monomial(lam), laurent.demazure_atom_op),
+                  (top, crystal.demazure_closure),
+                  (top, crystal._atom_step)]:
+        table = weyl.apply_to_every_flag(x, r, op)
+        assert tuple(table) == weyl.bruhat_table(r).flags
+        for w, value in table.items():
+            assert value == weyl.apply_reduced_word(x, w, op), (op.__name__, w)
+
+
+@pytest.mark.parametrize("lam", [(1, 0, 0), (2, 1, 1, 0)])
+def test_every_flag_forms_match_each_flag(lam):
+    flags = weyl.bruhat_table(len(lam)).flags
+    for fn in (laurent.demazure_char, laurent.demazure_atom,
+               crystal.demazure_crystal, crystal.demazure_atom_set):
+        table = fn(lam, None)
+        assert tuple(table) == flags
+        assert all(table[w] == fn(lam, w) for w in flags), fn.__name__
 
 
 def test_all_reduced_words_agree():
