@@ -30,7 +30,7 @@ def main():
     schur = laurent.zero(3)
     for tab in patterns.enumerate_ssyt(LAM, 3):
         schur = schur + laurent.monomial(patterns.weight(tab, 3))
-    w0 = weyl.longest_element(3)
+    w0 = (3, 2, 1)
     print("character at the longest element equals the Schur polynomial:",
           laurent.demazure_char(LAM, w0) == schur)
 

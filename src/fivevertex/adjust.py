@@ -13,15 +13,16 @@ edges never changes, so the underlying Gelfand-Tsetlin pattern is
 preserved by construction.  Results are not trusted but checked once at
 each public exit: the state is admissible, its pattern is unchanged, and
 each pair of paths crosses exactly when the flag inverts it.  The private
-steps in between return unchecked states.
+steps in between repaint grids and keep the spec they are given, so each
+result's spec is built once (in the walk, once per flag).
 """
 
 import functools
 from dataclasses import replace
 
 from . import weyl
-from .lattice import (LatticeState, crosses, gtp_of_state, meetings,
-                      open_state_of_pattern, pair_intersections,
+from .lattice import (LatticeState, ModelSpec, crosses, gtp_of_state,
+                      meetings, open_state_of_pattern, pair_intersections,
                       validate_state)
 from .patterns import Pattern, check_pattern
 
@@ -49,14 +50,13 @@ def _checked(state: LatticeState, pattern: Pattern) -> LatticeState:
     return state
 
 
-def _recolor_pair(state: LatticeState, a: int, b: int, cross_at,
-                  flag=None) -> LatticeState:
-    """Rebuild the colors along the paths of a and b so that they cross
-    exactly at cross_at (or nowhere, if None) and merely touch at every
-    other meeting; the result is an unchecked reduced state with the given
-    flag (default: unchanged).  Only edges colored a or b are repainted,
-    and they keep a color of the pair, so the colored/uncolored geometry,
-    hence the pattern, is untouched."""
+def _recolor_pair(state: LatticeState, a: int, b: int, cross_at):
+    """The (horizontal, vertical) grids of the state with the colors along
+    the paths of a and b rebuilt so that they cross exactly at cross_at
+    (or nowhere, if None) and merely touch at every other meeting;
+    unchecked.  Only edges colored a or b are repainted, and they keep a
+    color of the pair, so the colored/uncolored geometry, hence the
+    pattern, is untouched."""
     spec = state.spec
     pair = (a, b)
     horizontal = [list(row) for row in state.horizontal]
@@ -80,25 +80,22 @@ def _recolor_pair(state: LatticeState, a: int, b: int, cross_at,
             else:
                 vertical[i][j] = color
                 i, from_left = i + 1, False
-    return LatticeState(
-        replace(spec, w=spec.w if flag is None else flag, family="reduced"),
-        tuple(tuple(row) for row in horizontal),
-        tuple(tuple(row) for row in vertical))
+    return (tuple(tuple(row) for row in horizontal),
+            tuple(tuple(row) for row in vertical))
 
 
 def _close(state: LatticeState) -> LatticeState:
     """Move the first misplaced crossing (pairs in lex order) to its
-    pair's last meeting until none is misplaced; unchecked."""
+    pair's last meeting until none is misplaced; unchecked, same spec."""
     spec = state.spec
     for _ in range(spec.r ** 4 * spec.n + 1):  # a guard: a few moves suffice
         for (a, b), verts in sorted(meetings(state).items()):
             crossing = [v for v in verts if crosses(state, v)]
             if crossing and crossing[0] != verts[-1]:
-                state = _recolor_pair(state, a, b, verts[-1])
+                state = LatticeState(spec, *_recolor_pair(state, a, b, verts[-1]))
                 break
         else:
-            return LatticeState(replace(spec, family="closed"),
-                                state.horizontal, state.vertical)
+            return state
     raise RuntimeError("crossing normalization did not terminate")
 
 
@@ -114,14 +111,16 @@ def move_crossing(state: LatticeState, a: int, b: int, target) -> LatticeState:
         raise ValueError(f"paths {a} and {b} must cross exactly once")
     if target not in meets:
         raise ValueError(f"{target} is not a meeting vertex of paths {a},{b}")
-    return _checked(_recolor_pair(state, a, b, tuple(target)),
+    return _checked(LatticeState(replace(state.spec, family="reduced"),
+                                 *_recolor_pair(state, a, b, tuple(target))),
                     gtp_of_state(state))
 
 
 def to_closed(state: LatticeState) -> LatticeState:
     """Move every crossing to its pair's last meeting point; the result is
     the closed state with the same flag and pattern.  Idempotent."""
-    return _checked(_close(state), gtp_of_state(state))
+    closed = replace(state, spec=replace(state.spec, family="closed"))
+    return _checked(_close(closed), gtp_of_state(state))
 
 
 def to_open(state: LatticeState) -> LatticeState:
@@ -150,7 +149,8 @@ def raise_flag(state: LatticeState, a: int, b: int) -> LatticeState:
         raise ValueError(f"transposition ({a},{b}) does not raise the length")
     if not any(crosses(state, v) for v in meetings(state).get((a, b), [])):
         raise ValueError(f"paths {a} and {b} do not cross")
-    return _checked(_recolor_pair(state, a, b, None, flag=yt),
+    return _checked(LatticeState(replace(spec, w=yt, family="reduced"),
+                                 *_recolor_pair(state, a, b, None)),
                     gtp_of_state(state))
 
 
@@ -202,11 +202,12 @@ def _closed_walk(lam, pattern: Pattern) -> dict:
     # lex order lists each lower cover y*t before y, since the swap puts
     # the smaller value first, so it serves as length order would, unsorted
     flags = weyl.all_permutations(len(w))
-    built = {w: _close(state)}
+    built = {w: _close(replace(state, spec=ModelSpec(lam, w, "closed")))}
     for y in flags[flags.index(w) + 1:]:
         for (a, b), below in weyl.lower_covers(y):
             if below in built:
-                built[y] = _close(_recolor_pair(built[below], a, b, None, flag=y))
+                grids = _recolor_pair(built[below], a, b, None)
+                built[y] = _close(LatticeState(ModelSpec(lam, y, "closed"), *grids))
                 break
     return built
 

@@ -15,6 +15,7 @@ i and i+1, each i+1 opens and a later i closes; e_i lifts the leftmost
 unmatched i+1, f_i drops the rightmost unmatched i.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import laurent, patterns, weyl
@@ -193,10 +194,8 @@ def demazure_atom_set(lam, w) -> DemazureSet:
 
 def character(elements, r: int) -> laurent.LaurentPoly:
     """Sum of z^weight over a set of tableaux."""
-    total = laurent.zero(r)
-    for tab in elements:
-        total = total + laurent.monomial(patterns.weight(tab, r))
-    return total
+    return laurent.LaurentPoly(
+        r, Counter(patterns.weight(tab, r) for tab in elements))
 
 
 def is_key(tab: Tableau) -> bool:

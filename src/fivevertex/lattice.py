@@ -271,20 +271,18 @@ def open_state_of_pattern(lam, pattern: Pattern):
     (flag, state).
     """
     pattern = check_pattern(pattern)
-    lam = tuple(lam)
     r = len(pattern)
     if len(lam) != r:
         raise ValueError("partition length must equal the pattern size")
     if not is_left_strict(pattern):
         raise ValueError("pattern is not left-strict")
-    top = tuple(p + s for p, s in zip(lam, staircase(r)))
-    if pattern[0] != top:
-        raise ValueError(f"top row {pattern[0]} != partition plus staircase {top}")
-    n = lam[0] + r
+    spec = ModelSpec(lam, None, "open")
+    if pattern[0] != spec.top_columns:
+        raise ValueError(f"top row {pattern[0]} != partition plus staircase "
+                         f"{spec.top_columns}")
+    n = spec.n
     horizontal = [[0] * (n + 1) for _ in range(r)]
-    vertical = [[0] * n for _ in range(r + 1)]
-    for m, col in enumerate(top, start=1):
-        vertical[0][col] = m
+    vertical = [list(spec.top_boundary())] + [[0] * n for _ in range(r)]
     for i in range(1, r + 1):
         below = set(pattern[i]) if i < r else set()
         hrow, above, beneath = horizontal[i - 1], vertical[i - 1], vertical[i]
@@ -296,7 +294,7 @@ def open_state_of_pattern(lam, pattern: Pattern):
             hrow[j], beneath[j] = fit[0][:2]
     horizontal = tuple(tuple(row) for row in horizontal)
     w = state_flag(horizontal)
-    state = LatticeState(ModelSpec(lam, w, "open"), horizontal,
+    state = LatticeState(replace(spec, w=w), horizontal,
                          tuple(tuple(row) for row in vertical))
     validate_state(state)
     return w, state

@@ -23,9 +23,11 @@ their trailing zeros so the rank is always recoverable from them.
 
 import itertools
 
+from . import weyl
+
 __all__ = [
     "staircase", "is_pattern", "check_pattern", "is_left_strict",
-    "gt_to_tableau", "tableau_to_gt", "subtract_staircase", "add_staircase",
+    "gt_to_tableau", "tableau_to_gt", "subtract_staircase",
     "weight", "is_ssyt", "check_tableau", "enumerate_ssyt",
     "enumerate_left_strict", "enumerate_patterns", "dominant_partitions",
 ]
@@ -122,15 +124,6 @@ def subtract_staircase(pattern: Pattern) -> Pattern:
         for i, row in enumerate(pattern, start=1)))
 
 
-def add_staircase(pattern: Pattern) -> Pattern:
-    """Inverse of subtract_staircase; the result is left-strict."""
-    pattern = check_pattern(pattern)
-    r = len(pattern)
-    return check_pattern(tuple(
-        tuple(entry + (r - i + 1 - j) for j, entry in enumerate(row, start=1))
-        for i, row in enumerate(pattern, start=1)))
-
-
 def weight(tab: Tableau, r: int) -> tuple[int, ...]:
     """Entry i of the result counts the occurrences of i in the tableau."""
     counts = [0] * r
@@ -161,37 +154,16 @@ def check_tableau(tab) -> Tableau:
 
 
 def enumerate_ssyt(lam, r: int) -> set[Tableau]:
-    """All semistandard tableaux of shape lam with entries in 1..r."""
-    lam = tuple(lam)
-    shape = [p for p in lam if p > 0]
+    """All semistandard tableaux of shape lam with entries in 1..r: the
+    images under gt_to_tableau of the weak patterns whose top row is lam's
+    nonzero parts padded with zeros to length r, so none when lam has more
+    than r nonzero parts."""
+    lam, _ = weyl.check_dominant(lam, None)
+    shape = tuple(p for p in lam if p > 0)
     if len(shape) > r:
         return set()
-    if not shape:
-        return {()}
-    out = set()
-
-    def fill(rows):
-        i = len(rows)
-        if i == len(shape):
-            out.add(tuple(rows))
-            return
-        above = rows[-1] if rows else None
-
-        def extend(row):
-            j = len(row)
-            if j == shape[i]:
-                fill(rows + [tuple(row)])
-                return
-            lo = row[j - 1] if j else 1
-            if above is not None:
-                lo = max(lo, above[j] + 1)
-            for x in range(lo, r + 1):
-                extend(row + [x])
-
-        extend([])
-
-    fill([])
-    return out
+    return set(map(gt_to_tableau,
+                   enumerate_patterns(shape + (0,) * (r - len(shape)))))
 
 
 def _interleavings(top: tuple[int, ...], gap: int) -> set[Pattern]:
@@ -224,8 +196,12 @@ def enumerate_left_strict(lam, r: int) -> set[Pattern]:
 
 
 def enumerate_patterns(top_row) -> set[Pattern]:
-    """All weak patterns with the given (weakly decreasing) top row."""
-    return _interleavings(tuple(top_row), 0)
+    """All weak patterns with the given top row, which must be a nonempty
+    partition: weakly decreasing and nonnegative."""
+    top_row, _ = weyl.check_dominant(top_row, None)
+    if not top_row:
+        raise ValueError("a pattern needs a nonempty top row")
+    return _interleavings(top_row, 0)
 
 
 def dominant_partitions(r: int, max_part: int):

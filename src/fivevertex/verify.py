@@ -22,6 +22,7 @@ import functools
 import itertools
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from . import adjust, crystal, laurent, lattice, patterns, weyl
@@ -64,10 +65,6 @@ def report_to_json(report: Report) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _spec(lam, w, family):
-    return lattice.ModelSpec(tuple(lam), w, family)
-
-
 def _rho_shift(lam, f):
     return laurent.monomial(patterns.staircase(len(lam))) * f
 
@@ -75,10 +72,9 @@ def _rho_shift(lam, f):
 def _enumeration_sum(r, states):
     """The partition function the slow way, as an oracle for the row
     transfer: the Boltzmann weights of the enumerated states, summed."""
-    terms = {}
+    terms = Counter()
     for state in states:
-        for expo, coeff in lattice.boltzmann(state).terms.items():
-            terms[expo] = terms.get(expo, 0) + coeff
+        terms.update(lattice.boltzmann(state).terms)
     return laurent.LaurentPoly(r, terms)
 
 
@@ -88,7 +84,7 @@ def _by_flag(lam, r, family):
     state's spec carries the flag that state_flag reads off its right
     boundary."""
     groups = {y: [] for y in weyl.bruhat_table(r).flags}
-    for s in lattice.enumerate_states(_spec(lam, None, family)):
+    for s in lattice.enumerate_states(lattice.ModelSpec(lam, None, family)):
         groups[s.spec.w].append(s)
     return groups
 
@@ -119,8 +115,8 @@ def check_partition(lam, r):
     flags = table.flags
     census = _closed_census(lam, r)
     opened = _by_flag(lam, r, "open")
-    z_closed = lattice.partition_function(_spec(lam, None, "closed"))
-    z_open = lattice.partition_function(_spec(lam, None, "open"))
+    z_closed = lattice.partition_function(lattice.ModelSpec(lam, None, "closed"))
+    z_open = lattice.partition_function(lattice.ModelSpec(lam, None, "open"))
     chars = laurent.demazure_char(lam, None)
     atoms = laurent.demazure_atom(lam, None)
     support = [y for y in flags if z_open[y]]

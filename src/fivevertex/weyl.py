@@ -22,10 +22,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 __all__ = [
-    "is_permutation", "check_permutation", "inverse", "compose",
-    "transposition", "length", "longest_element",
-    "reduced_word", "apply_reduced_word", "apply_to_every_flag",
-    "all_reduced_words", "bruhat_leq",
+    "check_permutation", "inverse", "compose", "transposition", "length",
+    "reduced_word", "apply_reduced_word", "apply_to_every_flag", "bruhat_leq",
     "lower_covers", "BruhatTable", "bruhat_table",
     "coset_longest", "all_permutations",
     "permutations_by_length", "check_dominant",
@@ -34,14 +32,10 @@ __all__ = [
 Perm = tuple[int, ...]
 
 
-def is_permutation(w) -> bool:
-    """True iff w is a rearrangement of (1, ..., len(w))."""
-    return sorted(w) == list(range(1, len(w) + 1))
-
-
 def check_permutation(w: Perm) -> Perm:
+    """w as a tuple, after checking that it rearranges (1, ..., len(w))."""
     w = tuple(w)
-    if not is_permutation(w):
+    if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
     return w
 
@@ -102,13 +96,6 @@ def length(w: Perm) -> int:
     return sum(1 for i in range(r) for j in range(i + 1, r) if w[i] > w[j])
 
 
-def longest_element(r: int) -> Perm:
-    """The reversal (r, r-1, ..., 1), of length r(r-1)/2."""
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    return tuple(range(r, 0, -1))
-
-
 def _left_descent_parent(w: Perm):
     """(a, s_a * w) for the smallest left descent a of w, i.e. the smallest
     a with a + 1 before a in w, or None when w is the identity."""
@@ -165,20 +152,6 @@ def apply_to_every_flag(x, r: int, op) -> dict:
     return out
 
 
-def all_reduced_words(w: Perm):
-    """Yield every reduced word of w, in the same left-to-right convention
-    as reduced_word."""
-    if length(w) == 0:
-        yield ()
-        return
-    winv = inverse(w)
-    for i in range(1, len(w)):
-        if winv[i - 1] > winv[i]:
-            shorter = tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
-            for rest in all_reduced_words(shorter):
-                yield (i,) + rest
-
-
 def bruhat_leq(y: Perm, w: Perm) -> bool:
     """Bruhat order on S_r, by the dot/tableau criterion: y <= w iff for
     every k the increasing sort of (y(1)..y(k)) is entrywise <= that of
@@ -217,14 +190,6 @@ def lower_covers(w: Perm):
                 yield (a + 1, b + 1), swapped
 
 
-def _bits(mask: int):
-    """The positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class BruhatTable(NamedTuple):
     """The Bruhat order on S_r as lower intervals: flags is
     permutations_by_length(r), index maps a flag to its position there, and
@@ -236,10 +201,6 @@ class BruhatTable(NamedTuple):
 
     def leq(self, y: Perm, w: Perm) -> bool:
         return bool(self.lower[self.index[w]] >> self.index[y] & 1)
-
-    def below(self, w: Perm) -> list[Perm]:
-        """Every y <= w, in the order of flags."""
-        return [self.flags[j] for j in _bits(self.lower[self.index[w]])]
 
 
 @functools.lru_cache(maxsize=None)

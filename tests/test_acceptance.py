@@ -12,6 +12,7 @@ from pathlib import Path
 
 from fivevertex import adjust, crystal, lattice, laurent, patterns, verify, weyl
 from fivevertex.lattice import ModelSpec
+from oracles import all_reduced_words
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -193,7 +194,7 @@ def test_criterion_9_operator_algebra():
                 f = f + rng.randint(-9, 9) * laurent.monomial(expo)
             return f
 
-        words_by_w = {w: list(weyl.all_reduced_words(w))
+        words_by_w = {w: list(all_reduced_words(w))
                       for w in weyl.all_permutations(3)}
         for trial in range(1000):
             f = random_poly()

@@ -2,6 +2,7 @@ import pytest
 
 from fivevertex import adjust, crystal, lattice, laurent, patterns, weyl
 from fivevertex.lattice import ModelSpec
+from oracles import add_staircase
 
 FIG_PATTERN = ((5, 3, 0), (3, 1), (1,))
 
@@ -184,14 +185,13 @@ def test_public_exits_check_the_recolored_state(monkeypatch):
     closed = adjust.to_closed(open_state)
     recolor = adjust._recolor_pair
 
-    def recolor_then_break_one_edge(state, a, b, cross_at, flag=None):
-        out = recolor(state, a, b, cross_at, flag)
-        horizontal = [list(row) for row in out.horizontal]
+    def recolor_then_break_one_edge(state, a, b, cross_at):
+        horizontal, vertical = recolor(state, a, b, cross_at)
+        horizontal = [list(row) for row in horizontal]
         i, j = next((i, j) for i, row in enumerate(horizontal, start=1)
                     for j, spin in enumerate(row) if spin == a and j > 0)
         horizontal[i - 1][j] = b
-        return lattice.LatticeState(out.spec, tuple(map(tuple, horizontal)),
-                                    out.vertical)
+        return tuple(map(tuple, horizontal)), vertical
 
     monkeypatch.setattr(adjust, "_recolor_pair", recolor_then_break_one_edge)
     with pytest.raises(ValueError):
@@ -222,7 +222,7 @@ def test_exit_colors_staircase_invariance():
 def test_exit_colors_inverts_flag_for_paper_shape():
     lam = (8, 6, 5, 0)
     shifted = ((8, 6, 5, 0), (8, 5, 0), (6, 2), (4,))
-    pattern = patterns.add_staircase(shifted)
+    pattern = add_staircase(shifted)
     w, _ = lattice.open_state_of_pattern(lam, pattern)
     assert weyl.inverse(w) == (2, 4, 3, 1)
 
@@ -261,6 +261,25 @@ def test_closed_state_of_matches_enumeration_on_every_cell(lam):
             assert adjust._closed_walk.cache_info().misses == misses + 1
             assert (built is None) == (not weyl.bruhat_leq(forced[p], y))
             assert built == enumerated.get((y, p))
+
+
+def test_closed_walk_builds_one_spec_per_flag(monkeypatch):
+    lam = (2, 1, 1, 0)
+    pattern = next(p for p in sorted(patterns.enumerate_left_strict(lam, 4))
+                   if adjust.exit_colors(p) == (1, 2, 3, 4))
+    built = [0]
+    post_init = ModelSpec.__post_init__
+
+    def counted(spec):
+        built[0] += 1
+        post_init(spec)
+
+    monkeypatch.setattr(ModelSpec, "__post_init__", counted)
+    lattice.open_state_of_pattern(lam, pattern)
+    for_open, built[0] = built[0], 0
+    walk = adjust._closed_walk.__wrapped__(lam, pattern)
+    assert len(walk) == 24
+    assert built[0] <= len(walk) + for_open
 
 
 def test_closed_state_of_path_independence():

@@ -90,6 +90,15 @@ def test_verify_passes_and_emits_json_lines(capsys):
         assert doc["status"] in ("pass", "convention-note")
 
 
+def test_verify_long_first_part(capsys):
+    # a row of 1100 boxes is deeper than the interpreter's recursion limit,
+    # so tableaux must not be filled one recursive call per box
+    code, out, _ = _run(capsys, "verify", "--rank", "1", "--lambda-max",
+                        "1100", "--check", "crystal")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1101
+
+
 def test_verify_single_check(capsys):
     code, out, _ = _run(capsys, "verify", "--rank", "3", "--lambda-max", "1",
                         "--check", "bijection")

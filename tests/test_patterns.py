@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from fivevertex import patterns
+from oracles import add_staircase
 
 
 PAPER_PATTERN = ((5, 3, 0), (3, 1), (1,))
@@ -118,7 +119,7 @@ def test_staircase_shift_is_bijection(lam, r):
     shifted = {patterns.subtract_staircase(p) for p in strict}
     assert shifted == weak
     for pat in strict:
-        assert patterns.add_staircase(patterns.subtract_staircase(pat)) == pat
+        assert add_staircase(patterns.subtract_staircase(pat)) == pat
 
 
 def test_subtract_staircase_requires_left_strict():
@@ -145,6 +146,37 @@ def test_enumerate_ssyt_counts():
     assert patterns.enumerate_ssyt((1, 0), 2) == {((1,),), ((2,),)}
     assert len(patterns.enumerate_ssyt((2, 1, 0), 3)) == 8
     assert patterns.enumerate_ssyt((0, 0, 0), 3) == {()}
+
+
+def _ssyt_by_brute_force(lam, r):
+    """Every filling of the shape with entries 1..r that is_ssyt accepts."""
+    shape = [p for p in lam if p > 0]
+    out = set()
+    for entries in itertools.product(range(1, r + 1), repeat=sum(shape)):
+        it = iter(entries)
+        tab = tuple(tuple(next(it) for _ in range(p)) for p in shape)
+        if patterns.is_ssyt(tab):
+            out.add(tab)
+    return out
+
+
+@pytest.mark.parametrize("lam,r", [
+    *((lam, r) for r in (1, 2, 3) for lam in patterns.dominant_partitions(r, 3)),
+    *((lam, 4) for lam in patterns.dominant_partitions(4, 2)),
+    # more nonzero parts than r, and shorter than r
+    ((1, 1, 1, 1), 3), ((2, 1, 1), 2), ((1, 1), 1), ((3, 1, 1, 0), 2),
+    ((2, 1), 3), ((1,), 4), ((), 2),
+])
+def test_enumerate_ssyt_matches_brute_force(lam, r):
+    assert patterns.enumerate_ssyt(lam, r) == _ssyt_by_brute_force(lam, r)
+
+
+def test_enumerators_reject_bad_shapes():
+    for bad in [(1, 2), (0, 1), (2, -1), (-1,)]:
+        with pytest.raises(ValueError):
+            patterns.enumerate_ssyt(bad, 2)
+        with pytest.raises(ValueError):
+            patterns.enumerate_patterns(bad)
 
 
 def test_enumerate_left_strict_examples():

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from fivevertex import lattice, laurent, patterns, verify, weyl
+from fivevertex import lattice, laurent, patterns, verify
 from fivevertex.lattice import ModelSpec
+from oracles import longest_element
 
 
 def _shifted(spec):
@@ -27,7 +28,7 @@ def _random_specs(count):
 
 
 def _longest(lam):
-    return ModelSpec(lam, weyl.longest_element(len(lam)), "closed")
+    return ModelSpec(lam, longest_element(len(lam)), "closed")
 
 
 @pytest.mark.parametrize("spec", [*_random_specs(40), _longest((6, 4, 2, 1, 0))],

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from fivevertex import crystal, lattice, patterns, verify, weyl
+from oracles import longest_element
 
 
 def _statuses(reports):
@@ -21,6 +22,14 @@ def test_every_check_passes_on_three_row_shape():
     for name, check in verify.CHECKS.items():
         reports = check((2, 1, 0), 3)
         assert all(not rep.failed for rep in reports), name
+
+
+def test_every_check_passes_on_a_long_row():
+    # 1100 boxes: deeper than the interpreter's default recursion limit
+    for name, check in verify.CHECKS.items():
+        reports = check((1100,), 1)
+        assert all(not rep.failed for rep in reports), name
+        assert reports[0].status == "pass", name
 
 
 @pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0)])
@@ -80,7 +89,7 @@ def test_shortcut_reports_the_first_flag_of_a_bad_pattern(monkeypatch):
     pats = sorted(patterns.enumerate_left_strict(lam, 3))
     forced = {p: lattice.open_state_of_pattern(lam, p)[0] for p in pats}
     bad = next(p for p in reversed(pats)
-               if forced[p] not in ((1, 2, 3), weyl.longest_element(3)))
+               if forced[p] not in ((1, 2, 3), longest_element(3)))
     bad_shifted = patterns.subtract_staircase(bad)
     gtp_raise = crystal.gtp_raise
     monkeypatch.setattr(crystal, "gtp_raise", lambda pattern, i: (
