@@ -3,27 +3,23 @@ State surgery on reduced lattice states: relocating the crossing of a pair
 of paths, converting between open and closed states, raising the boundary
 flag along a Bruhat cover, reading the flag directly off a pattern, and
 the constructive production of the unique closed state with a prescribed
-flag and pattern.  That production walks once per pattern: one pass up
-the Bruhat interval above the pattern's forced flag builds the closed
-state of every flag in it, and the walk of the last pattern asked about
-is kept, so asking for every flag of a pattern in turn costs one walk.
+flag and pattern, which to_closed uses too.  That production is one sweep
+per flag (_closed_grids) that forces every spin from the exits and the
+pattern; nothing is remembered between calls.
 
-All operations recolor only the two paths involved: the set of colored
-edges never changes, so the underlying Gelfand-Tsetlin pattern is
-preserved by construction.  Results are not trusted but checked once at
-each public exit: the state is admissible, its pattern is unchanged, and
-each pair of paths crosses exactly when the flag inverts it.  The private
-steps in between repaint grids and keep the spec they are given, so each
-result's spec is built once (in the walk, once per flag).
+All operations keep the set of colored edges, so the underlying
+Gelfand-Tsetlin pattern is preserved by construction.  Results are not
+trusted but checked once at each public exit: the state is admissible, its
+pattern is unchanged, and each pair of paths crosses exactly when the flag
+inverts it.  The private steps in between only build grids.
 """
 
-import functools
 from dataclasses import replace
 
 from . import weyl
-from .lattice import (LatticeState, ModelSpec, crosses, gtp_of_state,
-                      meetings, open_state_of_pattern, pair_intersections,
-                      validate_state)
+from .lattice import (LatticeState, ModelSpec, _check_state_pattern, _columns,
+                      crosses, gtp_of_state, meetings, open_state_of_pattern,
+                      pair_intersections, validate_state)
 from .patterns import Pattern, check_pattern
 
 __all__ = [
@@ -34,14 +30,16 @@ __all__ = [
 
 def _checked(state: LatticeState, pattern: Pattern) -> LatticeState:
     """The state, once it passes validation for its family, still has the
-    given pattern, and has each pair of paths crossing exactly when the
-    flag puts the greater color's exit row above the lesser's."""
+    given (already checked) pattern, and has each pair of paths crossing
+    (a colored top edge between equal left and right colors) exactly when
+    the flag puts the greater color's exit row above the lesser's."""
     validate_state(state)
-    if gtp_of_state(state) != pattern:
+    if _columns(state) != pattern:
         raise RuntimeError("surgery changed the pattern")
     w, r = state.spec.w, state.spec.r
-    crossing = {pair for pair, verts in meetings(state).items()
-                if any(crosses(state, v) for v in verts)}
+    crossing = {(min(h[j], top[j]), max(h[j], top[j]))
+                for h, top, columns in zip(state.horizontal, state.vertical, pattern)
+                for j in columns if h[j + 1] and h[j + 1] == h[j]}
     for a in range(1, r + 1):
         for b in range(a + 1, r + 1):
             if ((a, b) in crossing) != (w[a - 1] < w[b - 1]):
@@ -84,19 +82,30 @@ def _recolor_pair(state: LatticeState, a: int, b: int, cross_at):
             tuple(tuple(row) for row in vertical))
 
 
-def _close(state: LatticeState) -> LatticeState:
-    """Move the first misplaced crossing (pairs in lex order) to its
-    pair's last meeting until none is misplaced; unchecked, same spec."""
-    spec = state.spec
-    for _ in range(spec.r ** 4 * spec.n + 1):  # a guard: a few moves suffice
-        for (a, b), verts in sorted(meetings(state).items()):
-            crossing = [v for v in verts if crosses(state, v)]
-            if crossing and crossing[0] != verts[-1]:
-                state = LatticeState(spec, *_recolor_pair(state, a, b, verts[-1]))
-                break
-        else:
-            return state
-    raise RuntimeError("crossing normalization did not terminate")
+def _closed_grids(n: int, pattern: Pattern, exits):
+    """The grids of the closed state with the pattern whose row i exits
+    color exits[i-1], unchecked, from one sweep over rows r..1, each right
+    to left from its exit color.  A vertex's outgoing spins and whether
+    the pattern colors its top edge force its incoming ones; the closed
+    meetings, a21 and a23, take the greater color (smaller int) from the
+    left.  None where a b1 vertex or an unmatched meeting would be needed.
+    The state exists iff the top row produced is the top boundary."""
+    horizontal, vertical = [], [(0,) * n]
+    for colored, carry in zip(reversed(pattern), reversed(exits)):
+        row, top = [carry], [0] * n
+        for j, down in enumerate(vertical[-1]):
+            if j in colored:
+                if not carry:
+                    return None
+                carry, top[j] = (down, carry) if down < carry else (carry, down)
+            elif down:
+                if carry:
+                    return None
+                carry = down
+            row.append(carry)
+        horizontal.append(tuple(row))
+        vertical.append(tuple(top))
+    return tuple(horizontal[::-1]), tuple(vertical[::-1])
 
 
 def move_crossing(state: LatticeState, a: int, b: int, target) -> LatticeState:
@@ -117,10 +126,13 @@ def move_crossing(state: LatticeState, a: int, b: int, target) -> LatticeState:
 
 
 def to_closed(state: LatticeState) -> LatticeState:
-    """Move every crossing to its pair's last meeting point; the result is
-    the closed state with the same flag and pattern.  Idempotent."""
-    closed = replace(state, spec=replace(state.spec, family="closed"))
-    return _checked(_close(closed), gtp_of_state(state))
+    """The closed state with the same flag and pattern (closed_state_of):
+    every crossing sits at its pair's last meeting point.  Idempotent.
+    Raises ValueError when there is no such closed state."""
+    closed = closed_state_of(state.spec.w, state.spec.lam, gtp_of_state(state))
+    if not isinstance(closed, LatticeState):  # None, or every flag's for no flag
+        raise ValueError("no closed state has this flag and pattern")
+    return closed
 
 
 def to_open(state: LatticeState) -> LatticeState:
@@ -188,43 +200,22 @@ def exit_colors(pattern: Pattern) -> tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=1)
-def _closed_walk(lam, pattern: Pattern) -> dict:
-    """Every closed state of the pattern, keyed by flag: the interval from
-    the pattern's forced flag w_a up to the longest element, built from
-    covers alone.  closed(P, w_a) is the open state closed up; a longer
-    flag y joins from the first lower cover y*t, t = (a, b), that
-    weyl.lower_covers yields and that has joined, as closed(P, y*t) with
-    a, b uncrossed and then closed up.  Unchecked.  One slot of memo
-    serves a caller that asks for every flag of one pattern before moving
-    on to the next."""
-    w, state = open_state_of_pattern(lam, pattern)
-    # lex order lists each lower cover y*t before y, since the swap puts
-    # the smaller value first, so it serves as length order would, unsorted
-    flags = weyl.all_permutations(len(w))
-    built = {w: _close(replace(state, spec=ModelSpec(lam, w, "closed")))}
-    for y in flags[flags.index(w) + 1:]:
-        for (a, b), below in weyl.lower_covers(y):
-            if below in built:
-                grids = _recolor_pair(built[below], a, b, None)
-                built[y] = _close(LatticeState(ModelSpec(lam, y, "closed"), *grids))
-                break
-    return built
-
-
 def closed_state_of(y, lam, pattern: Pattern):
     """The unique closed state with flag y and the given left-strict
-    pattern, or None when the pattern's forced flag is not below y.
+    pattern, or None when the pattern's forced flag is not below y.  For
+    y None (every flag), a dict from every flag, in weyl.bruhat_table
+    order, to its state or None.  Each flag is one sweep (_closed_grids:
+    rows bottom up, each right to left from its exit color) and has a
+    state iff the sweep ends on the top boundary.  There is no memo."""
+    spec = ModelSpec(lam, y, "closed")
+    pattern = _check_state_pattern(spec, pattern)
 
-    Read off one walk per pattern (_closed_walk), which builds the closed
-    states of every flag above the forced one, each by a single uncrossing
-    step from a covered flag; the walk of the last pattern asked about is
-    kept.  Only the result is checked, here, on every call."""
-    y = weyl.check_permutation(y)
-    pattern = check_pattern(pattern)
-    if len(y) != len(pattern):
-        raise ValueError("rank mismatch")
-    state = _closed_walk(tuple(lam), pattern).get(y)
-    if state is None:
-        return None
-    return _checked(state, pattern)
+    def state_of(w):
+        grids = _closed_grids(spec.n, pattern, weyl.inverse(w))
+        if grids is None or grids[1][0] != spec.top_boundary():
+            return None
+        return _checked(LatticeState(replace(spec, w=w), *grids), pattern)
+
+    if y is not None:
+        return state_of(spec.w)
+    return {w: state_of(w) for w in weyl.bruhat_table(spec.r).flags}

@@ -95,9 +95,9 @@ class ModelSpec:
     def n(self) -> int:
         return self.lam[0] + self.r
 
-    @property
+    @functools.cached_property
     def top_columns(self) -> tuple[int, ...]:
-        """Column of color m at index m-1; strictly decreasing."""
+        """Column of color m at index m-1; strictly decreasing; cached."""
         return tuple(p + s for p, s in zip(self.lam, staircase(self.r)))
 
     @property
@@ -270,17 +270,9 @@ def open_state_of_pattern(lam, pattern: Pattern):
     bottom edge just when the next row lists the column.  Returns
     (flag, state).
     """
-    pattern = check_pattern(pattern)
-    r = len(pattern)
-    if len(lam) != r:
-        raise ValueError("partition length must equal the pattern size")
-    if not is_left_strict(pattern):
-        raise ValueError("pattern is not left-strict")
     spec = ModelSpec(lam, None, "open")
-    if pattern[0] != spec.top_columns:
-        raise ValueError(f"top row {pattern[0]} != partition plus staircase "
-                         f"{spec.top_columns}")
-    n = spec.n
+    pattern = _check_state_pattern(spec, pattern)
+    r, n = spec.r, spec.n
     horizontal = [[0] * (n + 1) for _ in range(r)]
     vertical = [list(spec.top_boundary())] + [[0] * n for _ in range(r)]
     for i in range(1, r + 1):
@@ -298,6 +290,18 @@ def open_state_of_pattern(lam, pattern: Pattern):
                          tuple(tuple(row) for row in vertical))
     validate_state(state)
     return w, state
+
+
+def _check_state_pattern(spec: ModelSpec, pattern) -> Pattern:
+    """The pattern, once checked to be left-strict with top row the spec's
+    partition plus staircase (so of the spec's rank)."""
+    pattern = check_pattern(pattern)
+    if not is_left_strict(pattern):
+        raise ValueError("pattern is not left-strict")
+    if pattern[0] != spec.top_columns:
+        raise ValueError(f"top row {pattern[0]} != partition plus staircase "
+                         f"{spec.top_columns}")
+    return pattern
 
 
 def validate_state(state: LatticeState):
@@ -333,12 +337,17 @@ def validate_state(state: LatticeState):
                 raise ValueError(f"paths {a},{b} cross more than once")
 
 
-def gtp_of_state(state: LatticeState) -> Pattern:
+def _columns(state: LatticeState) -> Pattern:
     """Row i lists the columns of the colored vertical edges above row i,
-    left to right (so in decreasing column label)."""
+    left to right (so in decreasing column label); unchecked."""
     columns = range(state.spec.n - 1, -1, -1)
-    pattern = check_pattern(tuple(compress(columns, row[::-1]))
-                            for row in state.vertical[:state.spec.r])
+    return tuple(tuple(compress(columns, row[::-1]))
+                 for row in state.vertical[:state.spec.r])
+
+
+def gtp_of_state(state: LatticeState) -> Pattern:
+    """The pattern of the state: its column read (_columns), checked."""
+    pattern = check_pattern(_columns(state))
     if state.spec.family != "generalized" and not is_left_strict(pattern):
         raise RuntimeError("state without b1 vertices must give a left-strict pattern")
     return pattern

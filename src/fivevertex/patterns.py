@@ -80,17 +80,19 @@ def gt_to_tableau(pattern: Pattern) -> Tableau:
     entries <= r-k+1, so entry m fills the horizontal strip between the
     shapes in rows r-m+2 and r-m+1.
     """
-    pattern = check_pattern(pattern)
-    r = len(pattern)
-    rows = [[] for _ in range(len(pattern[0]))]
-    prev = (0,) * r
-    for m in range(1, r + 1):
-        shape = pattern[r - m]  # m parts: shape of entries <= m
-        for ell in range(m):
-            below = prev[ell] if ell < len(prev) else 0
-            rows[ell].extend([m] * (shape[ell] - below))
-        prev = shape
-    return tuple(tuple(row) for row in rows if row)
+    return _tableau_of(check_pattern(pattern))
+
+
+def _tableau_of(pattern: Pattern) -> Tableau:
+    """gt_to_tableau of a pattern already known to be valid; unchecked."""
+    rows = []
+    for ell in range(len(pattern)):
+        row, start = (), 0
+        for shape in pattern[len(pattern) - ell - 1::-1]:  # entries <= len(shape)
+            row += (len(shape),) * (shape[ell] - start)
+            start = shape[ell]
+        rows.append(row)
+    return tuple(row for row in rows if row)
 
 
 def tableau_to_gt(tab: Tableau, r: int) -> Pattern:
@@ -162,7 +164,7 @@ def enumerate_ssyt(lam, r: int) -> set[Tableau]:
     shape = tuple(p for p in lam if p > 0)
     if len(shape) > r:
         return set()
-    return set(map(gt_to_tableau,
+    return set(map(_tableau_of,
                    enumerate_patterns(shape + (0,) * (r - len(shape)))))
 
 
@@ -189,7 +191,7 @@ def _interleavings(top: tuple[int, ...], gap: int) -> set[Pattern]:
 
 def enumerate_left_strict(lam, r: int) -> set[Pattern]:
     """All left-strict patterns with top row lam + staircase."""
-    lam = tuple(lam)
+    lam, _ = weyl.check_dominant(lam, None)
     if len(lam) != r:
         raise ValueError("partition length must equal the rank")
     return _interleavings(tuple(p + s for p, s in zip(lam, staircase(r))), 1)

@@ -163,17 +163,15 @@ def check_states(lam, r):
     """Existence/uniqueness of closed states per (flag, pattern) cell:
     exactly one state when the flag dominates the pattern's forced flag in
     the Bruhat order (read from weyl.bruhat_table), none otherwise; the
-    constructive builder agrees with enumeration."""
+    constructive builder, called once per pattern, agrees with enumeration."""
     lam = tuple(lam)
     table = weyl.bruhat_table(r)
-    flags = table.flags
     by_pattern = _closed_census(lam, r)
     for pattern in sorted(patterns.enumerate_left_strict(lam, r)):
         w_a = weyl.inverse(adjust.exit_colors(pattern))
-        for y in flags:
+        for y, built in adjust.closed_state_of(None, lam, pattern).items():
             states = by_pattern[y].get(pattern, [])
             want = 1 if table.leq(w_a, y) else 0
-            built = adjust.closed_state_of(y, lam, pattern)
             ok = (len(states) == want
                   and (built is None) == (want == 0)
                   and (built is None or built == states[0]))

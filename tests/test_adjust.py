@@ -113,6 +113,15 @@ def test_to_closed_matches_enumeration():
             assert matches == [closed]
 
 
+def test_to_closed_needs_the_state_flag():
+    # a state under the every-flag model carries no flag to close at
+    state = _fig4_open()
+    unflagged = lattice.LatticeState(ModelSpec((3, 2, 0), None, "open"),
+                                     state.horizontal, state.vertical)
+    with pytest.raises(ValueError):
+        adjust.to_closed(unflagged)
+
+
 def test_raise_flag_bootstrap():
     (state,) = lattice.enumerate_states(ModelSpec((1, 0), (1, 2), "closed"))
     raised = adjust.to_closed(adjust.raise_flag(state, 1, 2))
@@ -180,29 +189,55 @@ def test_to_open_matches_enumeration_on_every_reduced_state():
             assert adjust.to_open(state) == open_of[lattice.gtp_of_state(state)]
 
 
+def _break_one_horizontal_edge(grids, a, b):
+    """The grids with the first horizontal edge of color a inside the grid
+    repainted b; unchanged if there is none."""
+    horizontal, vertical = grids
+    horizontal = [list(row) for row in horizontal]
+    for row in horizontal:
+        if a in row[1:]:
+            row[row.index(a, 1)] = b
+            break
+    return tuple(map(tuple, horizontal)), vertical
+
+
 def test_public_exits_check_the_recolored_state(monkeypatch):
     open_state = _fig4_open()
     closed = adjust.to_closed(open_state)
-    recolor = adjust._recolor_pair
-
-    def recolor_then_break_one_edge(state, a, b, cross_at):
-        horizontal, vertical = recolor(state, a, b, cross_at)
-        horizontal = [list(row) for row in horizontal]
-        i, j = next((i, j) for i, row in enumerate(horizontal, start=1)
-                    for j, spin in enumerate(row) if spin == a and j > 0)
-        horizontal[i - 1][j] = b
-        return tuple(map(tuple, horizontal)), vertical
-
-    monkeypatch.setattr(adjust, "_recolor_pair", recolor_then_break_one_edge)
+    recolor, sweep = adjust._recolor_pair, adjust._closed_grids
+    monkeypatch.setattr(
+        adjust, "_recolor_pair", lambda state, a, b, cross_at:
+        _break_one_horizontal_edge(recolor(state, a, b, cross_at), a, b))
+    monkeypatch.setattr(
+        adjust, "_closed_grids", lambda n, pattern, exits:
+        _break_one_horizontal_edge(sweep(n, pattern, exits), 1, 2))
     with pytest.raises(ValueError):
         adjust.move_crossing(open_state, 1, 2, (2, 1))
     with pytest.raises(ValueError):
         adjust.to_closed(open_state)
     with pytest.raises(ValueError):
         adjust.raise_flag(closed, 1, 2)
-    adjust._closed_walk.cache_clear()  # a remembered good walk would hide the fault
     with pytest.raises(ValueError):
         adjust.closed_state_of((3, 2, 1), (3, 2, 0), FIG_PATTERN)
+    with pytest.raises(ValueError):
+        adjust.closed_state_of(None, (3, 2, 0), FIG_PATTERN)
+
+
+def test_exit_check_names_the_first_disagreeing_pair(monkeypatch):
+    # the figure's closed state crosses only paths 1,2; read under other
+    # flags (validation switched off), the check names the lex-first pair
+    # whose crossing disagrees with the flag, and a wrong pattern fails
+    closed = adjust.to_closed(_fig4_open())
+    monkeypatch.setattr(adjust, "validate_state", lambda state: None)
+    for flag, pair in [((1, 2, 3), "1,3"), ((1, 3, 2), "1,3"), ((3, 2, 1), "1,2"),
+                       ((2, 1, 3), "1,2"), ((3, 1, 2), "1,2")]:
+        relabeled = lattice.LatticeState(ModelSpec((3, 2, 0), flag, "closed"),
+                                         closed.horizontal, closed.vertical)
+        with pytest.raises(RuntimeError, match=f"paths {pair} disagree"):
+            adjust._checked(relabeled, FIG_PATTERN)
+    assert adjust._checked(closed, FIG_PATTERN) is closed
+    with pytest.raises(RuntimeError, match="changed the pattern"):
+        adjust._checked(closed, ((5, 3, 0), (3, 0), (1,)))
 
 
 def test_exit_colors_examples():
@@ -242,31 +277,36 @@ def test_closed_state_of_examples():
         (expected.horizontal, expected.vertical)
 
 
-@pytest.mark.parametrize("lam", [(2, 1, 1, 0), (2, 2, 1, 0)])
+def _closed_by_cell(lam):
+    """(flag, pattern) -> the enumerated closed state of that cell."""
+    out = {}
+    for state in lattice.enumerate_states(ModelSpec(lam, None, "closed")):
+        key = state.spec.w, lattice.gtp_of_state(state)
+        assert key not in out
+        out[key] = state
+    return out
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 1, 0), (2, 2, 1, 0), (2, 1, 0, 0, 0)])
 def test_closed_state_of_matches_enumeration_on_every_cell(lam):
-    # flags longest first and patterns interleaved, so that no call finds
-    # its pattern's walk remembered from the call before
     r = len(lam)
-    enumerated = {}
-    for y in weyl.all_permutations(r):
-        for state in lattice.enumerate_states(ModelSpec(lam, y, "closed")):
-            enumerated[y, lattice.gtp_of_state(state)] = state
-    pats = sorted(patterns.enumerate_left_strict(lam, r))
-    forced = {p: lattice.open_state_of_pattern(lam, p)[0] for p in pats}
-    adjust._closed_walk.cache_clear()
-    for y in reversed(weyl.permutations_by_length(r)):
-        for p in pats:
-            misses = adjust._closed_walk.cache_info().misses
+    flags = weyl.bruhat_table(r).flags
+    enumerated = _closed_by_cell(lam)
+    for p in sorted(patterns.enumerate_left_strict(lam, r)):
+        forced, _ = lattice.open_state_of_pattern(lam, p)
+        every = adjust.closed_state_of(None, lam, p)
+        assert list(every) == list(flags)
+        for y in flags:
             built = adjust.closed_state_of(y, lam, p)
-            assert adjust._closed_walk.cache_info().misses == misses + 1
-            assert (built is None) == (not weyl.bruhat_leq(forced[p], y))
+            assert (built is None) == (not weyl.bruhat_leq(forced, y))
             assert built == enumerated.get((y, p))
+            assert every[y] == built
 
 
-def test_closed_walk_builds_one_spec_per_flag(monkeypatch):
+def test_every_flag_call_builds_one_spec_per_state(monkeypatch):
     lam = (2, 1, 1, 0)
     pattern = next(p for p in sorted(patterns.enumerate_left_strict(lam, 4))
-                   if adjust.exit_colors(p) == (1, 2, 3, 4))
+                   if adjust.exit_colors(p) == (2, 1, 3, 4))
     built = [0]
     post_init = ModelSpec.__post_init__
 
@@ -275,11 +315,31 @@ def test_closed_walk_builds_one_spec_per_flag(monkeypatch):
         post_init(spec)
 
     monkeypatch.setattr(ModelSpec, "__post_init__", counted)
-    lattice.open_state_of_pattern(lam, pattern)
-    for_open, built[0] = built[0], 0
-    walk = adjust._closed_walk.__wrapped__(lam, pattern)
-    assert len(walk) == 24
-    assert built[0] <= len(walk) + for_open
+    every = adjust.closed_state_of(None, lam, pattern)
+    states = [s for s in every.values() if s is not None]
+    assert 0 < len(states) < len(every)
+    assert all(s.spec.w == y for y, s in every.items() if s is not None)
+    # the model, validated once, then one spec per state it returns
+    assert built[0] == len(states) + 1
+
+
+@pytest.mark.parametrize("family", ["reduced", "generalized"])
+def test_to_closed_is_the_enumerated_closed_state(family):
+    # the closed state with the input's (flag, pattern), when there is one;
+    # a generalized state may have none (or a pattern that is not
+    # left-strict), and then to_closed refuses
+    lam = (2, 1, 1, 0) if family == "reduced" else (2, 1, 0)
+    enumerated = _closed_by_cell(lam)
+    found = 0
+    for state in lattice.enumerate_states(ModelSpec(lam, None, family)):
+        want = enumerated.get((state.spec.w, lattice.gtp_of_state(state)))
+        if want is None:
+            with pytest.raises(ValueError, match="no closed state|not left-strict"):
+                adjust.to_closed(state)
+        else:
+            assert adjust.to_closed(state) == want
+            found += 1
+    assert found
 
 
 def test_closed_state_of_path_independence():

@@ -179,6 +179,13 @@ def test_enumerators_reject_bad_shapes():
             patterns.enumerate_patterns(bad)
 
 
+@pytest.mark.parametrize("lam,r", [((1, 2), 2), ((2, 3, 0), 3), ((0, -1), 2)])
+def test_enumerate_left_strict_rejects_a_non_partition(lam, r):
+    # increasing or negative parts are no partition, not an empty answer
+    with pytest.raises(ValueError):
+        patterns.enumerate_left_strict(lam, r)
+
+
 def test_enumerate_left_strict_examples():
     assert patterns.enumerate_left_strict((1, 0), 2) == {((2, 0), (0,)), ((2, 0), (1,))}
     assert patterns.enumerate_left_strict((0, 0), 2) == {((1, 0), (0,))}

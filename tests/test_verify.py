@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -137,3 +138,17 @@ def test_sweep_orders_shapes_minimal_first():
     reports = verify.sweep(["tau"], 2, 2)
     lams = [rep.lam for rep in reports if rep.r == 2]
     assert lams == sorted(lams, key=lambda p: (sum(p), p))
+
+
+@pytest.mark.parametrize("rank,lambda_max,digest", [
+    (3, 3, "42f3a8eb11acb33b"), (4, 2, "08de2938e0433ec6")])
+def test_sweep_reports_are_pinned(rank, lambda_max, digest):
+    # the reports of every check, timing aside, are the recorded ones: the
+    # first 16 hex of the sha256 of their JSON lines without millis, sorted
+    # keys, joined by newlines
+    lines = []
+    for rep in verify.sweep(list(verify.CHECKS), rank, lambda_max):
+        doc = json.loads(verify.report_to_json(rep))
+        del doc["millis"]
+        lines.append(json.dumps(doc, sort_keys=True))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == digest
