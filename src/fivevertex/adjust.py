@@ -3,9 +3,11 @@ State surgery on reduced lattice states: relocating the crossing of a pair
 of paths, converting between open and closed states, raising the boundary
 flag along a Bruhat cover, reading the flag directly off a pattern, and
 the constructive production of the unique closed state with a prescribed
-flag and pattern, which to_closed uses too.  That production is one sweep
-per flag (_closed_grids) that forces every spin from the exits and the
-pattern; nothing is remembered between calls.
+flag and pattern, which to_closed uses too.  Every result but to_open's
+is one reverse sweep (_grids) that forces every spin from the pattern and
+the exits, apart from whether the paths cross or touch at each meeting:
+the closed rule decides that for closed states, and the input state for
+surgery.  Nothing is remembered between calls.
 
 All operations keep the set of colored edges, so the underlying
 Gelfand-Tsetlin pattern is preserved by construction.  Results are not
@@ -29,11 +31,16 @@ __all__ = [
 
 
 def _checked(state: LatticeState, pattern: Pattern) -> LatticeState:
-    """The state, once it passes validation for its family, still has the
-    given (already checked) pattern, and has each pair of paths crossing
-    (a colored top edge between equal left and right colors) exactly when
-    the flag puts the greater color's exit row above the lesser's."""
+    """The state, once it passes validation for its family and _agreeing."""
     validate_state(state)
+    return _agreeing(state, pattern)
+
+
+def _agreeing(state: LatticeState, pattern: Pattern) -> LatticeState:
+    """The state, once it still has the given (already checked) pattern,
+    and has each pair of paths crossing (a colored top edge between equal
+    left and right colors) exactly when the flag puts the greater color's
+    exit row above the lesser's."""
     if _columns(state) != pattern:
         raise RuntimeError("surgery changed the pattern")
     w, r = state.spec.w, state.spec.r
@@ -48,56 +55,27 @@ def _checked(state: LatticeState, pattern: Pattern) -> LatticeState:
     return state
 
 
-def _recolor_pair(state: LatticeState, a: int, b: int, cross_at):
-    """The (horizontal, vertical) grids of the state with the colors along
-    the paths of a and b rebuilt so that they cross exactly at cross_at
-    (or nowhere, if None) and merely touch at every other meeting;
-    unchecked.  Only edges colored a or b are repainted, and they keep a
-    color of the pair, so the colored/uncolored geometry, hence the
-    pattern, is untouched."""
-    spec = state.spec
-    pair = (a, b)
-    horizontal = [list(row) for row in state.horizontal]
-    vertical = [list(row) for row in state.vertical]
-    for color in pair:
-        i, j = 1, spec.top_columns[color - 1]  # enter vertex (1, j) from the top
-        vertical[0][j] = color
-        from_left = False
-        while True:
-            right = horizontal[i - 1][j] in pair
-            bottom = vertical[i][j] in pair
-            if right and bottom:  # a meeting: pass through only at cross_at
-                right = ((i, j) == cross_at) == from_left
-            elif not (right or bottom):
-                raise RuntimeError(f"pair path vanishes at vertex ({i},{j})")
-            if right:
-                horizontal[i - 1][j] = color
-                if j == 0:
-                    break
-                j, from_left = j - 1, True
-            else:
-                vertical[i][j] = color
-                i, from_left = i + 1, False
-    return (tuple(tuple(row) for row in horizontal),
-            tuple(tuple(row) for row in vertical))
-
-
-def _closed_grids(n: int, pattern: Pattern, exits):
-    """The grids of the closed state with the pattern whose row i exits
-    color exits[i-1], unchecked, from one sweep over rows r..1, each right
-    to left from its exit color.  A vertex's outgoing spins and whether
-    the pattern colors its top edge force its incoming ones; the closed
-    meetings, a21 and a23, take the greater color (smaller int) from the
-    left.  None where a b1 vertex or an unmatched meeting would be needed.
-    The state exists iff the top row produced is the top boundary."""
+def _grids(n: int, pattern: Pattern, exits, passes):
+    """The grids of the state with the pattern whose row i exits color
+    exits[i-1], unchecked, from one sweep over rows r..1, each right to
+    left from its exit color.  A vertex's outgoing spins and whether the
+    pattern colors its top edge force its incoming ones, except at a
+    meeting (i, j), where passes(i, j, right, bottom) says whether the
+    paths cross (the right color came from the left) or touch.  None
+    where a b1 vertex or an unmatched meeting would be needed.  A closed
+    state exists iff the top row produced is the top boundary."""
     horizontal, vertical = [], [(0,) * n]
-    for colored, carry in zip(reversed(pattern), reversed(exits)):
+    for i, colored, carry in zip(range(len(pattern), 0, -1),
+                                 reversed(pattern), reversed(exits)):
         row, top = [carry], [0] * n
         for j, down in enumerate(vertical[-1]):
             if j in colored:
                 if not carry:
                     return None
-                carry, top[j] = (down, carry) if down < carry else (carry, down)
+                if down and passes(i, j, carry, down):
+                    top[j] = down
+                else:
+                    carry, top[j] = down, carry
             elif down:
                 if carry:
                     return None
@@ -106,6 +84,22 @@ def _closed_grids(n: int, pattern: Pattern, exits):
         horizontal.append(tuple(row))
         vertical.append(tuple(top))
     return tuple(horizontal[::-1]), tuple(vertical[::-1])
+
+
+def _surgery(state: LatticeState, spec: ModelSpec, a: int, b: int, cross_at):
+    """The state rebuilt with spec's flag so that the paths of a and b
+    cross exactly at cross_at (or nowhere, if None) and every other
+    meeting crosses iff it did in the input; checked."""
+    pattern = gtp_of_state(state)
+
+    def passes(i, j, right, bottom):
+        if {right, bottom} == {a, b}:
+            return (i, j) == cross_at
+        h = state.horizontal[i - 1]
+        return h[j + 1] == h[j]
+
+    return _checked(LatticeState(spec, *_grids(
+        spec.n, pattern, weyl.inverse(spec.w), passes)), pattern)
 
 
 def move_crossing(state: LatticeState, a: int, b: int, target) -> LatticeState:
@@ -120,9 +114,8 @@ def move_crossing(state: LatticeState, a: int, b: int, target) -> LatticeState:
         raise ValueError(f"paths {a} and {b} must cross exactly once")
     if target not in meets:
         raise ValueError(f"{target} is not a meeting vertex of paths {a},{b}")
-    return _checked(LatticeState(replace(state.spec, family="reduced"),
-                                 *_recolor_pair(state, a, b, tuple(target))),
-                    gtp_of_state(state))
+    return _surgery(state, replace(state.spec, family="reduced"), a, b,
+                    tuple(target))
 
 
 def to_closed(state: LatticeState) -> LatticeState:
@@ -141,10 +134,12 @@ def to_open(state: LatticeState) -> LatticeState:
     Built by the open propagation rule (lattice.open_state_of_pattern), so
     the flag is the pattern's forced value, which is the input flag
     whenever an open state with that flag exists (so the flag is preserved
-    exactly on the round trip with to_closed)."""
+    exactly on the round trip with to_closed).  open_state_of_pattern
+    validates the state, so only the pattern and crossings are checked
+    here."""
     pattern = gtp_of_state(state)
     _, open_state = open_state_of_pattern(state.spec.lam, pattern)
-    return _checked(open_state, pattern)
+    return _agreeing(open_state, pattern)
 
 
 def raise_flag(state: LatticeState, a: int, b: int) -> LatticeState:
@@ -161,9 +156,7 @@ def raise_flag(state: LatticeState, a: int, b: int) -> LatticeState:
         raise ValueError(f"transposition ({a},{b}) does not raise the length")
     if not any(crosses(state, v) for v in meetings(state).get((a, b), [])):
         raise ValueError(f"paths {a} and {b} do not cross")
-    return _checked(LatticeState(replace(spec, w=yt, family="reduced"),
-                                 *_recolor_pair(state, a, b, None)),
-                    gtp_of_state(state))
+    return _surgery(state, replace(spec, w=yt, family="reduced"), a, b, None)
 
 
 def exit_colors(pattern: Pattern) -> tuple[int, ...]:
@@ -204,14 +197,17 @@ def closed_state_of(y, lam, pattern: Pattern):
     """The unique closed state with flag y and the given left-strict
     pattern, or None when the pattern's forced flag is not below y.  For
     y None (every flag), a dict from every flag, in weyl.bruhat_table
-    order, to its state or None.  Each flag is one sweep (_closed_grids:
-    rows bottom up, each right to left from its exit color) and has a
-    state iff the sweep ends on the top boundary.  There is no memo."""
+    order, to its state or None.  Each flag is one sweep (_grids: rows
+    bottom up, each right to left from its exit color) and has a state
+    iff the sweep ends on the top boundary.  There is no memo."""
     spec = ModelSpec(lam, y, "closed")
     pattern = _check_state_pattern(spec, pattern)
 
     def state_of(w):
-        grids = _closed_grids(spec.n, pattern, weyl.inverse(w))
+        # the closed meetings, a21 and a23, take the greater color (smaller
+        # int) from the left
+        grids = _grids(spec.n, pattern, weyl.inverse(w),
+                       lambda i, j, right, bottom: right < bottom)
         if grids is None or grids[1][0] != spec.top_boundary():
             return None
         return _checked(LatticeState(replace(spec, w=w), *grids), pattern)

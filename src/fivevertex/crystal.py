@@ -15,6 +15,7 @@ i and i+1, each i+1 opens and a later i closes; e_i lifts the leftmost
 unmatched i+1, f_i drops the rightmost unmatched i.
 """
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -89,44 +90,25 @@ def highest_weight_tableau(lam) -> Tableau:
 
 def schuetzenberger(tab: Tableau, r: int) -> Tableau:
     """Evacuation: rotate the tableau a half turn, complement every entry
-    to r+1-entry, and rectify the resulting skew tableau by jeu de taquin.
+    to r+1-entry, and rectify: row-insert the skew tableau's reading word,
+    the complemented entries of the rows top to bottom, each right to left.
 
     An involution; reverses the weight and swaps the raising operator at i
     with the lowering operator at r-i.
     """
-    if not tab:
-        return tab
-    nrows, ncols = len(tab), len(tab[0])
-    grid = [[None] * ncols for _ in range(nrows)]
-    for i in range(nrows):
-        src = tab[nrows - 1 - i]
-        for j in range(ncols):
-            oj = ncols - 1 - j
-            if oj < len(src):
-                grid[i][j] = r + 1 - src[oj]
-    inner = [ncols - len(tab[nrows - 1 - i]) for i in range(nrows)]
-    outer = [ncols] * nrows
-    while any(inner):
-        # bottom-most inner corner (any choice rectifies to the same tableau)
-        c = max(i for i in range(nrows)
-                if inner[i] and (i + 1 == nrows or inner[i + 1] < inner[i]))
-        hole = (c, inner[c] - 1)
-        inner[c] -= 1
-        while True:
-            hi, hj = hole
-            below = grid[hi + 1][hj] if hi + 1 < nrows and hj < outer[hi + 1] else None
-            right = grid[hi][hj + 1] if hj + 1 < outer[hi] else None
-            if below is None and right is None:
-                outer[hi] = hj
-                break
-            if right is None or (below is not None and below <= right):
-                grid[hi][hj] = below
-                hole = (hi + 1, hj)
+    rows = []
+    for tab_row in tab:
+        for entry in reversed(tab_row):
+            x = r + 1 - entry
+            for row in rows:
+                k = bisect_right(row, x)
+                if k == len(row):
+                    row.append(x)
+                    break
+                row[k], x = x, row[k]
             else:
-                grid[hi][hj] = right
-                hole = (hi, hj + 1)
-            grid[hole[0]][hole[1]] = None
-    return tuple(tuple(grid[i][:outer[i]]) for i in range(nrows) if outer[i])
+                rows.append([x])
+    return tuple(map(tuple, rows))
 
 
 def demazure_closure(elements, i: int) -> frozenset[Tableau]:

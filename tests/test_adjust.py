@@ -75,6 +75,48 @@ def test_move_crossing_preserves_everything(lam):
                             (state.horizontal, state.vertical)
 
 
+def _crossing_at_every_meeting(state):
+    return {v: lattice.crosses(state, v)
+            for verts in lattice.meetings(state).values() for v in verts}
+
+
+def _assert_surgery_keeps_other_meetings(state, result, a, b, target):
+    # the pair's meetings cross only at the target; every other meeting
+    # of the input crosses in the result iff it crossed in the input
+    own = set(lattice.pair_intersections(state, a, b))
+    after = _crossing_at_every_meeting(result)
+    for v, crossed in _crossing_at_every_meeting(state).items():
+        assert after[v] == (v == target if v in own else crossed), (a, b, v)
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0), (1, 1, 0, 0),
+                                 (2, 2, 1, 0)])
+def test_surgery_keeps_every_other_meeting(lam):
+    r = len(lam)
+    pairs = [(a, b) for a in range(1, r + 1) for b in range(a + 1, r + 1)]
+    moved = raised = 0
+    for state in lattice.enumerate_states(ModelSpec(lam, None, "reduced")):
+        for a, b in pairs:
+            if len(_crossings(state, a, b)) != 1:
+                continue
+            for target in lattice.pair_intersections(state, a, b):
+                _assert_surgery_keeps_other_meetings(
+                    state, adjust.move_crossing(state, a, b, target), a, b, target)
+                moved += 1
+    for state in lattice.enumerate_states(ModelSpec(lam, None, "closed")):
+        y = state.spec.w
+        for a, b in pairs:
+            if not _crossings(state, a, b):
+                continue
+            yt = weyl.compose(y, weyl.transposition(a, b, r))
+            if ((a, b), y) not in weyl.lower_covers(yt):
+                continue
+            _assert_surgery_keeps_other_meetings(
+                state, adjust.raise_flag(state, a, b), a, b, None)
+            raised += 1
+    assert moved and raised
+
+
 def test_to_closed_idempotent_and_correct():
     for lam in [(1, 0), (2, 1, 0)]:
         r = len(lam)
@@ -189,6 +231,26 @@ def test_to_open_matches_enumeration_on_every_reduced_state():
             assert adjust.to_open(state) == open_of[lattice.gtp_of_state(state)]
 
 
+def test_to_open_validates_once(monkeypatch):
+    # open_state_of_pattern validates the open state; to_open checks only
+    # its pattern and crossings on top of that
+    calls = [0]
+    validate = lattice.validate_state
+
+    def counted(state):
+        calls[0] += 1
+        validate(state)
+
+    monkeypatch.setattr(lattice, "validate_state", counted)
+    monkeypatch.setattr(adjust, "validate_state", counted)
+    states = [s for w in weyl.all_permutations(3)
+              for s in lattice.enumerate_states(ModelSpec((2, 1, 0), w, "reduced"))]
+    for state in states:
+        calls[0] = 0
+        adjust.to_open(state)
+        assert calls[0] == 1
+
+
 def _break_one_horizontal_edge(grids, a, b):
     """The grids with the first horizontal edge of color a inside the grid
     repainted b; unchanged if there is none."""
@@ -204,13 +266,12 @@ def _break_one_horizontal_edge(grids, a, b):
 def test_public_exits_check_the_recolored_state(monkeypatch):
     open_state = _fig4_open()
     closed = adjust.to_closed(open_state)
-    recolor, sweep = adjust._recolor_pair, adjust._closed_grids
+    # every exit but to_open builds its grids in one sweep; paths 1,2 meet
+    # in the figure, so a fault planted there reaches every such exit
+    sweep = adjust._grids
     monkeypatch.setattr(
-        adjust, "_recolor_pair", lambda state, a, b, cross_at:
-        _break_one_horizontal_edge(recolor(state, a, b, cross_at), a, b))
-    monkeypatch.setattr(
-        adjust, "_closed_grids", lambda n, pattern, exits:
-        _break_one_horizontal_edge(sweep(n, pattern, exits), 1, 2))
+        adjust, "_grids", lambda n, pattern, exits, passes:
+        _break_one_horizontal_edge(sweep(n, pattern, exits, passes), 1, 2))
     with pytest.raises(ValueError):
         adjust.move_crossing(open_state, 1, 2, (2, 1))
     with pytest.raises(ValueError):
