@@ -82,6 +82,8 @@ class ModelSpec:
 
     def __post_init__(self):
         lam, w = weyl.check_dominant(self.lam, self.w)
+        if not lam:
+            raise ValueError("a model needs a nonempty partition")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "w", w)
         if self.family not in FAMILIES:
@@ -184,65 +186,72 @@ def _completions(left: int, top: int, right_spin: int | None, last: bool,
                  and not (last and c[1]))
 
 
+def _row_fillings(top, right_spin: int, last: bool, family: str):
+    """Every admissible filling of one row under the vertical spins `top`,
+    as (horizontal row, bottom row, weight, capped pairs), in the order a
+    depth-first search over the row's vertices, right to left, meets them.
+    Each vertex completes through _completions, with right_spin at the
+    right edge.  The weight counts the vertices outside _WEIGHT_ONE; the
+    capped pairs are the pairs that cross (a21, a22) in the row for the
+    reduced family, and none for the others.  The search keeps, per
+    vertex, the completions still to try, so no row is too long for the
+    interpreter's recursion limit."""
+    n = len(top)
+    capped = ("a21", "a22") if family == "reduced" else ()
+    horizontal, bottom = [0] * (n + 1), [0] * n
+    weight, pairs = [0] * (n + 1), [()] * (n + 1)  # of the vertices left of slot j
+    j = n - 1
+    todo = [None] * j + [iter(_completions(0, top[j], None if j else right_spin,
+                                           last, family))]
+    out = []
+    while j < n:
+        choice = next(todo[j], None)
+        if choice is None:
+            j += 1
+            continue
+        horizontal[j], bottom[j], kind, pair = choice
+        weight[j] = weight[j + 1] + (kind not in _WEIGHT_ONE)
+        pairs[j] = pairs[j + 1] + (pair,) if kind in capped else pairs[j + 1]
+        if j:
+            j -= 1
+            todo[j] = iter(_completions(horizontal[j + 1], top[j],
+                                        None if j else right_spin, last, family))
+        else:
+            out.append((tuple(horizontal), tuple(bottom), weight[0], pairs[0]))
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=1)
 def enumerate_states(spec: ModelSpec) -> tuple[LatticeState, ...]:
     """All admissible states, depth-first over vertices in row-major order
-    (deterministic).  The search moves a cursor over the vertices and keeps,
-    per vertex, the completions still to try, so no grid is too large for
-    the interpreter's recursion limit.  The reduced family's one-crossing
-    cap is enforced incrementally while descending.  Only the last model
-    asked for stays cached.
+    (deterministic).  The partial states are extended one row at a time,
+    in order, by every filling of the next row (_row_fillings), so no grid
+    is too large for the interpreter's recursion limit.  The reduced
+    family's one-crossing cap skips a filling whose crossing pairs have
+    crossed above it; two paths meet at most once in a row, since the one
+    that drops leaves it.  Only the last model asked for stays cached.
 
     The right boundary only has to be colored; a flag is a filter there,
     so the states of one flag come in the order the search for a spec with
     flag None (every flag) meets them.  Each state carries the spec of its
     own flag, read off by state_flag."""
-    r, n = spec.r, spec.n
-    exits = spec.flag_spins or (0,) * r  # 0: any color leaves the row
+    r = spec.r
+    fillings = functools.cache(_row_fillings)  # for this call only
+    partial = [((), (spec.top_boundary(),), frozenset())]  # (horizontal, vertical, crossed)
+    for i, right_spin in enumerate(spec.flag_spins or (0,) * r, start=1):
+        partial = [(rows + (h,), cols + (bottom,), crossed.union(pairs))
+                   for rows, cols, crossed in partial
+                   for h, bottom, _, pairs in fillings(cols[-1], right_spin, i == r,
+                                                       spec.family)
+                   if crossed.isdisjoint(pairs)]
     specs = {} if spec.w is None else {spec.flag_spins: spec}
-    reduced = spec.family == "reduced"
-    horizontal = [[0] * (n + 1) for _ in range(r)]
-    vertical = [list(spec.top_boundary())] + [[0] * n for _ in range(r)]
-    cells = [(i, j) for i in range(1, r + 1) for j in range(n - 1, -1, -1)]
-
-    def completions(k: int):
-        i, j = cells[k]
-        return iter(_completions(horizontal[i - 1][j + 1], vertical[i - 1][j],
-                                 exits[i - 1] if j == 0 else None, i == r,
-                                 spec.family))
-
-    todo = [completions(0)] + [None] * (len(cells) - 1)
-    counted = [None] * len(cells)  # pair whose crossing the vertex's choice counts
-    crossed = set()
     out = []
-    k = 0
-    while k >= 0:
-        if counted[k] is not None:
-            crossed.discard(counted[k])
-            counted[k] = None
-        for right, bottom, kind, pair in todo[k]:
-            if reduced and kind in ("a21", "a22"):
-                if pair in crossed:
-                    continue
-                crossed.add(pair)
-                counted[k] = pair
-            break
-        else:
-            k -= 1
-            continue
-        i, j = cells[k]
-        horizontal[i - 1][j] = right
-        vertical[i][j] = bottom
-        if k + 1 < len(cells):
-            k += 1
-            todo[k] = completions(k)
-        else:
-            rows = tuple(tuple(row) for row in horizontal)
-            colors = tuple(row[0] for row in rows)
-            own = specs.get(colors)
-            if own is None:
-                own = specs[colors] = replace(spec, w=state_flag(rows))
-            out.append(LatticeState(own, rows, tuple(tuple(row) for row in vertical)))
+    for rows, cols, _ in partial:
+        colors = tuple(row[0] for row in rows)
+        own = specs.get(colors)
+        if own is None:
+            own = specs[colors] = replace(spec, w=state_flag(rows))
+        out.append(LatticeState(own, rows, cols))
     return tuple(out)
 
 
@@ -365,52 +374,29 @@ def boltzmann(state: LatticeState) -> laurent.LaurentPoly:
         for h, top, bottom in zip(state.horizontal, state.vertical, state.vertical[1:]))
 
 
-def _row_transfer(top, n: int, right_spin: int, last: bool, family: str):
-    """{(bottom, exit, weight): multiplicity} over the admissible fillings
-    of one row whose top spins are `top`, where exit is the color leaving
-    the row's right end (right_spin, or any color when that is 0).  Rows
-    of vertical spins are kept sparse, as their (column, color) pairs in
-    decreasing column order, so a long row costs no more to extend than a
-    short one.  The weight counts the row's vertices outside _WEIGHT_ONE."""
-    top = dict(top)
-    partial = {((), 0, 0): 1}  # (bottom so far, carried spin, weight)
-    for j in range(n - 1, -1, -1):
-        above = top.get(j, 0)
-        step = {}
-        for (bottom, left, weight), mult in partial.items():
-            for right, down, kind, _ in _completions(
-                    left, above, right_spin if j == 0 else None, last, family):
-                key = (bottom + ((j, down),) if down else bottom, right,
-                       weight + (kind not in _WEIGHT_ONE))
-                step[key] = step.get(key, 0) + mult
-        partial = step
-    return partial
-
-
 def partition_function(spec: ModelSpec) -> laurent.LaurentPoly | dict:
     """Sum of Boltzmann weights over all admissible states, by row
     transfer: a map from each row of vertical spins, with the colors that
     have left the rows so far, to the polynomial of the rows above it is
-    pushed down one row at a time, so no state is built.  The colors that
-    leave the rows spell the flag, so one transfer gives every flag's sum:
-    for a spec with flag None the result is a dict from every flag of S_r
-    (zero where there is no state) to its polynomial, and a flag is a
-    filter on the colors leaving each row.  Open and closed families
-    only."""
+    pushed down one row at a time through the fillings of the next row
+    (_row_fillings), so no state is built.  The colors that leave the rows
+    spell the flag, so one transfer gives every flag's sum: for a spec
+    with flag None the result is a dict from every flag of S_r (zero where
+    there is no state) to its polynomial, and a flag is a filter on the
+    colors leaving each row.  Open and closed families only."""
     if spec.family not in ("open", "closed"):
         raise ValueError(f"weights are undefined for family {spec.family!r}")
-    r, n = spec.r, spec.n
-    first = tuple((col, m) for m, col in enumerate(spec.top_columns, start=1))
-    rows = {(first, ()): {(): 1}}
+    r = spec.r
+    fillings = functools.cache(_row_fillings)  # for this call only
+    rows = {(spec.top_boundary(), ()): {(): 1}}
     for i, right_spin in enumerate(spec.flag_spins or (0,) * r, start=1):
         below = {}
         for (top, exits), terms in rows.items():
-            fillings = _row_transfer(top, n, right_spin, i == r, spec.family)
-            for (bottom, exit, weight), mult in fillings.items():
-                acc = below.setdefault((bottom, exits + (exit,)), {})
+            for h, bottom, weight, _ in fillings(top, right_spin, i == r, spec.family):
+                acc = below.setdefault((bottom, exits + (h[0],)), {})
                 for expo, coeff in terms.items():
                     key = expo + (weight,)
-                    acc[key] = acc.get(key, 0) + coeff * mult
+                    acc[key] = acc.get(key, 0) + coeff
         rows = below
     # the last row leaves nothing below, and its exits are w^{-1}
     sums = {weyl.inverse(exits): terms for (_, exits), terms in rows.items()}

@@ -172,7 +172,9 @@ def _interleavings(top: tuple[int, ...], gap: int) -> set[Pattern]:
     """All patterns below the top row whose entry j lies in
     [row[j+1], row[j] - gap] for the row above it: gap 1 gives the
     left-strict patterns, gap 0 the weak ones.  Interleaving alone keeps
-    each row weakly decreasing."""
+    each row weakly decreasing.  The top row must be nonempty."""
+    if not top:
+        raise ValueError("a pattern needs a nonempty top row")
     out = set()
 
     def descend(rows):
@@ -201,8 +203,6 @@ def enumerate_patterns(top_row) -> set[Pattern]:
     """All weak patterns with the given top row, which must be a nonempty
     partition: weakly decreasing and nonnegative."""
     top_row, _ = weyl.check_dominant(top_row, None)
-    if not top_row:
-        raise ValueError("a pattern needs a nonempty top row")
     return _interleavings(top_row, 0)
 
 

@@ -415,6 +415,8 @@ CHECKS = {
 
 
 def run_checks(names, lam, r):
+    if len(lam) != r:
+        raise ValueError(f"partition {tuple(lam)} does not have rank {r}")
     reports = []
     for name in names:
         start = time.perf_counter()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -77,6 +78,8 @@ def test_model_spec_invariants():
         ModelSpec((1, -1), (1, 2), "closed")  # negative part
     with pytest.raises(ValueError):
         ModelSpec((1, 0), (1, 2, 3), "closed")  # rank mismatch
+    with pytest.raises(ValueError, match="nonempty"):
+        ModelSpec((), None, "open")  # rank 0: no grid
 
 
 def test_bootstrap_counts_and_weights():
@@ -107,6 +110,25 @@ def test_enumerated_states_validate():
         assert states
         for state in states:
             lattice.validate_state(state)
+
+
+# per family, in FAMILIES order
+_ORDER_DIGESTS = {
+    (2, 1, 0): ("7c77342b5cd89528", "de4d66a75f619680",
+                "1fc77fa76fa9db1d", "eb04faa495a7df4a"),
+    (2, 1, 1, 0): ("693a5944a213fac0", "6f9f98df034b2cf4",
+                   "eba8dc31bd18bbc6", "666263370b2ee3c9"),
+}
+
+
+@pytest.mark.parametrize("lam", list(_ORDER_DIGESTS), ids=str)
+def test_enumeration_order_is_pinned(lam):
+    # `states --out json/svg` prints states in this order: depth-first
+    # over the vertices, rows top to bottom, each row right to left
+    for family, digest in zip(lattice.FAMILIES, _ORDER_DIGESTS[lam]):
+        states = lattice.enumerate_states(ModelSpec(lam, None, family))
+        listing = repr([(s.spec.w, s.horizontal, s.vertical) for s in states])
+        assert hashlib.sha256(listing.encode()).hexdigest()[:16] == digest, family
 
 
 _EVERY_FLAG_SHAPES = [lam for r in (1, 2, 3)

@@ -179,9 +179,10 @@ def test_enumerators_reject_bad_shapes():
             patterns.enumerate_patterns(bad)
 
 
-@pytest.mark.parametrize("lam,r", [((1, 2), 2), ((2, 3, 0), 3), ((0, -1), 2)])
+@pytest.mark.parametrize("lam,r", [((1, 2), 2), ((2, 3, 0), 3), ((0, -1), 2), ((), 0)])
 def test_enumerate_left_strict_rejects_a_non_partition(lam, r):
-    # increasing or negative parts are no partition, not an empty answer
+    # increasing or negative parts are no partition, and rank 0 has no
+    # pattern: an error, not an empty answer or a RecursionError
     with pytest.raises(ValueError):
         patterns.enumerate_left_strict(lam, r)
 

@@ -65,6 +65,12 @@ def test_checks_enumerate_each_model_once_and_keep_one_partition():
     assert verify._closed_census.cache_info().hits == census.hits + 1
 
 
+@pytest.mark.parametrize("lam,r", [((1, 0), 3), ((2, 1, 0), 2)])
+def test_run_checks_rejects_a_rank_mismatch(lam, r):
+    with pytest.raises(ValueError, match="rank"):
+        verify.run_checks(list(verify.CHECKS), lam, r)
+
+
 def test_partition_convention_note():
     reports = verify.check_partition((1, 0), 2)
     notes = [rep for rep in reports if rep.status == "convention-note"]
