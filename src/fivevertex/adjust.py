@@ -131,8 +131,8 @@ def to_closed(state: LatticeState) -> LatticeState:
 def to_open(state: LatticeState) -> LatticeState:
     """The unique open state with the same pattern.  Idempotent.
 
-    Built by the open propagation rule (lattice.open_state_of_pattern), so
-    the flag is the pattern's forced value, which is the input flag
+    Built row by row by lattice.open_state_of_pattern, so the flag is the
+    pattern's forced value, which is the input flag
     whenever an open state with that flag exists (so the flag is preserved
     exactly on the round trip with to_closed).  open_state_of_pattern
     validates the state, so only the pattern and crossings are checked
@@ -208,7 +208,7 @@ def closed_state_of(y, lam, pattern: Pattern):
         # int) from the left
         grids = _grids(spec.n, pattern, weyl.inverse(w),
                        lambda i, j, right, bottom: right < bottom)
-        if grids is None or grids[1][0] != spec.top_boundary():
+        if grids is None or grids[1][0] != spec.top_boundary:
             return None
         return _checked(LatticeState(replace(spec, w=w), *grids), pattern)
 

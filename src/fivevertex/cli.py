@@ -12,11 +12,13 @@ Command-line front end.
 Partitions are comma lists with trailing zeros kept (so the rank is
 explicit), flags are one-line comma lists, patterns are rows joined by
 '/'.  Exit codes: 0 success, 1 internal invariant violation, 2 malformed
-arguments or input or an unwritable output path, 3 verification failure.
+arguments or input or an unwritable output path, 3 verification failure,
+141 (128 + SIGPIPE) when the reader closes stdout first.
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -174,7 +176,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): stop quietly, and point stdout
+        # at devnull so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -108,7 +108,9 @@ class ModelSpec:
         None for every flag."""
         return None if self.w is None else weyl.inverse(self.w)
 
+    @functools.cached_property
     def top_boundary(self) -> tuple[int, ...]:
+        """Top-boundary spins: color m at column top_columns[m-1]; cached."""
         row = [0] * self.n
         for m, col in enumerate(self.top_columns, start=1):
             row[col] = m
@@ -175,34 +177,38 @@ def classify_vertex(left: int, top: int, right: int, bottom: int) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _completions(left: int, top: int, right_spin: int | None, last: bool,
-                 family: str):
+def _completions(left: int, top: int, right_spin: int | None,
+                 colored: bool | None, family: str):
     """The _choices of a vertex that fit the boundary: on the right edge
     (right_spin not None) the right spin must be colored, and be right_spin
-    unless that is 0 (every flag), and on the last row the bottom spin must
-    be uncolored.  Few distinct arguments occur, so the cache stays small."""
+    unless that is 0 (every flag), and the bottom spin must be colored just
+    when `colored` is True, unless that is None.  The only filter over
+    _choices; few distinct arguments occur, so the cache stays small."""
     return tuple(c for c in _choices(left, top, family)
                  if (right_spin is None or c[0] and right_spin in (0, c[0]))
-                 and not (last and c[1]))
+                 and (colored is None or bool(c[1]) == colored))
 
 
-def _row_fillings(top, right_spin: int, last: bool, family: str):
+def _row_fillings(top, right_spin: int, below: tuple[int, ...] | None, family: str):
     """Every admissible filling of one row under the vertical spins `top`,
     as (horizontal row, bottom row, weight, capped pairs), in the order a
     depth-first search over the row's vertices, right to left, meets them.
     Each vertex completes through _completions, with right_spin at the
-    right edge.  The weight counts the vertices outside _WEIGHT_ONE; the
-    capped pairs are the pairs that cross (a21, a22) in the row for the
-    reduced family, and none for the others.  The search keeps, per
-    vertex, the completions still to try, so no row is too long for the
-    interpreter's recursion limit."""
+    right edge; unless `below` is None, the colored bottom columns are
+    exactly those `below` lists (() for the last row, the next pattern row
+    for a state of a pattern).  The weight counts the vertices outside
+    _WEIGHT_ONE; the capped pairs are the pairs that cross (a21, a22) in
+    the row for the reduced family, and none for the others.  The search
+    keeps, per vertex, the completions still to try, so no row is too long
+    for the interpreter's recursion limit."""
     n = len(top)
     capped = ("a21", "a22") if family == "reduced" else ()
+    colored = [None] * n if below is None else [j in below for j in range(n)]
     horizontal, bottom = [0] * (n + 1), [0] * n
     weight, pairs = [0] * (n + 1), [()] * (n + 1)  # of the vertices left of slot j
     j = n - 1
     todo = [None] * j + [iter(_completions(0, top[j], None if j else right_spin,
-                                           last, family))]
+                                           colored[j], family))]
     out = []
     while j < n:
         choice = next(todo[j], None)
@@ -215,7 +221,7 @@ def _row_fillings(top, right_spin: int, last: bool, family: str):
         if j:
             j -= 1
             todo[j] = iter(_completions(horizontal[j + 1], top[j],
-                                        None if j else right_spin, last, family))
+                                        None if j else right_spin, colored[j], family))
         else:
             out.append((tuple(horizontal), tuple(bottom), weight[0], pairs[0]))
     return tuple(out)
@@ -237,12 +243,12 @@ def enumerate_states(spec: ModelSpec) -> tuple[LatticeState, ...]:
     own flag, read off by state_flag."""
     r = spec.r
     fillings = functools.cache(_row_fillings)  # for this call only
-    partial = [((), (spec.top_boundary(),), frozenset())]  # (horizontal, vertical, crossed)
+    partial = [((), (spec.top_boundary,), frozenset())]  # (horizontal, vertical, crossed)
     for i, right_spin in enumerate(spec.flag_spins or (0,) * r, start=1):
         partial = [(rows + (h,), cols + (bottom,), crossed.union(pairs))
                    for rows, cols, crossed in partial
-                   for h, bottom, _, pairs in fillings(cols[-1], right_spin, i == r,
-                                                       spec.family)
+                   for h, bottom, _, pairs in fillings(
+                       cols[-1], right_spin, None if i < r else (), spec.family)
                    if crossed.isdisjoint(pairs)]
     specs = {} if spec.w is None else {spec.flag_spins: spec}
     out = []
@@ -275,28 +281,21 @@ def open_state_of_pattern(lam, pattern: Pattern):
     top turns right; when a traveling color meets an entering one, the
     greater of the two keeps moving right and the lesser drops; a traveling
     color otherwise drops exactly at the columns the next pattern row
-    prescribes.  So at each vertex exactly one open completion colors the
-    bottom edge just when the next row lists the column.  Returns
-    (flag, state).
+    prescribes.  So each row is the only open filling (_row_fillings)
+    whose bottom row is colored at the next pattern row's columns, or
+    nowhere below the last row.  Returns (flag, state).
     """
     spec = ModelSpec(lam, None, "open")
     pattern = _check_state_pattern(spec, pattern)
-    r, n = spec.r, spec.n
-    horizontal = [[0] * (n + 1) for _ in range(r)]
-    vertical = [list(spec.top_boundary())] + [[0] * n for _ in range(r)]
-    for i in range(1, r + 1):
-        below = set(pattern[i]) if i < r else set()
-        hrow, above, beneath = horizontal[i - 1], vertical[i - 1], vertical[i]
-        for j in range(n - 1, -1, -1):
-            fit = [c for c in _choices(hrow[j + 1], above[j], "open")
-                   if bool(c[1]) == (j in below)]
-            if not fit:
-                raise RuntimeError("open propagation failed; pattern invalid")
-            hrow[j], beneath[j] = fit[0][:2]
-    horizontal = tuple(tuple(row) for row in horizontal)
+    horizontal, vertical = [], [spec.top_boundary]
+    for below in pattern[1:] + ((),):
+        fillings = _row_fillings(vertical[-1], 0, below, "open")
+        if len(fillings) != 1:
+            raise RuntimeError("open propagation failed; pattern invalid")
+        horizontal.append(fillings[0][0])
+        vertical.append(fillings[0][1])
     w = state_flag(horizontal)
-    state = LatticeState(replace(spec, w=w), horizontal,
-                         tuple(tuple(row) for row in vertical))
+    state = LatticeState(replace(spec, w=w), tuple(horizontal), tuple(vertical))
     validate_state(state)
     return w, state
 
@@ -322,7 +321,7 @@ def validate_state(state: LatticeState):
         raise ValueError("horizontal grid has the wrong shape")
     if len(state.vertical) != r + 1 or any(len(row) != n for row in state.vertical):
         raise ValueError("vertical grid has the wrong shape")
-    if state.vertical[0] != spec.top_boundary():
+    if state.vertical[0] != spec.top_boundary:
         raise ValueError("top boundary does not match the model")
     if any(state.vertical[r]):
         raise ValueError("bottom boundary must be uncolored")
@@ -388,11 +387,12 @@ def partition_function(spec: ModelSpec) -> laurent.LaurentPoly | dict:
         raise ValueError(f"weights are undefined for family {spec.family!r}")
     r = spec.r
     fillings = functools.cache(_row_fillings)  # for this call only
-    rows = {(spec.top_boundary(), ()): {(): 1}}
+    rows = {(spec.top_boundary, ()): {(): 1}}
     for i, right_spin in enumerate(spec.flag_spins or (0,) * r, start=1):
         below = {}
         for (top, exits), terms in rows.items():
-            for h, bottom, weight, _ in fillings(top, right_spin, i == r, spec.family):
+            for h, bottom, weight, _ in fillings(
+                    top, right_spin, None if i < r else (), spec.family):
                 acc = below.setdefault((bottom, exits + (h[0],)), {})
                 for expo, coeff in terms.items():
                     key = expo + (weight,)

@@ -10,9 +10,8 @@ Python ints, so nothing here can overflow.
 from . import weyl
 
 __all__ = [
-    "LaurentPoly", "zero", "monomial", "eval_ones",
-    "swap_vars", "demazure", "demazure_atom_op", "demazure_char",
-    "demazure_atom", "format_poly",
+    "LaurentPoly", "zero", "monomial", "eval_ones", "demazure",
+    "demazure_atom_op", "demazure_char", "demazure_atom", "format_poly",
 ]
 
 
@@ -96,18 +95,6 @@ def monomial(mu) -> LaurentPoly:
 def eval_ones(f: LaurentPoly) -> int:
     """Evaluation at z_1 = ... = z_r = 1, i.e. the sum of coefficients."""
     return sum(f.terms.values())
-
-
-def swap_vars(f: LaurentPoly, i: int) -> LaurentPoly:
-    """f(s_i z): exchange the exponents of z_i and z_{i+1} in every term."""
-    if not 1 <= i <= f.nvars - 1:
-        raise ValueError(f"simple index {i} out of range")
-    out = {}
-    for expo, coeff in f.terms.items():
-        e = list(expo)
-        e[i - 1], e[i] = e[i], e[i - 1]
-        out[tuple(e)] = coeff
-    return LaurentPoly(f.nvars, out)
 
 
 def demazure(f: LaurentPoly, i: int) -> LaurentPoly:

@@ -317,11 +317,8 @@ def check_crystal(lam, r):
         return [Report("crystal", lam, r, "fail", detail,
                        counterexample=extra or None)]
 
-    alpha = {}
-    for i in range(1, r):
-        vec = [0] * r
-        vec[i - 1], vec[i] = 1, -1
-        alpha[i] = tuple(vec)
+    evac = {tab: crystal.schuetzenberger(tab, r) for tab in elements}
+    strings = set()  # (head, elements) of every i-string, each once
     for tab in elements:
         wt = patterns.weight(tab, r)
         for i in range(1, r):
@@ -329,7 +326,7 @@ def check_crystal(lam, r):
             down = crystal.lowering(tab, i)
             if up is not None and (crystal.lowering(up, i) != tab or
                                    patterns.weight(up, r) !=
-                                   tuple(a + b for a, b in zip(wt, alpha[i]))):
+                                   wt[:i - 1] + (wt[i - 1] + 1, wt[i] - 1) + wt[i + 1:]):
                 return fail("raising is not inverted by lowering",
                             tableau=[list(row) for row in tab], index=i)
             if down is not None and crystal.raising(down, i) != tab:
@@ -341,33 +338,21 @@ def check_crystal(lam, r):
                 return fail("lowering nullity disagrees with the string statistic")
             if crystal.phi(tab, i) != wt[i - 1] - wt[i] + crystal.eps(tab, i):
                 return fail("string statistics do not satisfy the weight relation")
-        twice = crystal.schuetzenberger(crystal.schuetzenberger(tab, r), r)
-        if twice != tab:
-            return fail("evacuation is not an involution",
-                        tableau=[list(row) for row in tab])
-        if patterns.weight(crystal.schuetzenberger(tab, r), r) != wt[::-1]:
-            return fail("evacuation does not reverse the weight")
-        for i in range(1, r):
-            up = crystal.raising(tab, i)
-            lhs = (crystal.schuetzenberger(up, r) if up is not None else None)
-            rhs = crystal.lowering(crystal.schuetzenberger(tab, r), r - i)
-            if lhs != rhs:
+            if (None if up is None else evac[up]) != crystal.lowering(evac[tab], r - i):
                 return fail("evacuation does not intertwine raising with "
                             "the mirrored lowering")
+            if up is None:  # tab heads its i-string: lower it to the end
+                chain = [tab]
+                while down is not None:
+                    chain.append(down)
+                    down = crystal.lowering(down, i)
+                strings.add((tab, frozenset(chain)))
+        if evac.get(evac[tab]) != tab:
+            return fail("evacuation is not an involution",
+                        tableau=[list(row) for row in tab])
+        if patterns.weight(evac[tab], r) != wt[::-1]:
+            return fail("evacuation does not reverse the weight")
 
-    def string_of(tab, i):
-        head = tab
-        while crystal.raising(head, i) is not None:
-            head = crystal.raising(head, i)
-        chain = [head]
-        while crystal.lowering(chain[-1], i) is not None:
-            chain.append(crystal.lowering(chain[-1], i))
-        return head, frozenset(chain)
-
-    strings = {}
-    for tab in elements:
-        for i in range(1, r):
-            strings.setdefault(string_of(tab, i), None)
     table = weyl.bruhat_table(r)
     dems = crystal.demazure_crystal(lam, None)
     atoms = {w: a.elements for w, a in crystal.demazure_atom_set(lam, None).items()}

@@ -2,6 +2,7 @@
 the library itself has no use for them."""
 
 from fivevertex import patterns, weyl
+from fivevertex.laurent import LaurentPoly
 
 
 def longest_element(r: int) -> tuple[int, ...]:
@@ -32,3 +33,16 @@ def add_staircase(pattern):
     return patterns.check_pattern(tuple(
         tuple(entry + (r - i + 1 - j) for j, entry in enumerate(row, start=1))
         for i, row in enumerate(pattern, start=1)))
+
+
+def swap_vars(f: LaurentPoly, i: int) -> LaurentPoly:
+    """f(s_i z): exchange the exponents of z_i and z_{i+1} in every term;
+    the reference side of the Demazure operator's defining identity."""
+    if not 1 <= i <= f.nvars - 1:
+        raise ValueError(f"simple index {i} out of range")
+    out = {}
+    for expo, coeff in f.terms.items():
+        e = list(expo)
+        e[i - 1], e[i] = e[i], e[i - 1]
+        out[tuple(e)] = coeff
+    return LaurentPoly(f.nvars, out)

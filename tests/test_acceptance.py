@@ -12,7 +12,7 @@ from pathlib import Path
 
 from fivevertex import adjust, crystal, lattice, laurent, patterns, verify, weyl
 from fivevertex.lattice import ModelSpec
-from oracles import all_reduced_words
+from oracles import all_reduced_words, swap_vars
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -201,7 +201,7 @@ def test_criterion_9_operator_algebra():
             for i in (1, 2):
                 df = laurent.demazure(f, i)
                 assert laurent.demazure(df, i) == df
-                assert laurent.swap_vars(df, i) == df
+                assert swap_vars(df, i) == df
             b1 = laurent.demazure(laurent.demazure(laurent.demazure(f, 1), 2), 1)
             b2 = laurent.demazure(laurent.demazure(laurent.demazure(f, 2), 1), 2)
             assert b1 == b2

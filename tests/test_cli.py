@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +191,19 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
         code, _, err = _run(capsys, *argv)
         assert code == 2 and err.startswith("error: "), argv
     assert not missing.exists()
+
+
+def test_a_closed_stdout_exits_141_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does,
+    # while most of the 235 kB of JSON is still to be written
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fivevertex.cli", "states", "--lambda", "4,2,1,0",
+         "--w", "4,3,2,1", "--family", "closed", "--out", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -161,6 +161,24 @@ def test_every_flag_at_once_matches_each_flag(lam):
                 assert every[w] == laurent.zero(r)
 
 
+@pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0), (4, 2, 0)], ids=str)
+def test_row_filter_keeps_the_free_fillings_with_its_bottom_columns(lam):
+    # on every row that enumeration meets, a bottom-row filter keeps, in
+    # order, the free fillings whose colored bottom columns it lists
+    def columns(row):
+        return tuple(j for j in range(len(row) - 1, -1, -1) if row[j])
+    for family in ("open", "closed"):
+        rows = {(top, h[0], columns(bottom))
+                for state in lattice.enumerate_states(ModelSpec(lam, None, family))
+                for h, top, bottom in zip(state.horizontal, state.vertical,
+                                          state.vertical[1:])}
+        for top, exit_color, below in rows:
+            for spin in (0, exit_color):
+                free = lattice._row_fillings(top, spin, None, family)
+                assert lattice._row_fillings(top, spin, below, family) == tuple(
+                    f for f in free if columns(f[1]) == below), (family, top, below)
+
+
 def test_every_flag_spec_has_no_flag():
     spec = ModelSpec([2, 1, 0], None, "open")
     assert (spec.lam, spec.w, spec.flag_spins) == ((2, 1, 0), None, None)
@@ -206,7 +224,8 @@ def test_open_state_of_pattern_examples():
     assert w == (2, 1)
 
 
-@pytest.mark.parametrize("lam,r", [((1, 0), 2), ((2, 1, 0), 3), ((2, 2, 0), 3)])
+@pytest.mark.parametrize("lam,r", [((1, 0), 2), ((2, 1, 0), 3), ((2, 2, 0), 3),
+                                   ((20, 10, 0), 3), ((3, 2, 1, 0), 4)])
 def test_open_determinism(lam, r):
     # each left-strict pattern appears in exactly one open model, once
     patterns_seen = {}

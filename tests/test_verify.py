@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -105,6 +106,25 @@ def test_shortcut_reports_the_first_flag_of_a_bad_pattern(monkeypatch):
     assert report.failed
     assert report.w == forced[bad]
     assert report.counterexample["pattern"] == [list(row) for row in bad_shifted]
+
+
+def test_crystal_reports_a_demazure_set_that_cuts_a_string(monkeypatch):
+    # a tableau of Dem(2,3,1) swapped for one of the same weight keeps every
+    # character, so only the string trichotomy can catch it
+    lam, w = (2, 1, 0), (2, 3, 1)
+    kept, swapped_in = ((1, 2), (3,)), ((1, 3), (2,))
+    demazure_crystal = crystal.demazure_crystal
+
+    def swapped(lam, flag):
+        dems = demazure_crystal(lam, flag)
+        elements = dems[w].elements
+        assert kept in elements and swapped_in not in elements
+        dems[w] = replace(dems[w], elements=elements - {kept} | {swapped_in})
+        return dems
+    monkeypatch.setattr(crystal, "demazure_crystal", swapped)
+    (report,) = verify.check_crystal(lam, 3)
+    assert report.failed and report.detail == "string trichotomy violated"
+    assert report.counterexample == {"w": list(w)}
 
 
 def test_report_json_schema():
