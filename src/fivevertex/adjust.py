@@ -108,14 +108,13 @@ def move_crossing(state: LatticeState, a: int, b: int, target) -> LatticeState:
     every other pair's crossing status."""
     if state.spec.family not in ("open", "closed", "reduced"):
         raise ValueError("state must be reduced (or open/closed)")
-    a, b = min(a, b), max(a, b)
+    a, b, target = min(a, b), max(a, b), tuple(target)
     meets = pair_intersections(state, a, b)
     if sum(crosses(state, v) for v in meets) != 1:
         raise ValueError(f"paths {a} and {b} must cross exactly once")
     if target not in meets:
         raise ValueError(f"{target} is not a meeting vertex of paths {a},{b}")
-    return _surgery(state, replace(state.spec, family="reduced"), a, b,
-                    tuple(target))
+    return _surgery(state, replace(state.spec, family="reduced"), a, b, target)
 
 
 def to_closed(state: LatticeState) -> LatticeState:

@@ -17,6 +17,7 @@ arguments or input or an unwritable output path, 3 verification failure,
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -95,13 +96,11 @@ def _cmd_crystal(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(verify.CHECKS) if args.check == "all" else [args.check]
-    reports = verify.sweep(names, args.rank, args.lambda_max)
-    lines = [verify.report_to_json(rep) for rep in reports]
-    text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    # open the output first, so that an unwritable path fails before the sweep
+    with (contextlib.nullcontext(sys.stdout) if args.out is None
+          else Path(args.out).open("w")) as out:
+        reports = verify.sweep(names, args.rank, args.lambda_max)
+        out.write("\n".join(map(verify.report_to_json, reports)) + "\n")
     return 3 if any(rep.failed for rep in reports) else 0
 
 

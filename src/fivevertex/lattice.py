@@ -45,7 +45,7 @@ __all__ = [
     "FAMILIES", "NonAdmissibleError", "ModelSpec", "LatticeState",
     "classify_vertex", "admissible_for", "enumerate_states",
     "open_state_of_pattern", "gtp_of_state", "boltzmann",
-    "partition_function", "pattern_tableau", "crystal_tableau",
+    "partition_function", "crystal_tableau",
     "color_path", "meetings", "crosses", "pair_intersections", "state_flag",
 ]
 
@@ -227,38 +227,44 @@ def _row_fillings(top, right_spin: int, below: tuple[int, ...] | None, family: s
     return tuple(out)
 
 
+def _walk(spec: ModelSpec, filters):
+    """The one forward state builder.  For each sequence in `filters` of
+    per-row bottom filters (each row's _row_fillings `below`, () for the
+    last), the tuple of the spec's states whose rows pass them, extended
+    one row at a time, in order, by every filling of the next row: so
+    depth-first over the vertices in row-major order, and no grid too
+    large for the recursion limit.  The reduced family's one-crossing cap
+    skips a filling whose pairs crossed above it (two paths meet at most
+    once in a row).  A flag filters the right boundary, which for flag
+    None only has to be colored; each state carries its own flag's spec,
+    one per flag, and the sequences share one cache of row fillings."""
+    fillings = functools.cache(_row_fillings)  # for this walk only
+    right_spins = spec.flag_spins or (0,) * spec.r
+    specs = {} if spec.w is None else {spec.flag_spins: spec}
+    for rows_below in filters:
+        partial = [((), (spec.top_boundary,), frozenset())]  # (horizontal, vertical, crossed)
+        for right_spin, below in zip(right_spins, rows_below):
+            partial = [(rows + (h,), cols + (bottom,), crossed.union(pairs))
+                       for rows, cols, crossed in partial
+                       for h, bottom, _, pairs in fillings(
+                           cols[-1], right_spin, below, spec.family)
+                       if crossed.isdisjoint(pairs)]
+        states = []
+        for rows, cols, _ in partial:
+            colors = tuple(row[0] for row in rows)
+            own = specs.get(colors)
+            if own is None:
+                own = specs[colors] = replace(spec, w=state_flag(rows))
+            states.append(LatticeState(own, rows, cols))
+        yield tuple(states)
+
+
 @functools.lru_cache(maxsize=1)
 def enumerate_states(spec: ModelSpec) -> tuple[LatticeState, ...]:
-    """All admissible states, depth-first over vertices in row-major order
-    (deterministic).  The partial states are extended one row at a time,
-    in order, by every filling of the next row (_row_fillings), so no grid
-    is too large for the interpreter's recursion limit.  The reduced
-    family's one-crossing cap skips a filling whose crossing pairs have
-    crossed above it; two paths meet at most once in a row, since the one
-    that drops leaves it.  Only the last model asked for stays cached.
-
-    The right boundary only has to be colored; a flag is a filter there,
-    so the states of one flag come in the order the search for a spec with
-    flag None (every flag) meets them.  Each state carries the spec of its
-    own flag, read off by state_flag."""
-    r = spec.r
-    fillings = functools.cache(_row_fillings)  # for this call only
-    partial = [((), (spec.top_boundary,), frozenset())]  # (horizontal, vertical, crossed)
-    for i, right_spin in enumerate(spec.flag_spins or (0,) * r, start=1):
-        partial = [(rows + (h,), cols + (bottom,), crossed.union(pairs))
-                   for rows, cols, crossed in partial
-                   for h, bottom, _, pairs in fillings(
-                       cols[-1], right_spin, None if i < r else (), spec.family)
-                   if crossed.isdisjoint(pairs)]
-    specs = {} if spec.w is None else {spec.flag_spins: spec}
-    out = []
-    for rows, cols, _ in partial:
-        colors = tuple(row[0] for row in rows)
-        own = specs.get(colors)
-        if own is None:
-            own = specs[colors] = replace(spec, w=state_flag(rows))
-        out.append(LatticeState(own, rows, cols))
-    return tuple(out)
+    """All admissible states: one walk (_walk) whose only filter is the
+    uncolored bottom boundary, so one flag's states come in the order of
+    the walk for every flag.  Only the last model asked for stays cached."""
+    return next(_walk(spec, [(None,) * (spec.r - 1) + ((),)]))
 
 
 def state_flag(horizontal) -> tuple[int, ...]:
@@ -281,23 +287,17 @@ def open_state_of_pattern(lam, pattern: Pattern):
     top turns right; when a traveling color meets an entering one, the
     greater of the two keeps moving right and the lesser drops; a traveling
     color otherwise drops exactly at the columns the next pattern row
-    prescribes.  So each row is the only open filling (_row_fillings)
-    whose bottom row is colored at the next pattern row's columns, or
+    prescribes.  So the state is the only one that the walk (_walk) meets
+    with each row's bottom colored at the next pattern row's columns, and
     nowhere below the last row.  Returns (flag, state).
     """
     spec = ModelSpec(lam, None, "open")
     pattern = _check_state_pattern(spec, pattern)
-    horizontal, vertical = [], [spec.top_boundary]
-    for below in pattern[1:] + ((),):
-        fillings = _row_fillings(vertical[-1], 0, below, "open")
-        if len(fillings) != 1:
-            raise RuntimeError("open propagation failed; pattern invalid")
-        horizontal.append(fillings[0][0])
-        vertical.append(fillings[0][1])
-    w = state_flag(horizontal)
-    state = LatticeState(replace(spec, w=w), tuple(horizontal), tuple(vertical))
-    validate_state(state)
-    return w, state
+    states = next(_walk(spec, [pattern[1:] + ((),)]))
+    if len(states) != 1:
+        raise RuntimeError("open propagation failed; pattern invalid")
+    validate_state(states[0])
+    return states[0].spec.w, states[0]
 
 
 def _check_state_pattern(spec: ModelSpec, pattern) -> Pattern:
@@ -406,15 +406,12 @@ def partition_function(spec: ModelSpec) -> laurent.LaurentPoly | dict:
             for w in weyl.permutations_by_length(r)}
 
 
-def pattern_tableau(state: LatticeState) -> Tableau:
-    """Tableau of the staircase-lowered pattern of the state."""
-    return gt_to_tableau(subtract_staircase(gtp_of_state(state)))
-
-
 def crystal_tableau(state: LatticeState) -> Tableau:
-    """The crystal embedding of a state: evacuation of pattern_tableau.
-    Sends the unique flag-identity state family to highest weight."""
-    return schuetzenberger(pattern_tableau(state), state.spec.r)
+    """The crystal embedding of a state: evacuation of the tableau of its
+    staircase-lowered pattern.  Sends the unique flag-identity state
+    family to highest weight."""
+    return schuetzenberger(gt_to_tableau(subtract_staircase(gtp_of_state(state))),
+                           state.spec.r)
 
 
 def color_path(state: LatticeState, m: int):

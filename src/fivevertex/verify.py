@@ -9,13 +9,13 @@ normalization findings and scope comparisons and never signal failure.
 JSON-lines serialization lives here too, one object per report.
 
 Every flag of a partition is answered from one piece of work per family:
-one enumeration of the states of every flag, grouped by flag; one row
-transfer giving every flag's partition function; and one table each of
-characters, atoms, Demazure sets and atom sets, each flag one operator
-step from its left-descent parent.  The closed states go into a census
-that keeps the last partition only; run_checks runs one partition's
-checks in a row, so the partition, states, bijection and shortcut checks
-share it.
+one census, which walks each left-strict pattern once and files its
+states of every flag by flag and pattern; one row transfer giving every
+flag's partition function; and one table each of characters, atoms,
+Demazure sets and atom sets, each flag one operator step from its
+left-descent parent.  The closed census keeps the last partition only;
+run_checks runs one partition's checks in a row, so the partition, states
+and bijection checks share it.
 """
 
 import functools
@@ -78,28 +78,25 @@ def _enumeration_sum(r, states):
     return laurent.LaurentPoly(r, terms)
 
 
-def _by_flag(lam, r, family):
-    """Every flag in sweep order, mapped to its states of the family in
-    enumeration order, from one enumeration of every flag at once: each
-    state's spec carries the flag that state_flag reads off its right
-    boundary."""
-    groups = {y: [] for y in weyl.bruhat_table(r).flags}
-    for s in lattice.enumerate_states(lattice.ModelSpec(lam, None, family)):
-        groups[s.spec.w].append(s)
-    return groups
+def _census(lam, r, family):
+    """Every flag in sweep order, mapped to its states of the family by
+    pattern (pattern -> states in walk order, so a cell holding two states
+    still shows), from one walk over the sorted left-strict patterns."""
+    census = {y: {} for y in weyl.bruhat_table(r).flags}
+    pats = sorted(patterns.enumerate_left_strict(lam, r))
+    walk = lattice._walk(lattice.ModelSpec(lam, None, family),
+                         (pattern[1:] + ((),) for pattern in pats))
+    for pattern, states in zip(pats, walk):
+        for s in states:
+            census[s.spec.w].setdefault(pattern, []).append(s)
+    return census
 
 
 @functools.lru_cache(maxsize=1)
 def _closed_census(lam, r):
-    """For each flag in sweep order, its enumerated closed states grouped
-    by pattern: pattern -> states, both in enumeration order, so a cell
-    holding two states still shows."""
-    census = {}
-    for y, states in _by_flag(lam, r, "closed").items():
-        cells = census[y] = {}
-        for s in states:
-            cells.setdefault(lattice.gtp_of_state(s), []).append(s)
-    return census
+    """The closed census (_census) of the last partition only, which the
+    partition, states and bijection checks of one run_checks call share."""
+    return _census(lam, r, "closed")
 
 
 def check_partition(lam, r):
@@ -114,7 +111,7 @@ def check_partition(lam, r):
     table = weyl.bruhat_table(r)
     flags = table.flags
     census = _closed_census(lam, r)
-    opened = _by_flag(lam, r, "open")
+    opened = _census(lam, r, "open")
     z_closed = lattice.partition_function(lattice.ModelSpec(lam, None, "closed"))
     z_open = lattice.partition_function(lattice.ModelSpec(lam, None, "open"))
     chars = laurent.demazure_char(lam, None)
@@ -127,7 +124,8 @@ def check_partition(lam, r):
         want_o = _rho_shift(lam, atoms[w])
         enum_c = _enumeration_sum(r, itertools.chain.from_iterable(
             census[w].values()))
-        enum_o = _enumeration_sum(r, opened[w])
+        enum_o = _enumeration_sum(r, itertools.chain.from_iterable(
+            opened[w].values()))
         if z_closed[w] != char:
             literal_matches = False
         if not (z_closed[w] == enum_c == want_c and z_open[w] == enum_o == want_o):
@@ -163,7 +161,7 @@ def check_states(lam, r):
     """Existence/uniqueness of closed states per (flag, pattern) cell:
     exactly one state when the flag dominates the pattern's forced flag in
     the Bruhat order (read from weyl.bruhat_table), none otherwise; the
-    constructive builder, called once per pattern, agrees with enumeration."""
+    constructive builder, called once per pattern, agrees with the census."""
     lam = tuple(lam)
     table = weyl.bruhat_table(r)
     by_pattern = _closed_census(lam, r)
@@ -241,39 +239,36 @@ def check_bijection(lam, r):
 
 def check_shortcut(lam, r):
     """The pattern-level raising rule against the direct composite
-    (evacuate, raise, evacuate) on every closed state and index, including
-    the bridge that raising vanishes iff the mirrored lowering does.  Both
-    sides depend on the state's pattern alone, so each pattern is tested
-    once, at the first flag (in sweep order) that holds it."""
+    (evacuate, raise, evacuate) on every left-strict pattern and index,
+    including the bridge that raising vanishes iff the mirrored lowering
+    does.  Both sides depend on the pattern alone, so no state is built; a
+    failure reports the pattern's forced flag, the first flag in sweep
+    order that holds it."""
     lam = tuple(lam)
-    seen = set()
-    for w, cells in _closed_census(lam, r).items():
-        for pattern, states in cells.items():
-            if pattern in seen:
-                continue
-            seen.add(pattern)
-            shifted = patterns.subtract_staircase(pattern)
-            plain = lattice.pattern_tableau(states[0])
-            embedded = lattice.crystal_tableau(states[0])
-            for i in range(1, r):
-                raised = crystal.gtp_raise(shifted, i)
-                direct = crystal.raising(embedded, i)
-                bridge_ok = ((direct is None)
-                             == (crystal.lowering(plain, r - i) is None))
-                if direct is None:
-                    ok = raised is None and bridge_ok
-                else:
-                    expected = patterns.tableau_to_gt(
-                        crystal.schuetzenberger(direct, r), r)
-                    ok = raised == expected and bridge_ok
-                if not ok:
-                    return [Report("shortcut", lam, r, "fail",
-                                   "pattern-level raising disagrees with the composite",
-                                   w=w, counterexample={
-                                       "pattern": [list(row) for row in shifted],
-                                       "index": i,
-                                       "rule_null": raised is None,
-                                       "direct_null": direct is None})]
+    for pattern in sorted(patterns.enumerate_left_strict(lam, r)):
+        shifted = patterns.subtract_staircase(pattern)
+        plain = patterns.gt_to_tableau(shifted)
+        embedded = crystal.schuetzenberger(plain, r)
+        for i in range(1, r):
+            raised = crystal.gtp_raise(shifted, i)
+            direct = crystal.raising(embedded, i)
+            bridge_ok = ((direct is None)
+                         == (crystal.lowering(plain, r - i) is None))
+            if direct is None:
+                ok = raised is None and bridge_ok
+            else:
+                expected = patterns.tableau_to_gt(
+                    crystal.schuetzenberger(direct, r), r)
+                ok = raised == expected and bridge_ok
+            if not ok:
+                return [Report("shortcut", lam, r, "fail",
+                               "pattern-level raising disagrees with the composite",
+                               w=weyl.inverse(adjust.exit_colors(pattern)),
+                               counterexample={
+                                   "pattern": [list(row) for row in shifted],
+                                   "index": i,
+                                   "rule_null": raised is None,
+                                   "direct_null": direct is None})]
     return [Report("shortcut", lam, r, "pass",
                    "rule and composite agree on every closed state and index")]
 
@@ -402,6 +397,9 @@ CHECKS = {
 def run_checks(names, lam, r):
     if len(lam) != r:
         raise ValueError(f"partition {tuple(lam)} does not have rank {r}")
+    if not names or any(name not in CHECKS for name in names):
+        raise ValueError(f"checks {list(names)} are not a nonempty list of "
+                         f"names from CHECKS: {', '.join(CHECKS)}")
     reports = []
     for name in names:
         start = time.perf_counter()
@@ -415,7 +413,8 @@ def run_checks(names, lam, r):
 
 def sweep(names, rank, lambda_max):
     """Run the named checks over every dominant shape with parts at most
-    lambda_max, for every rank up to the given one, smallest cases first."""
+    lambda_max, for every rank up to the given one, smallest cases first.
+    The first run_checks rejects the names before any check runs."""
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
     if lambda_max < 0:

@@ -53,6 +53,15 @@ def test_move_crossing_rejects():
         adjust.move_crossing(open_state, 1, 2, (3, 0))  # not a meeting vertex
 
 
+def test_move_crossing_takes_a_list_target():
+    # paths 1 and 2 meet at (1, 2) and (2, 0); a target read from JSON is a list
+    pattern = ((4, 2, 0), (2, 0), (0,))
+    state = adjust.closed_state_of((2, 3, 1), (2, 1, 0), pattern)
+    assert lattice.pair_intersections(state, 1, 2) == [(1, 2), (2, 0)]
+    assert (adjust.move_crossing(state, 1, 2, [1, 2])
+            == adjust.move_crossing(state, 1, 2, (1, 2)))
+
+
 @pytest.mark.parametrize("lam", [(1, 0), (2, 0), (2, 1, 0), (2, 2, 0)])
 def test_move_crossing_preserves_everything(lam):
     r = len(lam)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fivevertex import cli, laurent, statedoc
+from fivevertex import cli, laurent, statedoc, verify
 
 
 def _run(capsys, *argv):
@@ -191,6 +191,15 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
         code, _, err = _run(capsys, *argv)
         assert code == 2 and err.startswith("error: "), argv
     assert not missing.exists()
+
+
+def test_verify_opens_its_output_before_the_sweep(tmp_path, monkeypatch, capsys):
+    def refuse(names, rank, lambda_max):
+        raise AssertionError("swept before opening the output")
+    monkeypatch.setattr(verify, "sweep", refuse)
+    code, out, err = _run(capsys, "verify", "--rank", "4", "--lambda-max", "3",
+                          "--out", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_a_closed_stdout_exits_141_quietly():

@@ -262,7 +262,8 @@ def test_boltzmann_rejects_unweighted_families():
 
 def test_crystal_tableau_examples():
     (only,) = lattice.enumerate_states(ModelSpec((1, 0), (1, 2), "closed"))
-    assert lattice.pattern_tableau(only) == ((2,),)
+    assert patterns.gt_to_tableau(patterns.subtract_staircase(
+        lattice.gtp_of_state(only))) == ((2,),)
     assert lattice.crystal_tableau(only) == ((1,),)
     for state in lattice.enumerate_states(ModelSpec((1, 0), (2, 1), "closed")):
         if lattice.gtp_of_state(state) == ((2, 0), (1,)):

@@ -47,29 +47,62 @@ def test_interval_checks_ask_no_pairwise_bruhat_question(monkeypatch, lam):
         assert reports[0].status == "pass", check.__name__
 
 
-def test_checks_enumerate_each_model_once_and_keep_one_partition():
-    # four checks share one census of the partition's closed states, each
-    # family is enumerated once for every flag at once, and neither cache
-    # holds more than the last thing asked for
-    lattice.enumerate_states.cache_clear()
+def test_checks_walk_each_census_once_and_keep_one_partition(monkeypatch):
+    # the checks share one census of the partition's closed states, so the
+    # closed family is walked once for every flag at once, and the census
+    # cache holds only the last partition asked for
+    walked = []
+    walk = lattice._walk
+
+    def counted(spec, filters):
+        walked.append(spec.family)
+        return walk(spec, filters)
+    monkeypatch.setattr(lattice, "_walk", counted)
     verify._closed_census.cache_clear()
     reports = verify.run_checks(list(verify.CHECKS), (2, 1, 1, 0), 4)
     assert all(not rep.failed for rep in reports)
-    states = lattice.enumerate_states.cache_info()
-    assert states.misses == 2  # closed and open, every flag of S_4 at once
-    assert states.currsize <= 1
+    assert walked.count("closed") == 1
     assert verify._closed_census.cache_info().misses == 1
     verify.run_checks(list(verify.CHECKS), (2, 1, 0), 3)
+    assert walked.count("closed") == 2
     census = verify._closed_census.cache_info()
     assert (census.misses, census.currsize) == (2, 1)
     verify._closed_census((2, 1, 0), 3)
     assert verify._closed_census.cache_info().hits == census.hits + 1
+    assert walked.count("closed") == 2
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0), (1, 1, 0, 0, 0),
+                                 (3, 2, 1, 0), (20, 10, 0)], ids=str)
+def test_census_is_the_free_enumeration_grouped(lam):
+    # the oracle: every flag's states from one free enumeration, grouped by
+    # flag and then by the pattern read back off each grid; the same states
+    # in the same order in every cell
+    r = len(lam)
+    for family in ("open", "closed"):
+        want = {y: {} for y in weyl.bruhat_table(r).flags}
+        for s in lattice.enumerate_states(lattice.ModelSpec(lam, None, family)):
+            want[s.spec.w].setdefault(lattice.gtp_of_state(s), []).append(s)
+        census = verify._census(lam, r, family)
+        assert list(census) == list(want)
+        assert census == want, family
 
 
 @pytest.mark.parametrize("lam,r", [((1, 0), 3), ((2, 1, 0), 2)])
 def test_run_checks_rejects_a_rank_mismatch(lam, r):
     with pytest.raises(ValueError, match="rank"):
         verify.run_checks(list(verify.CHECKS), lam, r)
+
+
+@pytest.mark.parametrize("names", [[], ["partition", "nope"]], ids=str)
+def test_unknown_or_no_checks_are_rejected_before_any_runs(monkeypatch, names):
+    def refuse(lam, r):
+        raise AssertionError("a check ran")
+    monkeypatch.setitem(verify.CHECKS, "partition", refuse)
+    with pytest.raises(ValueError, match="CHECKS: partition, states"):
+        verify.run_checks(names, (1, 0), 2)
+    with pytest.raises(ValueError, match="CHECKS: partition, states"):
+        verify.sweep(names, 2, 1)
 
 
 def test_partition_convention_note():
