@@ -62,8 +62,10 @@ def _grids(n: int, pattern: Pattern, exits, passes):
     pattern colors its top edge force its incoming ones, except at a
     meeting (i, j), where passes(i, j, right, bottom) says whether the
     paths cross (the right color came from the left) or touch.  None
-    where a b1 vertex or an unmatched meeting would be needed.  A closed
-    state exists iff the top row produced is the top boundary."""
+    where a b1 vertex or an unmatched meeting would be needed, and as
+    soon as a color m rises left of its top column pattern[0][m-1], since
+    its path, traced back up and left, cannot return there.  So a sweep
+    that ends has the top boundary as its top row."""
     horizontal, vertical = [], [(0,) * n]
     for i, colored, carry in zip(range(len(pattern), 0, -1),
                                  reversed(pattern), reversed(exits)):
@@ -74,6 +76,8 @@ def _grids(n: int, pattern: Pattern, exits, passes):
                     return None
                 if down and passes(i, j, carry, down):
                     top[j] = down
+                elif j > pattern[0][carry - 1]:
+                    return None  # left of its top column
                 else:
                     carry, top[j] = down, carry
             elif down:
@@ -198,7 +202,7 @@ def closed_state_of(y, lam, pattern: Pattern):
     y None (every flag), a dict from every flag, in weyl.bruhat_table
     order, to its state or None.  Each flag is one sweep (_grids: rows
     bottom up, each right to left from its exit color) and has a state
-    iff the sweep ends on the top boundary.  There is no memo."""
+    iff the sweep ends; it stops where no state can.  There is no memo."""
     spec = ModelSpec(lam, y, "closed")
     pattern = _check_state_pattern(spec, pattern)
 
@@ -207,7 +211,7 @@ def closed_state_of(y, lam, pattern: Pattern):
         # int) from the left
         grids = _grids(spec.n, pattern, weyl.inverse(w),
                        lambda i, j, right, bottom: right < bottom)
-        if grids is None or grids[1][0] != spec.top_boundary:
+        if grids is None:
             return None
         return _checked(LatticeState(replace(spec, w=w), *grids), pattern)
 

@@ -11,9 +11,10 @@ Command-line front end.
 
 Partitions are comma lists with trailing zeros kept (so the rank is
 explicit), flags are one-line comma lists, patterns are rows joined by
-'/'.  Exit codes: 0 success, 1 internal invariant violation, 2 malformed
-arguments or input or an unwritable output path, 3 verification failure,
-141 (128 + SIGPIPE) when the reader closes stdout first.
+'/'; `states --gtp` builds only that pattern's states.  Exit codes: 0
+success, 1 internal invariant violation, 2 malformed arguments or input
+or an unwritable output path, 3 verification failure, 141 (128 +
+SIGPIPE) when the reader closes stdout first.
 """
 
 import argparse
@@ -45,13 +46,15 @@ def _tab_text(tab) -> str:
 
 def _cmd_states(args) -> int:
     spec = lattice.ModelSpec(_parse_ints(args.lam), _parse_ints(args.w), args.family)
-    states = lattice.enumerate_states(spec)
-    if args.gtp is not None:
+    if args.gtp is None:
+        states = lattice.enumerate_states(spec)
+    else:
         wanted = patterns.check_pattern(_parse_pattern(args.gtp))
         if len(wanted) != spec.r or wanted[0] != spec.top_columns:
             raise ValueError(f"pattern {args.gtp!r} needs {spec.r} rows and top "
                              f"row {','.join(map(str, spec.top_columns))}")
-        states = tuple(s for s in states if lattice.gtp_of_state(s) == wanted)
+        # the walk builds only the states whose bottom rows are the pattern's
+        states = next(lattice._walk(spec, [wanted[1:] + ((),)]))
     if args.out == "count":
         print(len(states))
     elif args.out == "json":
@@ -73,15 +76,9 @@ def _cmd_partfn(args) -> int:
     return 0
 
 
-def _cmd_char(args) -> int:
+def _cmd_poly(args) -> int:
     lam, w = _parse_ints(args.lam), _parse_ints(args.w)
-    print(laurent.format_poly(laurent.demazure_char(lam, w)))
-    return 0
-
-
-def _cmd_atom(args) -> int:
-    lam, w = _parse_ints(args.lam), _parse_ints(args.w)
-    print(laurent.format_poly(laurent.demazure_atom(lam, w)))
+    print(laurent.format_poly(args.poly(lam, w)))
     return 0
 
 
@@ -143,11 +140,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("char", help="Demazure character")
     add_model_args(p, family=False)
-    p.set_defaults(func=_cmd_char)
+    p.set_defaults(func=_cmd_poly, poly=laurent.demazure_char)
 
     p = sub.add_parser("atom", help="Demazure atom")
     add_model_args(p, family=False)
-    p.set_defaults(func=_cmd_atom)
+    p.set_defaults(func=_cmd_poly, poly=laurent.demazure_atom)
 
     p = sub.add_parser("crystal", help="list a Demazure crystal's tableaux")
     add_model_args(p, family=False)

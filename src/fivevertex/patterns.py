@@ -172,22 +172,22 @@ def _interleavings(top: tuple[int, ...], gap: int) -> set[Pattern]:
     """All patterns below the top row whose entry j lies in
     [row[j+1], row[j] - gap] for the row above it: gap 1 gives the
     left-strict patterns, gap 0 the weak ones.  Interleaving alone keeps
-    each row weakly decreasing.  The top row must be nonempty."""
+    each row weakly decreasing.  The top row must be nonempty.  The
+    partial patterns wait on an explicit stack, so no pattern is too tall
+    for the interpreter's recursion limit."""
     if not top:
         raise ValueError("a pattern needs a nonempty top row")
     out = set()
-
-    def descend(rows):
+    stack = [(top,)]
+    while stack:
+        rows = stack.pop()
         row = rows[-1]
         if len(row) == 1:
-            out.add(tuple(rows))
-            return
+            out.add(rows)
+            continue
         ranges = [range(row[j + 1], row[j] + 1 - gap)
                   for j in range(len(row) - 1)]
-        for nxt in itertools.product(*ranges):
-            descend(rows + [nxt])
-
-    descend([top])
+        stack.extend(rows + (nxt,) for nxt in itertools.product(*ranges))
     return out
 
 

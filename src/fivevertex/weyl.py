@@ -18,6 +18,7 @@ All values are plain tuples; nothing here is mutated after construction.
 
 import functools
 import itertools
+import operator
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -92,8 +93,7 @@ def length(w: Perm) -> int:
     >>> length((2, 3, 1))
     2
     """
-    r = len(w)
-    return sum(1 for i in range(r) for j in range(i + 1, r) if w[i] > w[j])
+    return sum(itertools.starmap(operator.gt, itertools.combinations(w, 2)))
 
 
 def _left_descent_parent(w: Perm):
@@ -136,7 +136,8 @@ def apply_reduced_word(x, w: Perm, op):
 
 def apply_to_every_flag(x, r: int, op) -> dict:
     """apply_reduced_word(x, w, op) for every w in S_r, keyed in
-    bruhat_table(r).flags order.  reduced_word(w) is a_1 followed by
+    permutations_by_length(r) order (that of bruhat_table(r).flags, whose
+    r!^2 bits are not built for it).  reduced_word(w) is a_1 followed by
     reduced_word(s_{a_1} * w), so each value is one step op(., a_1) from
     that of the left-descent parent s_{a_1} * w, which is shorter and so
     comes first: the same operator sequence, one step per flag.
@@ -144,7 +145,7 @@ def apply_to_every_flag(x, r: int, op) -> dict:
     >>> apply_to_every_flag("", 2, lambda x, a: x + str(a))
     {(1, 2): '', (2, 1): '1'}
     """
-    flags = bruhat_table(r).flags
+    flags = permutations_by_length(r)
     out = {flags[0]: x}
     for w in flags[1:]:
         a, parent = _left_descent_parent(w)

@@ -262,7 +262,9 @@ def test_to_open_validates_once(monkeypatch):
 
 def _break_one_horizontal_edge(grids, a, b):
     """The grids with the first horizontal edge of color a inside the grid
-    repainted b; unchanged if there is none."""
+    repainted b; unchanged if there is none, and None (no state) stays None."""
+    if grids is None:
+        return None
     horizontal, vertical = grids
     horizontal = [list(row) for row in horizontal]
     for row in horizontal:
@@ -345,6 +347,24 @@ def test_closed_state_of_examples():
     expected = adjust.to_closed(open_state)
     assert (built.horizontal, built.vertical) == \
         (expected.horizontal, expected.vertical)
+
+
+def test_closed_sweep_stops_where_no_state_exists():
+    # flag (1,2) is not above the forced flag (2,1) of ((2,0),(1,)): color 2
+    # would rise at column 1, left of its top column 0, so the sweep stops
+    # there rather than end on a top row that is not the top boundary
+    def closed(i, j, right, bottom):
+        return right < bottom
+
+    assert adjust._grids(3, ((2, 0), (1,)), (1, 2), closed) is None
+    lam = (2, 1, 0)
+    for p in patterns.enumerate_left_strict(lam, 3):
+        forced = weyl.inverse(adjust.exit_colors(p))
+        for w in weyl.permutations_by_length(3):
+            grids = adjust._grids(5, p, weyl.inverse(w), closed)
+            assert (grids is None) == (not weyl.bruhat_leq(forced, w))
+            top = ModelSpec(lam, w, "closed").top_boundary
+            assert grids is None or grids[1][0] == top
 
 
 def _closed_by_cell(lam):

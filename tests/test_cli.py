@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fivevertex import cli, laurent, statedoc, verify
+from fivevertex import cli, lattice, laurent, patterns, statedoc, verify, weyl
 
 
 def _run(capsys, *argv):
@@ -33,6 +33,49 @@ def test_states_json_with_pattern_filter(capsys):
     assert len(docs) == 1
     assert docs[0]["derived"]["gtp"] == [[5, 3, 0], [3, 1], [1]]
     statedoc.doc_to_state(docs[0])  # loads and revalidates
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0)])
+@pytest.mark.parametrize("family", lattice.FAMILIES)
+def test_states_gtp_is_the_enumeration_filtered_by_pattern(lam, family, capsys):
+    # the oracle is every state of the model whose pattern, read back off
+    # its grid, is the one asked for; the output is compared byte for byte
+    weak = False
+    for w in weyl.all_permutations(len(lam)):
+        by_pattern = {}
+        for s in lattice.enumerate_states(lattice.ModelSpec(lam, w, family)):
+            by_pattern.setdefault(lattice.gtp_of_state(s), []).append(s)
+        for p, kept in by_pattern.items():
+            weak = weak or not patterns.is_left_strict(p)
+            code, out, _ = _run(capsys, "states", "--lambda", ",".join(map(str, lam)),
+                                "--w", ",".join(map(str, w)), "--family", family,
+                                "--gtp", "/".join(",".join(map(str, row)) for row in p),
+                                "--out", "json")
+            docs = [statedoc.state_to_doc(s) for s in kept]
+            assert code == 0 and out == json.dumps(docs, indent=2, sort_keys=True) + "\n"
+    assert weak == (family == "generalized")
+
+
+def test_states_gtp_walks_only_the_patterns_states(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("built or read back a state of another pattern")
+    monkeypatch.setattr(lattice, "enumerate_states", refuse)
+    monkeypatch.setattr(lattice, "gtp_of_state", refuse)
+    code, out, _ = _run(capsys, "states", "--lambda", "3,2,0", "--w", "2,3,1",
+                        "--family", "closed", "--gtp", "5,3,0/3,1/1")
+    assert code == 0 and out == "1\n"
+
+
+def test_no_parsed_value_leaks_into_the_next_call(capsys):
+    argv = ("states", "--lambda", "2,1,0", "--w", "3,2,1", "--family", "closed")
+    full = _run(capsys, *argv)[1]
+    assert int(full) > 1
+    assert _run(capsys, *argv, "--gtp", "4,2,0/2,0/0") == (0, "1\n", "")
+    assert _run(capsys, *argv) == (0, full, "")
+    with pytest.raises(SystemExit):
+        cli.main([*argv, "--gtp", "4,2,0/2,0/0", "--out", "bogus"])
+    capsys.readouterr()
+    assert _run(capsys, *argv) == (0, full, "")
 
 
 def test_states_rejects_malformed_pattern(capsys):

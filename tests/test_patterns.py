@@ -195,6 +195,15 @@ def test_enumerate_left_strict_examples():
             len(patterns.enumerate_ssyt(lam, 3))
 
 
+def test_tall_patterns_do_not_recurse_per_row():
+    # 1100 rows is deeper than the interpreter's recursion limit, and each
+    # top row has exactly one pattern below it
+    zeros = (0,) * 1100
+    assert patterns.enumerate_patterns(zeros) == {tuple(zeros[k:] for k in range(1100))}
+    strict = patterns.enumerate_left_strict(zeros, 1100)
+    assert strict == {tuple(patterns.staircase(1100)[k:] for k in range(1100))}
+
+
 def test_dominant_partitions():
     parts = patterns.dominant_partitions(2, 2)
     assert parts == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]

@@ -79,6 +79,17 @@ def test_every_flag_forms_match_each_flag(lam):
         assert all(table[w] == fn(lam, w) for w in flags), fn.__name__
 
 
+def test_every_flag_forms_build_no_bruhat_table():
+    # their order is permutations_by_length's, so the r!^2-bit table of
+    # the Bruhat order is neither built nor kept for them
+    lam = (2, 1, 1, 0)
+    weyl.bruhat_table.cache_clear()
+    tables = [laurent.demazure_char(lam, None), crystal.demazure_crystal(lam, None)]
+    assert weyl.bruhat_table.cache_info().currsize == 0
+    for table in tables:
+        assert tuple(table) == weyl.bruhat_table(len(lam)).flags
+
+
 def test_all_reduced_words_agree():
     w0 = longest_element(3)
     words = set(all_reduced_words(w0))
