@@ -199,10 +199,10 @@ def exit_colors(pattern: Pattern) -> tuple[int, ...]:
 def closed_state_of(y, lam, pattern: Pattern):
     """The unique closed state with flag y and the given left-strict
     pattern, or None when the pattern's forced flag is not below y.  For
-    y None (every flag), a dict from every flag, in weyl.bruhat_table
-    order, to its state or None.  Each flag is one sweep (_grids: rows
-    bottom up, each right to left from its exit color) and has a state
-    iff the sweep ends; it stops where no state can.  There is no memo."""
+    y None, a dict from every flag, in weyl.permutations_by_length order,
+    to its state or None.  Each flag is one sweep (_grids: rows bottom up,
+    each right to left from its exit color) and has a state iff the sweep
+    ends; it stops where no state can.  There is no memo."""
     spec = ModelSpec(lam, y, "closed")
     pattern = _check_state_pattern(spec, pattern)
 
@@ -217,4 +217,4 @@ def closed_state_of(y, lam, pattern: Pattern):
 
     if y is not None:
         return state_of(spec.w)
-    return {w: state_of(w) for w in weyl.bruhat_table(spec.r).flags}
+    return {w: state_of(w) for w in weyl.permutations_by_length(spec.r)}

@@ -53,8 +53,7 @@ def _cmd_states(args) -> int:
         if len(wanted) != spec.r or wanted[0] != spec.top_columns:
             raise ValueError(f"pattern {args.gtp!r} needs {spec.r} rows and top "
                              f"row {','.join(map(str, spec.top_columns))}")
-        # the walk builds only the states whose bottom rows are the pattern's
-        states = next(lattice._walk(spec, [wanted[1:] + ((),)]))
+        states = next(lattice._walk(spec, [wanted]))  # only the pattern's states
     if args.out == "count":
         print(len(states))
     elif args.out == "json":

@@ -36,7 +36,9 @@ def _cells_in_reading_order(tab: Tableau):
 
 def _unmatched(tab: Tableau, i: int):
     """Positions (cell coordinates) of the unmatched letters i and i+1 in
-    the reading word, each list in reading order."""
+    the reading word, each list in reading order; i must be at least 1."""
+    if i < 1:
+        raise ValueError(f"simple index {i} out of range")
     open_i1 = []   # unmatched i+1 so far
     lone_i = []    # i with no i+1 before it
     for cell in _cells_in_reading_order(tab):
@@ -94,11 +96,13 @@ def schuetzenberger(tab: Tableau, r: int) -> Tableau:
     the complemented entries of the rows top to bottom, each right to left.
 
     An involution; reverses the weight and swaps the raising operator at i
-    with the lowering operator at r-i.
+    with the lowering operator at r-i.  Every entry must lie in 1..r.
     """
     rows = []
     for tab_row in tab:
         for entry in reversed(tab_row):
+            if not 1 <= entry <= r:
+                raise ValueError(f"entry {entry} out of range 1..{r}")
             x = r + 1 - entry
             for row in rows:
                 k = bisect_right(row, x)

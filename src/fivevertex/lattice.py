@@ -227,23 +227,25 @@ def _row_fillings(top, right_spin: int, below: tuple[int, ...] | None, family: s
     return tuple(out)
 
 
-def _walk(spec: ModelSpec, filters):
-    """The one forward state builder.  For each sequence in `filters` of
-    per-row bottom filters (each row's _row_fillings `below`, () for the
-    last), the tuple of the spec's states whose rows pass them, extended
-    one row at a time, in order, by every filling of the next row: so
-    depth-first over the vertices in row-major order, and no grid too
-    large for the recursion limit.  The reduced family's one-crossing cap
-    skips a filling whose pairs crossed above it (two paths meet at most
-    once in a row).  A flag filters the right boundary, which for flag
-    None only has to be colored; each state carries its own flag's spec,
-    one per flag, and the sequences share one cache of row fillings."""
+def _walk(spec: ModelSpec, patterns):
+    """The one forward state builder.  For each pattern in `patterns`
+    (top row the spec's), the tuple of the spec's states with it, or of all
+    of them for None: each row's bottom is colored at the next pattern
+    row's columns (anywhere, for None) and nowhere below the last row.
+    States grow one row at a time, in order, by every filling of the next
+    row: so depth-first over the vertices in row-major order, and no grid
+    too large for the recursion limit.  The reduced family's one-crossing
+    cap skips a filling whose pairs crossed above it (two paths meet at
+    most once in a row).  A flag filters the right boundary, which for
+    flag None only has to be colored; each state carries its own flag's
+    spec, one per flag, and the patterns share one cache of row fillings."""
     fillings = functools.cache(_row_fillings)  # for this walk only
     right_spins = spec.flag_spins or (0,) * spec.r
     specs = {} if spec.w is None else {spec.flag_spins: spec}
-    for rows_below in filters:
+    for pattern in patterns:
+        rows_below = (None,) * (spec.r - 1) if pattern is None else pattern[1:]
         partial = [((), (spec.top_boundary,), frozenset())]  # (horizontal, vertical, crossed)
-        for right_spin, below in zip(right_spins, rows_below):
+        for right_spin, below in zip(right_spins, rows_below + ((),)):
             partial = [(rows + (h,), cols + (bottom,), crossed.union(pairs))
                        for rows, cols, crossed in partial
                        for h, bottom, _, pairs in fillings(
@@ -261,10 +263,10 @@ def _walk(spec: ModelSpec, filters):
 
 @functools.lru_cache(maxsize=1)
 def enumerate_states(spec: ModelSpec) -> tuple[LatticeState, ...]:
-    """All admissible states: one walk (_walk) whose only filter is the
-    uncolored bottom boundary, so one flag's states come in the order of
-    the walk for every flag.  Only the last model asked for stays cached."""
-    return next(_walk(spec, [(None,) * (spec.r - 1) + ((),)]))
+    """All admissible states: the free walk (_walk), so one flag's states
+    come in the order of the walk for every flag.  Only the last model
+    asked for stays cached."""
+    return next(_walk(spec, [None]))
 
 
 def state_flag(horizontal) -> tuple[int, ...]:
@@ -287,13 +289,12 @@ def open_state_of_pattern(lam, pattern: Pattern):
     top turns right; when a traveling color meets an entering one, the
     greater of the two keeps moving right and the lesser drops; a traveling
     color otherwise drops exactly at the columns the next pattern row
-    prescribes.  So the state is the only one that the walk (_walk) meets
-    with each row's bottom colored at the next pattern row's columns, and
-    nowhere below the last row.  Returns (flag, state).
+    prescribes.  So the state is the only one that the walk of the pattern
+    (_walk) meets.  Returns (flag, state).
     """
     spec = ModelSpec(lam, None, "open")
     pattern = _check_state_pattern(spec, pattern)
-    states = next(_walk(spec, [pattern[1:] + ((),)]))
+    states = next(_walk(spec, [pattern]))
     if len(states) != 1:
         raise RuntimeError("open propagation failed; pattern invalid")
     validate_state(states[0])

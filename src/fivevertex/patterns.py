@@ -127,10 +127,13 @@ def subtract_staircase(pattern: Pattern) -> Pattern:
 
 
 def weight(tab: Tableau, r: int) -> tuple[int, ...]:
-    """Entry i of the result counts the occurrences of i in the tableau."""
+    """Entry i of the result counts the occurrences of i in the tableau,
+    whose entries must lie in 1..r."""
     counts = [0] * r
     for row in tab:
         for x in row:
+            if not 1 <= x <= r:
+                raise ValueError(f"entry {x} out of range 1..{r}")
             counts[x - 1] += 1
     return tuple(counts)
 

@@ -82,11 +82,10 @@ def _census(lam, r, family):
     """Every flag in sweep order, mapped to its states of the family by
     pattern (pattern -> states in walk order, so a cell holding two states
     still shows), from one walk over the sorted left-strict patterns."""
-    census = {y: {} for y in weyl.bruhat_table(r).flags}
+    census = {y: {} for y in weyl.permutations_by_length(r)}
     pats = sorted(patterns.enumerate_left_strict(lam, r))
-    walk = lattice._walk(lattice.ModelSpec(lam, None, family),
-                         (pattern[1:] + ((),) for pattern in pats))
-    for pattern, states in zip(pats, walk):
+    for pattern, states in zip(pats, lattice._walk(
+            lattice.ModelSpec(lam, None, family), pats)):
         for s in states:
             census[s.spec.w].setdefault(pattern, []).append(s)
     return census
@@ -108,8 +107,8 @@ def check_partition(lam, r):
     the flags whose open function is nonzero, that lie in the lower
     interval of w read from weyl.bruhat_table."""
     lam = tuple(lam)
-    table = weyl.bruhat_table(r)
-    flags = table.flags
+    flags = weyl.permutations_by_length(r)
+    leq = weyl.bruhat_table(r).leq
     census = _closed_census(lam, r)
     opened = _census(lam, r, "open")
     z_closed = lattice.partition_function(lattice.ModelSpec(lam, None, "closed"))
@@ -140,7 +139,7 @@ def check_partition(lam, r):
                                "open_expected": laurent.format_poly(want_o)})]
         total = laurent.zero(r)
         for y in support:
-            if table.leq(y, w):
+            if leq(y, w):
                 total = total + z_open[y]
         if total != z_closed[w]:
             return [Report("partition", lam, r, "fail",
@@ -163,13 +162,13 @@ def check_states(lam, r):
     the Bruhat order (read from weyl.bruhat_table), none otherwise; the
     constructive builder, called once per pattern, agrees with the census."""
     lam = tuple(lam)
-    table = weyl.bruhat_table(r)
+    leq = weyl.bruhat_table(r).leq
     by_pattern = _closed_census(lam, r)
     for pattern in sorted(patterns.enumerate_left_strict(lam, r)):
         w_a = weyl.inverse(adjust.exit_colors(pattern))
         for y, built in adjust.closed_state_of(None, lam, pattern).items():
             states = by_pattern[y].get(pattern, [])
-            want = 1 if table.leq(w_a, y) else 0
+            want = 1 if leq(w_a, y) else 0
             ok = (len(states) == want
                   and (built is None) == (want == 0)
                   and (built is None or built == states[0]))
@@ -348,13 +347,14 @@ def check_crystal(lam, r):
         if patterns.weight(evac[tab], r) != wt[::-1]:
             return fail("evacuation does not reverse the weight")
 
-    table = weyl.bruhat_table(r)
+    flags = weyl.permutations_by_length(r)
+    leq = weyl.bruhat_table(r).leq
     dems = crystal.demazure_crystal(lam, None)
     atoms = {w: a.elements for w, a in crystal.demazure_atom_set(lam, None).items()}
     chars = laurent.demazure_char(lam, None)
     atom_chars = laurent.demazure_atom(lam, None)
-    support = [y for y in table.flags if atoms[y]]
-    for w in table.flags:
+    support = [y for y in flags if atoms[y]]
+    for w in flags:
         dem = dems[w].elements
         if crystal.character(dem, r) != chars[w]:
             return fail("Demazure set character mismatch", w=list(w))
@@ -367,7 +367,7 @@ def check_crystal(lam, r):
                 return fail("string trichotomy violated", w=list(w))
         union = set()
         for y in support:
-            if not table.leq(y, w):
+            if not leq(y, w):
                 continue
             part = atoms[y]
             if union & part:

@@ -136,8 +136,7 @@ def apply_reduced_word(x, w: Perm, op):
 
 def apply_to_every_flag(x, r: int, op) -> dict:
     """apply_reduced_word(x, w, op) for every w in S_r, keyed in
-    permutations_by_length(r) order (that of bruhat_table(r).flags, whose
-    r!^2 bits are not built for it).  reduced_word(w) is a_1 followed by
+    permutations_by_length(r) order.  reduced_word(w) is a_1 followed by
     reduced_word(s_{a_1} * w), so each value is one step op(., a_1) from
     that of the left-descent parent s_{a_1} * w, which is shorter and so
     comes first: the same operator sequence, one step per flag.
@@ -192,7 +191,7 @@ def lower_covers(w: Perm):
 
 
 class BruhatTable(NamedTuple):
-    """The Bruhat order on S_r as lower intervals: flags is
+    """The Bruhat order on S_r as lower intervals: flags is the tuple
     permutations_by_length(r), index maps a flag to its position there, and
     bit j of lower[k] is set iff flags[j] <= flags[k].  The table is shared
     by every caller, so none of its parts can be changed."""
@@ -208,9 +207,9 @@ class BruhatTable(NamedTuple):
 def bruhat_table(r: int) -> BruhatTable:
     """The BruhatTable of S_r, built once per rank from covers: [e, w] is w
     together with [e, v] for every lower cover v of w (lower_covers), and
-    each v comes before w in length order.  It holds r!^2 bits, so only the
-    sweeps that ask every pair of flags build it."""
-    flags = tuple(permutations_by_length(r))
+    each v comes before w in length order.  It holds r!^2 bits, so it is
+    built only where a sweep asks whether y <= w for pairs of flags."""
+    flags = permutations_by_length(r)
     index = {w: k for k, w in enumerate(flags)}
     lower = []
     for k, w in enumerate(flags):
@@ -243,7 +242,8 @@ def all_permutations(r: int) -> list[Perm]:
     return [tuple(p) for p in itertools.permutations(range(1, r + 1))]
 
 
-def permutations_by_length(r: int) -> list[Perm]:
-    """All of S_r ordered by (length, one-line lex); used to make the first
-    counterexample found by a sweep the minimal one."""
-    return sorted(all_permutations(r), key=lambda w: (length(w), w))
+@functools.lru_cache(maxsize=None)
+def permutations_by_length(r: int) -> tuple[Perm, ...]:
+    """S_r by (length, one-line lex), once per rank: the order of every
+    every-flag result, so a sweep's first counterexample is minimal."""
+    return tuple(sorted(all_permutations(r), key=lambda w: (length(w), w)))

@@ -35,6 +35,21 @@ def test_string_statistics():
     assert crystal.eps(((2, 2),), 1) == 2 and crystal.phi(((2, 2),), 1) == 0
 
 
+@pytest.mark.parametrize("op", [crystal.raising, crystal.lowering,
+                                crystal.eps, crystal.phi], ids=lambda op: op.__name__)
+@pytest.mark.parametrize("i", [0, -1])
+def test_crystal_operators_reject_a_simple_index_below_one(op, i):
+    # index 0 would pair the letters 0 and 1, and raise a 1 to a 0
+    with pytest.raises(ValueError, match="simple index"):
+        op(((1, 2), (2,)), i)
+
+
+def test_schuetzenberger_rejects_an_entry_outside_the_alphabet():
+    for tab in [((5,),), ((1, 2), (4,)), ((0,),)]:
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            crystal.schuetzenberger(tab, 3)
+
+
 def test_weight_relation():
     for tab in patterns.enumerate_ssyt((3, 1, 0), 3):
         wt = patterns.weight(tab, 3)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from fivevertex import patterns
+from fivevertex import crystal, patterns
 from oracles import add_staircase
 
 
@@ -131,6 +131,14 @@ def test_weight():
     assert patterns.weight(PAPER_TABLEAU, 3) == (1, 3, 4)
     assert patterns.weight(((1, 1), (2,)), 3) == (2, 1, 0)
     assert patterns.weight(((2,),), 2) == (0, 1)
+
+
+@pytest.mark.parametrize("tab", [((3,),), ((0,),), ((1, 2), (-1,))], ids=str)
+def test_weight_rejects_an_entry_outside_the_alphabet(tab):
+    with pytest.raises(ValueError, match="out of range 1..2"):
+        patterns.weight(tab, 2)
+    with pytest.raises(ValueError, match="out of range 1..2"):
+        crystal.character([tab], 2)
 
 
 def test_partial_row_sums_give_weights():

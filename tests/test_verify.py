@@ -201,7 +201,7 @@ def test_sweep_orders_shapes_minimal_first():
 
 @pytest.mark.parametrize("rank,lambda_max,digest", [
     (3, 3, "42f3a8eb11acb33b"), (4, 2, "08de2938e0433ec6"),
-    (5, 1, "12acbfc1ce5727ea")])
+    (5, 1, "12acbfc1ce5727ea"), (4, 3, "43b003de38abb4af")])
 def test_sweep_reports_are_pinned(rank, lambda_max, digest):
     # the reports of every check, timing aside, are the recorded ones: the
     # first 16 hex of the sha256 of their JSON lines without millis, sorted

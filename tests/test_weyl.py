@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from fivevertex import crystal, laurent, patterns, weyl
+from fivevertex import adjust, crystal, laurent, lattice, patterns, verify, weyl
 from fivevertex.lattice import ModelSpec
 from oracles import all_reduced_words, longest_element
 
@@ -83,8 +83,12 @@ def test_every_flag_forms_build_no_bruhat_table():
     # their order is permutations_by_length's, so the r!^2-bit table of
     # the Bruhat order is neither built nor kept for them
     lam = (2, 1, 1, 0)
+    pattern = min(patterns.enumerate_left_strict(lam, len(lam)))
     weyl.bruhat_table.cache_clear()
-    tables = [laurent.demazure_char(lam, None), crystal.demazure_crystal(lam, None)]
+    tables = [laurent.demazure_char(lam, None), crystal.demazure_crystal(lam, None),
+              adjust.closed_state_of(None, lam, pattern),
+              lattice.partition_function(ModelSpec(lam, None, "closed")),
+              verify._census(lam, len(lam), "closed")]
     assert weyl.bruhat_table.cache_info().currsize == 0
     for table in tables:
         assert tuple(table) == weyl.bruhat_table(len(lam)).flags
@@ -180,7 +184,7 @@ def test_lower_covers_are_the_length_covers(r):
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_bruhat_table_matches_bruhat_leq(r):
     table = weyl.bruhat_table(r)
-    assert list(table.flags) == weyl.permutations_by_length(r)
+    assert table.flags == weyl.permutations_by_length(r)
     assert all(table.flags[table.index[w]] == w for w in table.flags)
     for w in table.flags:
         below = [y for y in table.flags if weyl.bruhat_leq(y, w)]
@@ -190,6 +194,11 @@ def test_bruhat_table_matches_bruhat_leq(r):
 
 def test_bruhat_table_is_built_once_per_rank():
     assert weyl.bruhat_table(4) is weyl.bruhat_table(4)
+
+
+def test_permutations_by_length_is_sorted_once_per_rank():
+    assert weyl.permutations_by_length(4) is weyl.permutations_by_length(4)
+    assert weyl.bruhat_table(4).flags is weyl.permutations_by_length(4)
 
 
 def test_coset_longest():
