@@ -40,8 +40,10 @@ def _parse_pattern(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_parse_ints(row) for row in text.split("/"))
 
 
-def _tab_text(tab) -> str:
-    return json.dumps([list(row) for row in tab], separators=(",", ":"))
+def _tabs_text(tabs) -> str:
+    """One compact JSON line per tableau, e.g. [[1,1],[2]]; a list of ints
+    prints as JSON, and only its separators hold spaces."""
+    return "".join(f"{[list(row) for row in tab]}\n" for tab in tabs).replace(" ", "")
 
 
 def _cmd_states(args) -> int:
@@ -85,8 +87,7 @@ def _cmd_crystal(args) -> int:
     lam, w = _parse_ints(args.lam), _parse_ints(args.w)
     dem = (crystal.demazure_atom_set(lam, w) if args.atoms
            else crystal.demazure_crystal(lam, w))
-    for tab in sorted(dem.elements):
-        print(_tab_text(tab))
+    sys.stdout.write(_tabs_text(sorted(dem.elements)))
     return 0
 
 

@@ -12,7 +12,10 @@ one step from that of its left-descent parent.  Nothing is cached.
 Operators use the row reading word (rows bottom to top, each left to
 right) with the matching bracket rule: scanning the subword of letters
 i and i+1, each i+1 opens and a later i closes; e_i lifts the leftmost
-unmatched i+1, f_i drops the rightmost unmatched i.
+unmatched i+1, f_i drops the rightmost unmatched i.  Rows weakly
+increase, so the scan stops each row at its first entry past i+1.  A
+closure walks each i-string from one scan of its element: f_i^k turns
+the k rightmost unmatched i into i+1.
 """
 
 from bisect import bisect_right
@@ -30,27 +33,27 @@ __all__ = [
 ]
 
 
-def _cells_in_reading_order(tab: Tableau):
-    return [(i, j) for i in reversed(range(len(tab))) for j in range(len(tab[i]))]
-
-
 def _unmatched(tab: Tableau, i: int):
     """Positions (cell coordinates) of the unmatched letters i and i+1 in
-    the reading word, each list in reading order; i must be at least 1."""
+    the reading word, each list in reading order; i must be at least 1.
+    Rows are read bottom to top, each up to its first entry past i+1."""
     if i < 1:
         raise ValueError(f"simple index {i} out of range")
-    open_i1 = []   # unmatched i+1 so far
-    lone_i = []    # i with no i+1 before it
-    for cell in _cells_in_reading_order(tab):
-        x = tab[cell[0]][cell[1]]
-        if x == i + 1:
-            open_i1.append(cell)
-        elif x == i:
-            if open_i1:
-                open_i1.pop()
-            else:
-                lone_i.append(cell)
-    return lone_i, open_i1
+    j = i + 1
+    open_j = []   # unmatched i+1 so far
+    lone_i = []   # i with no i+1 before it
+    for r in range(len(tab) - 1, -1, -1):
+        for c, x in enumerate(tab[r]):
+            if x == i:
+                if open_j:
+                    open_j.pop()
+                else:
+                    lone_i.append((r, c))
+            elif x == j:
+                open_j.append((r, c))
+            elif x > j:
+                break
+    return lone_i, open_j
 
 
 def eps(tab: Tableau, i: int) -> int:
@@ -117,16 +120,26 @@ def schuetzenberger(tab: Tableau, r: int) -> Tableau:
 
 def demazure_closure(elements, i: int) -> frozenset[Tableau]:
     """Close a set of tableaux downward along i-strings: everything whose
-    iterated raising lands in the set, i.e. the lowering orbits of it."""
-    out = set(elements)
+    iterated raising lands in the set, i.e. the lowering orbits of it.
+
+    One scan of an element lists its whole string below.  A walk stops at
+    an element an earlier walk reached, whose tail is already in; an
+    input element reached that way is not walked at all."""
+    if i < 1:
+        raise ValueError(f"simple index {i} out of range")
+    reached = set()
     for tab in elements:
+        if tab in reached:
+            continue
         cur = tab
-        while True:
-            cur = lowering(cur, i)
-            if cur is None:
+        for cell in reversed(_unmatched(tab, i)[0]):
+            cur = _replace(cur, cell, i + 1)
+            if cur in reached:
                 break
-            out.add(cur)
-    return frozenset(out)
+            reached.add(cur)
+    # the input's tableaux win over equal new ones, so that the sets along
+    # a word share their tableaux
+    return frozenset(elements).union(reached)
 
 
 @dataclass(frozen=True)

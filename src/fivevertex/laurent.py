@@ -155,21 +155,17 @@ def format_poly(f: LaurentPoly) -> str:
     explicit '*' and '^', e.g. 'z1^2 + z1*z2'."""
     if not f.terms:
         return "0"
-    items = sorted(f.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    names = [f"z{k}" for k in range(1, f.nvars + 1)]
     chunks = []
-    for expo, coeff in items:
-        factors = [f"z{k}" + (f"^{e}" if e != 1 else "")
-                   for k, e in enumerate(expo, start=1) if e != 0]
-        if not factors:
-            body = str(abs(coeff))
-        elif abs(coeff) == 1:
-            body = "*".join(factors)
-        else:
-            body = f"{abs(coeff)}*" + "*".join(factors)
-        sign = "-" if coeff < 0 else "+"
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text
+    for expo in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True):
+        coeff = f.terms[expo]
+        body = "*".join([name if e == 1 else f"{name}^{e}"
+                         for name, e in zip(names, expo) if e])
+        size = abs(coeff)
+        if not body:
+            body = str(size)
+        elif size != 1:
+            body = f"{size}*{body}"
+        chunks.append((" - " if coeff < 0 else " + ") + body)
+    text = "".join(chunks)  # the first term's sign drops its spaces and a '+'
+    return text[3:] if text[1] == "+" else "-" + text[3:]

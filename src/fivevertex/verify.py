@@ -326,11 +326,12 @@ def check_crystal(lam, r):
             if down is not None and crystal.raising(down, i) != tab:
                 return fail("lowering is not inverted by raising",
                             tableau=[list(row) for row in tab], index=i)
-            if (up is None) != (crystal.eps(tab, i) == 0):
+            e, p = crystal.eps(tab, i), crystal.phi(tab, i)
+            if (up is None) != (e == 0):
                 return fail("raising nullity disagrees with the string statistic")
-            if (down is None) != (crystal.phi(tab, i) == 0):
+            if (down is None) != (p == 0):
                 return fail("lowering nullity disagrees with the string statistic")
-            if crystal.phi(tab, i) != wt[i - 1] - wt[i] + crystal.eps(tab, i):
+            if p != wt[i - 1] - wt[i] + e:
                 return fail("string statistics do not satisfy the weight relation")
             if (None if up is None else evac[up]) != crystal.lowering(evac[tab], r - i):
                 return fail("evacuation does not intertwine raising with "

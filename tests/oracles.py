@@ -46,3 +46,69 @@ def swap_vars(f: LaurentPoly, i: int) -> LaurentPoly:
         e[i - 1], e[i] = e[i], e[i - 1]
         out[tuple(e)] = coeff
     return LaurentPoly(f.nvars, out)
+
+
+def unmatched(tab, i: int):
+    """The bracket scan over the whole reading word, as a list of cells
+    (rows bottom to top, each left to right): the unmatched i and the
+    unmatched i+1, each list in reading order."""
+    open_i1 = []
+    lone_i = []
+    cells = [(a, b) for a in reversed(range(len(tab))) for b in range(len(tab[a]))]
+    for cell in cells:
+        x = tab[cell[0]][cell[1]]
+        if x == i + 1:
+            open_i1.append(cell)
+        elif x == i:
+            if open_i1:
+                open_i1.pop()
+            else:
+                lone_i.append(cell)
+    return lone_i, open_i1
+
+
+def lowering(tab, i: int):
+    """f_i by the scan above: the rightmost unmatched i turned into i+1,
+    or None."""
+    lone_i = unmatched(tab, i)[0]
+    if not lone_i:
+        return None
+    a, b = lone_i[-1]
+    return tab[:a] + (tab[a][:b] + (i + 1,) + tab[a][b + 1:],) + tab[a + 1:]
+
+
+def demazure_closure(elements, i: int) -> frozenset:
+    """The i-string closure one lowering at a time, each lowering a fresh
+    scan: every element lowered until nothing is left."""
+    out = set(elements)
+    for tab in elements:
+        cur = lowering(tab, i)
+        while cur is not None:
+            out.add(cur)
+            cur = lowering(cur, i)
+    return frozenset(out)
+
+
+def format_poly(f: LaurentPoly) -> str:
+    """Canonical text term by term and factor by factor: descending
+    graded-lex exponent order, explicit '*' and '^'."""
+    if not f.terms:
+        return "0"
+    items = sorted(f.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    chunks = []
+    for expo, coeff in items:
+        factors = [f"z{k}" + (f"^{e}" if e != 1 else "")
+                   for k, e in enumerate(expo, start=1) if e != 0]
+        if not factors:
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = "*".join(factors)
+        else:
+            body = f"{abs(coeff)}*" + "*".join(factors)
+        sign = "-" if coeff < 0 else "+"
+        chunks.append((sign, body))
+    first_sign, first_body = chunks[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in chunks[1:]:
+        text += f" {sign} {body}"
+    return text

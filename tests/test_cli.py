@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fivevertex import cli, lattice, laurent, patterns, statedoc, verify, weyl
+from fivevertex import cli, crystal, lattice, laurent, patterns, statedoc, verify, weyl
 
 
 def _run(capsys, *argv):
@@ -124,6 +124,27 @@ def test_crystal_listing(capsys):
     code, out, _ = _run(capsys, "crystal", "--lambda", "1,0,0", "--w", "2,1,3",
                         "--atoms")
     assert code == 0 and out.splitlines() == ["[[2]]"]
+
+
+@pytest.mark.parametrize("lam", [(1, 0, 0), (2, 1, 0), (2, 1, 1, 0), (0, 0)])
+def test_crystal_lines_are_compact_json(lam, capsys):
+    r = len(lam)
+    for w in weyl.permutations_by_length(r):
+        for atoms in (False, True):
+            argv = ["crystal", "--lambda", ",".join(map(str, lam)),
+                    "--w", ",".join(map(str, w))] + ["--atoms"] * atoms
+            code, out, _ = _run(capsys, *argv)
+            dem = (crystal.demazure_atom_set if atoms else crystal.demazure_crystal)(lam, w)
+            want = [json.dumps([list(row) for row in tab], separators=(",", ":"))
+                    for tab in sorted(dem.elements)]
+            assert code == 0 and out.splitlines() == want and out.count("\n") == len(want)
+
+
+def test_crystal_empty_atom_and_empty_shape(capsys):
+    code, out, _ = _run(capsys, "crystal", "--lambda", "1,0,0", "--w", "1,3,2", "--atoms")
+    assert code == 0 and out == ""
+    code, out, _ = _run(capsys, "crystal", "--lambda", "0,0", "--w", "1,2")
+    assert code == 0 and out == "[]\n"
 
 
 def test_verify_passes_and_emits_json_lines(capsys):

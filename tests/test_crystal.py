@@ -1,7 +1,17 @@
+import itertools
+
 import pytest
 
+import oracles
 from fivevertex import crystal, laurent, patterns, weyl
 from oracles import all_reduced_words
+
+
+def _oracle_shapes():
+    """Every partition with r <= 4 and parts <= 3, and with r = 5 and
+    parts <= 2, trailing zeros kept."""
+    for r, top in [(1, 3), (2, 3), (3, 3), (4, 3), (5, 2)]:
+        yield from itertools.combinations_with_replacement(range(top, -1, -1), r)
 
 
 def test_raising_examples():
@@ -42,6 +52,61 @@ def test_crystal_operators_reject_a_simple_index_below_one(op, i):
     # index 0 would pair the letters 0 and 1, and raise a 1 to a 0
     with pytest.raises(ValueError, match="simple index"):
         op(((1, 2), (2,)), i)
+
+
+@pytest.mark.parametrize("step", [crystal.demazure_closure, crystal._atom_step],
+                         ids=lambda step: step.__name__)
+@pytest.mark.parametrize("elements", [frozenset(), frozenset({((1, 2), (2,))})],
+                         ids=["empty", "one"])
+@pytest.mark.parametrize("i", [0, -1])
+def test_closures_reject_a_simple_index_below_one(step, elements, i):
+    # an empty input must not hide a malformed index behind an empty result
+    with pytest.raises(ValueError, match="simple index"):
+        step(elements, i)
+
+
+def test_unmatched_matches_the_cell_list_scan():
+    cases = 0
+    for lam in _oracle_shapes():
+        r = len(lam)
+        for tab in patterns.enumerate_ssyt(lam, r):
+            for i in range(1, r + 1):
+                assert crystal._unmatched(tab, i) == oracles.unmatched(tab, i), (tab, i)
+                cases += 1
+    assert cases == 5378
+
+
+def test_closures_match_stepwise_lowering_on_every_flag():
+    """Every step of every flag, Demazure sets and atom sets alike, against
+    closures that lower one step at a time with a full rescan per step."""
+    steps = 0
+
+    def checked(step, oracle):
+        def op(elements, i):
+            nonlocal steps
+            got = step(elements, i)
+            assert got == oracle(elements, i), (elements, i)
+            steps += 1
+            return got
+        return op
+
+    dem = checked(crystal.demazure_closure, oracles.demazure_closure)
+    atom = checked(crystal._atom_step,
+                   lambda elements, i: oracles.demazure_closure(elements, i) - elements)
+    for lam in _oracle_shapes():
+        start = frozenset({crystal.highest_weight_tableau(lam)})
+        weyl.apply_to_every_flag(start, len(lam), dem)
+        weyl.apply_to_every_flag(start, len(lam), atom)
+    assert steps == 2 * 3414  # r! - 1 steps per shape
+
+
+def test_closure_walks_a_string_once_from_any_of_its_members():
+    # the whole 1-string of a one-row tableau, from its head or from inside
+    string = [((1, 1, 1),), ((1, 1, 2),), ((1, 2, 2),), ((2, 2, 2),)]
+    for k in range(len(string)):
+        for subset in itertools.combinations(string, k + 1):
+            assert crystal.demazure_closure(frozenset(subset), 1) == \
+                frozenset(string[string.index(subset[0]):])
 
 
 def test_schuetzenberger_rejects_an_entry_outside_the_alphabet():

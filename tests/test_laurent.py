@@ -5,6 +5,7 @@ import pytest
 
 from fivevertex import laurent, patterns, weyl
 from fivevertex.laurent import monomial
+import oracles
 from oracles import all_reduced_words, swap_vars
 
 
@@ -171,6 +172,27 @@ def test_format_poly():
     assert laurent.format_poly(-monomial((1, 1))) == "-z1*z2"
     assert laurent.format_poly(monomial((1, 0)) - 2 * monomial((0, 1))) == "z1 - 2*z2"
     assert laurent.format_poly(monomial((-1, 0))) == "z1^-1"
+    cases = {  # signs, constants and negative exponents, also against the oracle
+        monomial((0, 0, 0)) * 7: "7",
+        monomial((0, 0)) * -3: "-3",
+        monomial((1, 0)) * -1 + monomial((0, 0)) * 5: "-z1 + 5",
+        monomial((0, -2, 1)) * -4 + monomial((1, 1, -1)) * 2: "2*z1*z2*z3^-1 - 4*z2^-2*z3",
+        monomial((-1, -1)) - monomial((0, 0)): "-1 + z1^-1*z2^-1",
+        monomial((3, 0, -1)) * 10 - monomial((0, 2, 0)): "10*z1^3*z3^-1 - z2^2",
+    }
+    for f, text in cases.items():
+        assert laurent.format_poly(f) == text == oracles.format_poly(f)
+
+
+def test_format_poly_matches_the_factor_by_factor_oracle():
+    polys = 0
+    for r in range(1, 5):
+        for lam in itertools.combinations_with_replacement(range(3, -1, -1), r):
+            for every in (laurent.demazure_char(lam, None), laurent.demazure_atom(lam, None)):
+                for f in every.values():
+                    assert laurent.format_poly(f) == oracles.format_poly(f)
+                    polys += 1
+    assert polys == 2 * (4 * 1 + 10 * 2 + 20 * 6 + 35 * 24)  # shapes x flags per rank
 
 
 def test_rank_checks():
