@@ -30,6 +30,13 @@ __all__ = [
 ]
 
 
+def _flag(state: LatticeState):
+    """The state's flag, or ValueError for a state whose spec has none."""
+    if state.spec.w is None:
+        raise ValueError("state has no flag: its spec's w is None")
+    return state.spec.w
+
+
 def _checked(state: LatticeState, pattern: Pattern) -> LatticeState:
     """The state, once it passes validation for its family and _agreeing."""
     validate_state(state)
@@ -112,6 +119,7 @@ def move_crossing(state: LatticeState, a: int, b: int, target) -> LatticeState:
     every other pair's crossing status."""
     if state.spec.family not in ("open", "closed", "reduced"):
         raise ValueError("state must be reduced (or open/closed)")
+    _flag(state)
     a, b, target = min(a, b), max(a, b), tuple(target)
     meets = pair_intersections(state, a, b)
     if sum(crosses(state, v) for v in meets) != 1:
@@ -125,8 +133,8 @@ def to_closed(state: LatticeState) -> LatticeState:
     """The closed state with the same flag and pattern (closed_state_of):
     every crossing sits at its pair's last meeting point.  Idempotent.
     Raises ValueError when there is no such closed state."""
-    closed = closed_state_of(state.spec.w, state.spec.lam, gtp_of_state(state))
-    if not isinstance(closed, LatticeState):  # None, or every flag's for no flag
+    closed = closed_state_of(_flag(state), state.spec.lam, gtp_of_state(state))
+    if closed is None:
         raise ValueError("no closed state has this flag and pattern")
     return closed
 
@@ -153,7 +161,7 @@ def raise_flag(state: LatticeState, a: int, b: int) -> LatticeState:
     spec = state.spec
     if spec.family != "closed":
         raise ValueError("raise_flag expects a closed state")
-    y = spec.w
+    y = _flag(state)
     yt = weyl.compose(y, weyl.transposition(a, b, spec.r))
     if ((a, b), y) not in weyl.lower_covers(yt):
         raise ValueError(f"transposition ({a},{b}) does not raise the length")

@@ -418,8 +418,10 @@ def crystal_tableau(state: LatticeState) -> Tableau:
 def color_path(state: LatticeState, m: int):
     """Ordered edge list of color m, from its top-boundary edge to its
     right-boundary edge.  Edges are ('v', k, j) or ('h', i, slot).  Raises
-    if the colored edges do not form one connected down-right path."""
+    unless 1 <= m <= r and its edges form one connected down-right path."""
     spec = state.spec
+    if not 1 <= m <= spec.r:
+        raise ValueError(f"color {m} is not in 1..{spec.r}")
     col = spec.top_columns[m - 1]
     edges = [("v", 0, col)]
     while True:

@@ -105,10 +105,9 @@ def check_partition(lam, r):
     polynomial equality throughout.  Each of these is computed for every
     flag at once, once per family.  The sum runs over the open support,
     the flags whose open function is nonzero, that lie in the lower
-    interval of w read from weyl.bruhat_table."""
+    interval of w (weyl.bruhat_below over the support)."""
     lam = tuple(lam)
     flags = weyl.permutations_by_length(r)
-    leq = weyl.bruhat_table(r).leq
     census = _closed_census(lam, r)
     opened = _census(lam, r, "open")
     z_closed = lattice.partition_function(lattice.ModelSpec(lam, None, "closed"))
@@ -116,6 +115,7 @@ def check_partition(lam, r):
     chars = laurent.demazure_char(lam, None)
     atoms = laurent.demazure_atom(lam, None)
     support = [y for y in flags if z_open[y]]
+    leq = weyl.bruhat_below(r, support)
     literal_matches = True
     for w in flags:
         char = chars[w]
@@ -159,13 +159,14 @@ def check_partition(lam, r):
 def check_states(lam, r):
     """Existence/uniqueness of closed states per (flag, pattern) cell:
     exactly one state when the flag dominates the pattern's forced flag in
-    the Bruhat order (read from weyl.bruhat_table), none otherwise; the
+    the Bruhat order (weyl.bruhat_below), none otherwise; the
     constructive builder, called once per pattern, agrees with the census."""
     lam = tuple(lam)
-    leq = weyl.bruhat_table(r).leq
     by_pattern = _closed_census(lam, r)
-    for pattern in sorted(patterns.enumerate_left_strict(lam, r)):
-        w_a = weyl.inverse(adjust.exit_colors(pattern))
+    pats = sorted(patterns.enumerate_left_strict(lam, r))
+    forced = [weyl.inverse(adjust.exit_colors(p)) for p in pats]
+    leq = weyl.bruhat_below(r, forced)
+    for pattern, w_a in zip(pats, forced):
         for y, built in adjust.closed_state_of(None, lam, pattern).items():
             states = by_pattern[y].get(pattern, [])
             want = 1 if leq(w_a, y) else 0
@@ -300,8 +301,8 @@ def check_crystal(lam, r):
     The tiling test is the oracle for the atoms' reduced-word rule: atoms
     below every w are disjoint and tile Dem(w) iff every atom(w) is Dem(w)
     minus the Dem(y), y < w (by induction up the Bruhat order).  It walks
-    the nonempty atoms in the lower interval of w from weyl.bruhat_table,
-    in sweep order; an empty atom adds nothing to the union and meets
+    the nonempty atoms in the lower interval of w (weyl.bruhat_below over
+    them), in sweep order; an empty atom adds nothing to the union and meets
     nothing.  Sets, atoms and characters are computed for every flag at
     once."""
     lam = tuple(lam)
@@ -349,12 +350,12 @@ def check_crystal(lam, r):
             return fail("evacuation does not reverse the weight")
 
     flags = weyl.permutations_by_length(r)
-    leq = weyl.bruhat_table(r).leq
     dems = crystal.demazure_crystal(lam, None)
     atoms = {w: a.elements for w, a in crystal.demazure_atom_set(lam, None).items()}
     chars = laurent.demazure_char(lam, None)
     atom_chars = laurent.demazure_atom(lam, None)
     support = [y for y in flags if atoms[y]]
+    leq = weyl.bruhat_below(r, support)
     for w in flags:
         dem = dems[w].elements
         if crystal.character(dem, r) != chars[w]:

@@ -19,13 +19,11 @@ All values are plain tuples; nothing here is mutated after construction.
 import functools
 import itertools
 import operator
-from types import MappingProxyType
-from typing import NamedTuple
 
 __all__ = [
     "check_permutation", "inverse", "compose", "transposition", "length",
     "reduced_word", "apply_reduced_word", "apply_to_every_flag", "bruhat_leq",
-    "lower_covers", "BruhatTable", "bruhat_table",
+    "lower_covers", "bruhat_below",
     "coset_longest", "all_permutations",
     "permutations_by_length", "check_dominant",
 ]
@@ -190,34 +188,25 @@ def lower_covers(w: Perm):
                 yield (a + 1, b + 1), swapped
 
 
-class BruhatTable(NamedTuple):
-    """The Bruhat order on S_r as lower intervals: flags is the tuple
-    permutations_by_length(r), index maps a flag to its position there, and
-    bit j of lower[k] is set iff flags[j] <= flags[k].  The table is shared
-    by every caller, so none of its parts can be changed."""
-    flags: tuple[Perm, ...]
-    index: MappingProxyType
-    lower: tuple[int, ...]
+def bruhat_below(r: int, xs):
+    """The Bruhat order from the members of xs to all of S_r, as the
+    predicate leq(x, w) for x in xs and w in S_r, from covers: in
+    permutations_by_length(r) order, the mask of w is its own bit (if w
+    is in xs) together with the masks of its lower covers (lower_covers),
+    which come first.  A mask has one bit per distinct member of xs.
 
-    def leq(self, y: Perm, w: Perm) -> bool:
-        return bool(self.lower[self.index[w]] >> self.index[y] & 1)
-
-
-@functools.lru_cache(maxsize=None)
-def bruhat_table(r: int) -> BruhatTable:
-    """The BruhatTable of S_r, built once per rank from covers: [e, w] is w
-    together with [e, v] for every lower cover v of w (lower_covers), and
-    each v comes before w in length order.  It holds r!^2 bits, so it is
-    built only where a sweep asks whether y <= w for pairs of flags."""
-    flags = permutations_by_length(r)
-    index = {w: k for k, w in enumerate(flags)}
-    lower = []
-    for k, w in enumerate(flags):
-        mask = 1 << k
+    >>> leq = bruhat_below(3, [(2, 3, 1), (1, 3, 2)])
+    >>> leq((2, 3, 1), (3, 2, 1)), leq((2, 3, 1), (3, 1, 2))
+    (True, False)
+    """
+    bit = {x: 1 << k for k, x in enumerate(dict.fromkeys(xs))}
+    masks = {}
+    for w in permutations_by_length(r):
+        mask = bit.get(w, 0)
         for _, v in lower_covers(w):
-            mask |= lower[index[v]]
-        lower.append(mask)
-    return BruhatTable(flags, MappingProxyType(index), tuple(lower))
+            mask |= masks[v]
+        masks[w] = mask
+    return lambda x, w: bool(masks[w] & bit[x])
 
 
 def coset_longest(w: Perm, lam: tuple[int, ...]) -> Perm:
@@ -229,8 +218,7 @@ def coset_longest(w: Perm, lam: tuple[int, ...]) -> Perm:
     >>> coset_longest((1, 2, 3), (1, 1, 0))
     (2, 1, 3)
     """
-    if len(lam) != len(w):
-        raise ValueError("rank mismatch")
+    lam, w = check_dominant(lam, w)
     out = []
     for _, block in itertools.groupby(zip(lam, w), key=lambda pair: pair[0]):
         out.extend(sorted((x for _, x in block), reverse=True))

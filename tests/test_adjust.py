@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from fivevertex import adjust, crystal, lattice, laurent, patterns, weyl
@@ -164,13 +166,36 @@ def test_to_closed_matches_enumeration():
             assert matches == [closed]
 
 
-def test_to_closed_needs_the_state_flag():
-    # a state under the every-flag model carries no flag to close at
-    state = _fig4_open()
-    unflagged = lattice.LatticeState(ModelSpec((3, 2, 0), None, "open"),
-                                     state.horizontal, state.vertical)
-    with pytest.raises(ValueError):
+def _unflagged(state):
+    """The state's grids under the every-flag model, which has no flag."""
+    return lattice.LatticeState(replace(state.spec, w=None),
+                                state.horizontal, state.vertical)
+
+
+def _refuse_sweeps(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sweep ran")
+    monkeypatch.setattr(adjust, "_grids", refuse)
+
+
+def test_to_closed_needs_the_state_flag(monkeypatch):
+    # a state under the every-flag model carries no flag to close at, and
+    # is refused before any flag is swept
+    unflagged = _unflagged(_fig4_open())
+    _refuse_sweeps(monkeypatch)
+    with pytest.raises(ValueError, match="no flag"):
         adjust.to_closed(unflagged)
+
+
+def test_raise_flag_and_move_crossing_need_the_state_flag(monkeypatch):
+    open_state = _fig4_open()
+    closed = _unflagged(adjust.to_closed(open_state))
+    last = lattice.pair_intersections(open_state, 1, 2)[-1]
+    _refuse_sweeps(monkeypatch)
+    with pytest.raises(ValueError, match="no flag"):
+        adjust.raise_flag(closed, 1, 2)
+    with pytest.raises(ValueError, match="no flag"):
+        adjust.move_crossing(_unflagged(open_state), 1, 2, last)
 
 
 def test_raise_flag_bootstrap():
@@ -380,7 +405,7 @@ def _closed_by_cell(lam):
 @pytest.mark.parametrize("lam", [(2, 1, 1, 0), (2, 2, 1, 0), (2, 1, 0, 0, 0)])
 def test_closed_state_of_matches_enumeration_on_every_cell(lam):
     r = len(lam)
-    flags = weyl.bruhat_table(r).flags
+    flags = weyl.permutations_by_length(r)
     enumerated = _closed_by_cell(lam)
     for p in sorted(patterns.enumerate_left_strict(lam, r)):
         forced, _ = lattice.open_state_of_pattern(lam, p)

@@ -292,6 +292,13 @@ def test_paths_connected_everywhere():
                 assert path[-1] == ("h", spec.w[m - 1], 0)
 
 
+@pytest.mark.parametrize("m", [0, -1, 3])
+def test_color_path_rejects_a_color_outside_one_to_r(m):
+    (state,) = lattice.enumerate_states(ModelSpec((1, 0), (1, 2), "closed"))
+    with pytest.raises(ValueError, match="not in 1..2"):
+        lattice.color_path(state, m)
+
+
 def test_open_crossing_law():
     # meeting paths cross at their first meeting and never again
     for spec in _desk_specs(["open"]):

@@ -64,14 +64,14 @@ def test_every_flag_table_applies_the_reduced_word(r):
                   (top, crystal.demazure_closure),
                   (top, crystal._atom_step)]:
         table = weyl.apply_to_every_flag(x, r, op)
-        assert tuple(table) == weyl.bruhat_table(r).flags
+        assert tuple(table) == weyl.permutations_by_length(r)
         for w, value in table.items():
             assert value == weyl.apply_reduced_word(x, w, op), (op.__name__, w)
 
 
 @pytest.mark.parametrize("lam", [(1, 0, 0), (2, 1, 1, 0)])
 def test_every_flag_forms_match_each_flag(lam):
-    flags = weyl.bruhat_table(len(lam)).flags
+    flags = weyl.permutations_by_length(len(lam))
     for fn in (laurent.demazure_char, laurent.demazure_atom,
                crystal.demazure_crystal, crystal.demazure_atom_set):
         table = fn(lam, None)
@@ -79,19 +79,16 @@ def test_every_flag_forms_match_each_flag(lam):
         assert all(table[w] == fn(lam, w) for w in flags), fn.__name__
 
 
-def test_every_flag_forms_build_no_bruhat_table():
-    # their order is permutations_by_length's, so the r!^2-bit table of
-    # the Bruhat order is neither built nor kept for them
+def test_every_flag_forms_share_the_length_order():
+    # every every-flag result is keyed in permutations_by_length order
     lam = (2, 1, 1, 0)
     pattern = min(patterns.enumerate_left_strict(lam, len(lam)))
-    weyl.bruhat_table.cache_clear()
     tables = [laurent.demazure_char(lam, None), crystal.demazure_crystal(lam, None),
               adjust.closed_state_of(None, lam, pattern),
               lattice.partition_function(ModelSpec(lam, None, "closed")),
               verify._census(lam, len(lam), "closed")]
-    assert weyl.bruhat_table.cache_info().currsize == 0
     for table in tables:
-        assert tuple(table) == weyl.bruhat_table(len(lam)).flags
+        assert tuple(table) == weyl.permutations_by_length(len(lam))
 
 
 def test_all_reduced_words_agree():
@@ -182,29 +179,32 @@ def test_lower_covers_are_the_length_covers(r):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
-def test_bruhat_table_matches_bruhat_leq(r):
-    table = weyl.bruhat_table(r)
-    assert table.flags == weyl.permutations_by_length(r)
-    assert all(table.flags[table.index[w]] == w for w in table.flags)
-    for w in table.flags:
-        below = [y for y in table.flags if weyl.bruhat_leq(y, w)]
-        for y in table.flags:
-            assert table.leq(y, w) == (y in below)
-
-
-def test_bruhat_table_is_built_once_per_rank():
-    assert weyl.bruhat_table(4) is weyl.bruhat_table(4)
+def test_bruhat_below_matches_bruhat_leq(r):
+    # all of S_r; a subset out of length order with one member twice
+    # (proper from r = 2 on); and no flags at all
+    flags = weyl.permutations_by_length(r)
+    for xs in (flags, flags[::-3] + flags[-1:], ()):
+        leq = weyl.bruhat_below(r, xs)
+        for x in xs:
+            for w in flags:
+                assert leq(x, w) == weyl.bruhat_leq(x, w), (xs, x, w)
 
 
 def test_permutations_by_length_is_sorted_once_per_rank():
     assert weyl.permutations_by_length(4) is weyl.permutations_by_length(4)
-    assert weyl.bruhat_table(4).flags is weyl.permutations_by_length(4)
 
 
 def test_coset_longest():
     assert weyl.coset_longest((2, 3, 1), (3, 1, 0)) == (2, 3, 1)  # strict stabilizer
     assert weyl.coset_longest((1, 2), (0, 0)) == (2, 1)
     assert weyl.coset_longest((1, 2, 3), (1, 1, 0)) == (2, 1, 3)
+
+
+@pytest.mark.parametrize("w,lam", [((1, 1), (1, 0)), ((3, 1, 2), (0, 1, 1)),
+                                   ((1, 2), (1, 0, 0))], ids=str)
+def test_coset_longest_rejects_a_non_permutation_or_non_partition(w, lam):
+    with pytest.raises(ValueError):
+        weyl.coset_longest(w, lam)
 
 
 def _coset_longest_by_search(w, lam):
