@@ -39,7 +39,7 @@ def main():
         dem = crystal.demazure_crystal(LAM, w)
         atom = crystal.demazure_atom_set(LAM, w)
         keys = [t for t in atom.elements if crystal.is_key(t)]
-        print(f"  w = {w}: {len(dem)} elements, atom adds "
+        print(f"  w = {w}: {len(dem.elements)} elements, atom adds "
               f"{sorted(map(fmt, atom.elements))}, key {fmt(keys[0])}")
 
 

@@ -106,8 +106,7 @@ def _surgery(state: LatticeState, spec: ModelSpec, a: int, b: int, cross_at):
     def passes(i, j, right, bottom):
         if {right, bottom} == {a, b}:
             return (i, j) == cross_at
-        h = state.horizontal[i - 1]
-        return h[j + 1] == h[j]
+        return crosses(state, (i, j))
 
     return _checked(LatticeState(spec, *_grids(
         spec.n, pattern, weyl.inverse(spec.w), passes)), pattern)

@@ -148,12 +148,6 @@ class DemazureSet:
     w: tuple[int, ...]
     elements: frozenset[Tableau]
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
 
 def _atom_step(elements, i: int) -> frozenset[Tableau]:
     """The crystal twin of laurent.demazure_atom_op: the string closure

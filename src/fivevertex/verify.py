@@ -13,9 +13,9 @@ one census, which walks each left-strict pattern once and files its
 states of every flag by flag and pattern; one row transfer giving every
 flag's partition function; and one table each of characters, atoms,
 Demazure sets and atom sets, each flag one operator step from its
-left-descent parent.  The closed census keeps the last partition only;
+left-descent parent.  The census cache keeps the last partition's two;
 run_checks runs one partition's checks in a row, so the partition, states
-and bijection checks share it.
+and bijection checks share the closed census, partition and tau the open.
 """
 
 import functools
@@ -78,6 +78,7 @@ def _enumeration_sum(r, states):
     return laurent.LaurentPoly(r, terms)
 
 
+@functools.lru_cache(maxsize=2)
 def _census(lam, r, family):
     """Every flag in sweep order, mapped to its states of the family by
     pattern (pattern -> states in walk order, so a cell holding two states
@@ -91,13 +92,6 @@ def _census(lam, r, family):
     return census
 
 
-@functools.lru_cache(maxsize=1)
-def _closed_census(lam, r):
-    """The closed census (_census) of the last partition only, which the
-    partition, states and bijection checks of one run_checks call share."""
-    return _census(lam, r, "closed")
-
-
 def check_partition(lam, r):
     """Closed and open partition functions, by row transfer and by state
     enumeration, against the staircase-shifted Demazure character and
@@ -108,7 +102,7 @@ def check_partition(lam, r):
     interval of w (weyl.bruhat_below over the support)."""
     lam = tuple(lam)
     flags = weyl.permutations_by_length(r)
-    census = _closed_census(lam, r)
+    census = _census(lam, r, "closed")
     opened = _census(lam, r, "open")
     z_closed = lattice.partition_function(lattice.ModelSpec(lam, None, "closed"))
     z_open = lattice.partition_function(lattice.ModelSpec(lam, None, "open"))
@@ -162,7 +156,7 @@ def check_states(lam, r):
     the Bruhat order (weyl.bruhat_below), none otherwise; the
     constructive builder, called once per pattern, agrees with the census."""
     lam = tuple(lam)
-    by_pattern = _closed_census(lam, r)
+    by_pattern = _census(lam, r, "closed")
     pats = sorted(patterns.enumerate_left_strict(lam, r))
     forced = [weyl.inverse(adjust.exit_colors(p)) for p in pats]
     leq = weyl.bruhat_below(r, forced)
@@ -201,7 +195,7 @@ def check_bijection(lam, r):
     tableau_of = {}
     dems = crystal.demazure_crystal(lam, None)
     chars = laurent.demazure_char(lam, None)
-    for y, cells in _closed_census(lam, r).items():
+    for y, cells in _census(lam, r, "closed").items():
         image = set()
         for pattern, states in cells.items():
             if pattern not in tableau_of:
@@ -274,11 +268,21 @@ def check_shortcut(lam, r):
 
 
 def check_tau(lam, r):
-    """Reading the exit colors off a pattern inverts the flag of its open
-    state; checked on the left-strict pattern and its staircase shift."""
+    """Exit colors read off a pattern invert the flag of its one open state
+    (open census); checked on the left-strict pattern and its staircase shift."""
     lam = tuple(lam)
+    opened = {}  # pattern -> its open states
+    for cells in _census(lam, r, "open").values():
+        for pattern, states in cells.items():
+            opened.setdefault(pattern, []).extend(states)
     for pattern in sorted(patterns.enumerate_left_strict(lam, r)):
-        w_a, _ = lattice.open_state_of_pattern(lam, pattern)
+        states = opened.get(pattern, [])
+        if len(states) != 1:
+            return [Report("tau", lam, r, "fail", "pattern has no unique open state",
+                           counterexample={"pattern": [list(row) for row in pattern],
+                                           "open_states": len(states)})]
+        lattice.validate_state(states[0])
+        w_a = states[0].spec.w
         expected = weyl.inverse(w_a)
         got = adjust.exit_colors(pattern)
         got_shifted = adjust.exit_colors(patterns.subtract_staircase(pattern))
@@ -296,7 +300,9 @@ def check_tau(lam, r):
 def check_crystal(lam, r):
     """Crystal axioms, string trichotomy, evacuation involutivity,
     character identities for Demazure sets and atoms, the disjoint atom
-    union, and key-tableau uniqueness per nonempty atom.
+    union, and key-tableau uniqueness per nonempty atom.  String trichotomy
+    (Kashiwara) holds iff a set holding an element below its i-string's head
+    holds its e_i and any f_i: read off one bitmask of flags per tableau.
 
     The tiling test is the oracle for the atoms' reduced-word rule: atoms
     below every w are disjoint and tile Dem(w) iff every atom(w) is Dem(w)
@@ -313,7 +319,13 @@ def check_crystal(lam, r):
                        counterexample=extra or None)]
 
     evac = {tab: crystal.schuetzenberger(tab, r) for tab in elements}
-    strings = set()  # (head, elements) of every i-string, each once
+    flags = weyl.permutations_by_length(r)
+    dems = crystal.demazure_crystal(lam, None)
+    holds = Counter()  # tableau -> bit k set when Dem(flags[k]) holds it
+    for k, w in enumerate(flags):
+        for tab in dems[w].elements:
+            holds[tab] |= 1 << k
+    cut = 0  # bit k set when Dem(flags[k]) cuts an i-string
     for tab in elements:
         wt = patterns.weight(tab, r)
         for i in range(1, r):
@@ -337,36 +349,29 @@ def check_crystal(lam, r):
             if (None if up is None else evac[up]) != crystal.lowering(evac[tab], r - i):
                 return fail("evacuation does not intertwine raising with "
                             "the mirrored lowering")
-            if up is None:  # tab heads its i-string: lower it to the end
-                chain = [tab]
-                while down is not None:
-                    chain.append(down)
-                    down = crystal.lowering(down, i)
-                strings.add((tab, frozenset(chain)))
+            if up is not None:  # below its head, tab needs e_i and any f_i
+                below = -1 if down is None else holds[down]  # -1: every flag
+                cut |= holds[tab] & ~(holds[up] & below)
         if evac.get(evac[tab]) != tab:
             return fail("evacuation is not an involution",
                         tableau=[list(row) for row in tab])
         if patterns.weight(evac[tab], r) != wt[::-1]:
             return fail("evacuation does not reverse the weight")
 
-    flags = weyl.permutations_by_length(r)
-    dems = crystal.demazure_crystal(lam, None)
     atoms = {w: a.elements for w, a in crystal.demazure_atom_set(lam, None).items()}
     chars = laurent.demazure_char(lam, None)
     atom_chars = laurent.demazure_atom(lam, None)
     support = [y for y in flags if atoms[y]]
     leq = weyl.bruhat_below(r, support)
-    for w in flags:
+    for k, w in enumerate(flags):
         dem = dems[w].elements
         if crystal.character(dem, r) != chars[w]:
             return fail("Demazure set character mismatch", w=list(w))
         atom = atoms[w]
         if crystal.character(atom, r) != atom_chars[w]:
             return fail("atom character mismatch", w=list(w))
-        for head, chain in strings:
-            inter = dem & chain
-            if inter not in (frozenset(), chain, frozenset({head})):
-                return fail("string trichotomy violated", w=list(w))
+        if cut >> k & 1:
+            return fail("string trichotomy violated", w=list(w))
         union = set()
         for y in support:
             if not leq(y, w):

@@ -77,6 +77,25 @@ def lowering(tab, i: int):
     return tab[:a] + (tab[a][:b] + (i + 1,) + tab[a][b + 1:],) + tab[a + 1:]
 
 
+def cut_strings(elements, dem, r: int):
+    """Kashiwara's string trichotomy by building every string: each
+    i-string of the tableaux (i = 1..r-1) lowered from its head one step
+    at a time, and the (i, head) of each string that dem meets in neither
+    nothing, all of it, nor its head alone."""
+    cuts = []
+    for head in elements:
+        for i in range(1, r):
+            if unmatched(head, i)[1]:
+                continue  # e_i applies: not a head
+            chain = [head]
+            while (down := lowering(chain[-1], i)) is not None:
+                chain.append(down)
+            inter = dem & frozenset(chain)
+            if inter not in (frozenset(), frozenset(chain), frozenset({head})):
+                cuts.append((i, head))
+    return cuts
+
+
 def demazure_closure(elements, i: int) -> frozenset:
     """The i-string closure one lowering at a time, each lowering a fresh
     scan: every element lowered until nothing is left."""

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from fivevertex import crystal, lattice, patterns, verify, weyl
-from oracles import longest_element
+from fivevertex import adjust, crystal, laurent, lattice, patterns, verify, weyl
+from oracles import cut_strings, longest_element
 
 
 def _statuses(reports):
@@ -60,9 +61,9 @@ def test_interval_checks_fail_under_a_reflexive_only_order(monkeypatch, check):
 
 
 def test_checks_walk_each_census_once_and_keep_one_partition(monkeypatch):
-    # the checks share one census of the partition's closed states, so the
-    # closed family is walked once for every flag at once, and the census
-    # cache holds only the last partition asked for
+    # the checks share one census per family of the partition's states, so
+    # the closed and the open family are each walked once for every flag
+    # at once, and the census cache holds only the last partition's two
     walked = []
     walk = lattice._walk
 
@@ -70,18 +71,18 @@ def test_checks_walk_each_census_once_and_keep_one_partition(monkeypatch):
         walked.append(spec.family)
         return walk(spec, filters)
     monkeypatch.setattr(lattice, "_walk", counted)
-    verify._closed_census.cache_clear()
+    verify._census.cache_clear()
     reports = verify.run_checks(list(verify.CHECKS), (2, 1, 1, 0), 4)
     assert all(not rep.failed for rep in reports)
-    assert walked.count("closed") == 1
-    assert verify._closed_census.cache_info().misses == 1
+    assert sorted(walked) == ["closed", "open"]
     verify.run_checks(list(verify.CHECKS), (2, 1, 0), 3)
-    assert walked.count("closed") == 2
-    census = verify._closed_census.cache_info()
-    assert (census.misses, census.currsize) == (2, 1)
-    verify._closed_census((2, 1, 0), 3)
-    assert verify._closed_census.cache_info().hits == census.hits + 1
-    assert walked.count("closed") == 2
+    assert sorted(walked) == ["closed", "closed", "open", "open"]
+    census = verify._census.cache_info()
+    assert (census.misses, census.currsize) == (4, 2)
+    verify._census((2, 1, 0), 3, "closed")
+    verify._census((2, 1, 0), 3, "open")
+    assert verify._census.cache_info().hits == census.hits + 2
+    assert len(walked) == 4
 
 
 @pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0), (1, 1, 0, 0, 0),
@@ -170,6 +171,90 @@ def test_crystal_reports_a_demazure_set_that_cuts_a_string(monkeypatch):
     (report,) = verify.check_crystal(lam, 3)
     assert report.failed and report.detail == "string trichotomy violated"
     assert report.counterexample == {"w": list(w)}
+
+
+@pytest.fixture
+def fresh_census():
+    # a mutant's census must neither come from nor stay in the cache
+    verify._census.cache_clear()
+    yield
+    verify._census.cache_clear()
+
+
+def _middle_pattern(lam):
+    pats = sorted(patterns.enumerate_left_strict(lam, len(lam)))
+    return pats[len(pats) // 2]
+
+
+@pytest.mark.parametrize("mutate,count", [
+    (lambda states: (), 0), (lambda states: states + states[:1], 2)],
+    ids=["dropped", "duplicated"])
+def test_tau_fails_on_a_pattern_without_one_open_state(
+        monkeypatch, fresh_census, mutate, count):
+    lam = (2, 1, 0)
+    bad = _middle_pattern(lam)
+    walk = lattice._walk
+
+    def mutated(spec, pats):
+        for pattern, states in zip(pats, walk(spec, pats)):
+            yield (mutate(states) if spec.family == "open" and pattern == bad
+                   else states)
+    monkeypatch.setattr(lattice, "_walk", mutated)
+    (report,) = verify.check_tau(lam, 3)
+    assert report.failed
+    assert report.counterexample == {
+        "pattern": [list(row) for row in bad], "open_states": count}
+
+
+def test_tau_reports_the_pattern_whose_exit_colors_are_wrong(
+        monkeypatch, fresh_census):
+    lam = (2, 1, 0)
+    bad = _middle_pattern(lam)
+    exit_colors = adjust.exit_colors
+    monkeypatch.setattr(adjust, "exit_colors", lambda pattern: (
+        exit_colors(pattern)[::-1] if pattern == bad else exit_colors(pattern)))
+    (report,) = verify.check_tau(lam, 3)
+    assert report.failed
+    assert report.counterexample["pattern"] == [list(row) for row in bad]
+
+
+def _crystal_with_set(lam, w, elements):
+    """check_crystal with Dem(w) replaced by elements, and w's character
+    made theirs, so that only the string trichotomy or the tiling can
+    catch the change."""
+    dems = crystal.demazure_crystal(lam, None)
+    dems[w] = replace(dems[w], elements=frozenset(elements))
+    chars = dict(laurent.demazure_char(lam, None))
+    chars[w] = crystal.character(dems[w].elements, len(lam))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crystal, "demazure_crystal", lambda lam, flag: dems)
+        mp.setattr(laurent, "demazure_char", lambda lam, flag: chars)
+        (report,) = verify.check_crystal(lam, len(lam))
+    return report
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0)], ids=str)
+def test_crystal_trichotomy_agrees_with_the_string_oracle(lam):
+    # every weight-preserving swap of one element of Dem(w) for one outside
+    # it, and every one element removed or added (w's character made the
+    # set's), fails the tiling if nothing else: the check names the
+    # trichotomy exactly when a string built one lowering at a time is cut
+    r = len(lam)
+    elements = sorted(patterns.enumerate_ssyt(lam, r))
+    dems = crystal.demazure_crystal(lam, None)
+    named = Counter()
+    for w in weyl.permutations_by_length(r):
+        dem = dems[w].elements
+        swaps = [dem - {out} | {into} for out in dem for into in elements
+                 if into not in dem
+                 and patterns.weight(into, r) == patterns.weight(out, r)]
+        for mutant in swaps + [dem ^ {t} for t in elements]:
+            report = _crystal_with_set(lam, w, mutant)
+            assert report.failed and report.counterexample == {"w": list(w)}
+            cut = report.detail == "string trichotomy violated"
+            assert cut == bool(cut_strings(elements, mutant, r))
+            named[cut] += 1
+    assert named[True] and named[False]
 
 
 def test_report_json_schema():
