@@ -5,15 +5,19 @@ flag along a Bruhat cover, reading the flag directly off a pattern, and
 the constructive production of the unique closed state with a prescribed
 flag and pattern, which to_closed uses too.  Every result but to_open's
 is one reverse sweep (_grids) that forces every spin from the pattern and
-the exits, apart from whether the paths cross or touch at each meeting:
-the closed rule decides that for closed states, and the input state for
-surgery.  Nothing is remembered between calls.
+the exits, one row step (_row) at a time, apart from whether the paths
+cross or touch at each meeting: the closed rule decides that for closed
+states, and the input state for surgery.  Nothing is remembered between
+calls.
 
 All operations keep the set of colored edges, so the underlying
 Gelfand-Tsetlin pattern is preserved by construction.  Results are not
 trusted but checked once at each public exit: the state is admissible, its
 pattern is unchanged, and each pair of paths crosses exactly when the flag
-inverts it.  The private steps in between only build grids.
+inverts it.  The private steps in between only build grids; verify
+compares its census with the unchecked closed grids of every flag of a
+pattern, from one descent that sweeps each row once per exit suffix
+(_closed_sweeps), and runs the crossing test (_disagreeing_pair) itself.
 """
 
 from dataclasses import replace
@@ -44,12 +48,22 @@ def _checked(state: LatticeState, pattern: Pattern) -> LatticeState:
 
 
 def _agreeing(state: LatticeState, pattern: Pattern) -> LatticeState:
-    """The state, once it still has the given (already checked) pattern,
-    and has each pair of paths crossing (a colored top edge between equal
-    left and right colors) exactly when the flag puts the greater color's
-    exit row above the lesser's."""
+    """The state, once it still has the given (already checked) pattern
+    and no pair of paths disagrees with the flag (_disagreeing_pair)."""
     if _columns(state) != pattern:
         raise RuntimeError("surgery changed the pattern")
+    pair = _disagreeing_pair(state, pattern)
+    if pair is not None:
+        raise RuntimeError(
+            f"paths {pair[0]},{pair[1]} disagree with the flag about crossing")
+    return state
+
+
+def _disagreeing_pair(state: LatticeState, pattern: Pattern):
+    """The lex-first pair (a, b), a < b, whose paths cross (a colored top
+    edge, at one of the pattern's columns, between equal left and right
+    colors) though the flag does not put the greater color's exit row
+    above the lesser's, or the other way round; None if there is none."""
     w, r = state.spec.w, state.spec.r
     crossing = {(min(h[j], top[j]), max(h[j], top[j]))
                 for h, top, columns in zip(state.horizontal, state.vertical, pattern)
@@ -57,44 +71,85 @@ def _agreeing(state: LatticeState, pattern: Pattern) -> LatticeState:
     for a in range(1, r + 1):
         for b in range(a + 1, r + 1):
             if ((a, b) in crossing) != (w[a - 1] < w[b - 1]):
-                raise RuntimeError(
-                    f"paths {a},{b} disagree with the flag about crossing")
-    return state
+                return a, b
+    return None
 
 
 def _grids(n: int, pattern: Pattern, exits, passes):
     """The grids of the state with the pattern whose row i exits color
-    exits[i-1], unchecked, from one sweep over rows r..1, each right to
-    left from its exit color.  A vertex's outgoing spins and whether the
-    pattern colors its top edge force its incoming ones, except at a
-    meeting (i, j), where passes(i, j, right, bottom) says whether the
-    paths cross (the right color came from the left) or touch.  None
-    where a b1 vertex or an unmatched meeting would be needed, and as
-    soon as a color m rises left of its top column pattern[0][m-1], since
-    its path, traced back up and left, cannot return there.  So a sweep
-    that ends has the top boundary as its top row."""
+    exits[i-1], unchecked, from one sweep over rows r..1 (_row), or None
+    where a row has no filling.  A sweep that ends has the top boundary
+    as its top row."""
     horizontal, vertical = [], [(0,) * n]
-    for i, colored, carry in zip(range(len(pattern), 0, -1),
-                                 reversed(pattern), reversed(exits)):
-        row, top = [carry], [0] * n
-        for j, down in enumerate(vertical[-1]):
-            if j in colored:
-                if not carry:
-                    return None
-                if down and passes(i, j, carry, down):
-                    top[j] = down
-                elif j > pattern[0][carry - 1]:
-                    return None  # left of its top column
-                else:
-                    carry, top[j] = down, carry
-            elif down:
-                if carry:
-                    return None
-                carry = down
-            row.append(carry)
-        horizontal.append(tuple(row))
-        vertical.append(tuple(top))
+    for i in range(len(pattern), 0, -1):
+        swept = _row(pattern, i, exits[i - 1], vertical[-1], passes)
+        if swept is None:
+            return None
+        horizontal.append(swept[0])
+        vertical.append(swept[1])
     return tuple(horizontal[::-1]), tuple(vertical[::-1])
+
+
+def _row(pattern: Pattern, i: int, carry: int, below, passes):
+    """Row i of a sweep: its horizontal spins and the spins of its top
+    edges, read right to left from its exit color carry over the spins
+    below it.  A vertex's outgoing spins and whether the pattern colors
+    its top edge force its incoming ones, except at a meeting (i, j),
+    where passes(i, j, right, bottom) says whether the paths cross (the
+    right color came from the left) or touch.  None where a b1 vertex or
+    an unmatched meeting would be needed, and as soon as a color m rises
+    left of its top column pattern[0][m-1], since its path, traced back
+    up and left, cannot return there."""
+    colored, row, top = pattern[i - 1], [carry], [0] * len(below)
+    for j, down in enumerate(below):
+        if j in colored:
+            if not carry:
+                return None
+            if down and passes(i, j, carry, down):
+                top[j] = down
+            elif j > pattern[0][carry - 1]:
+                return None  # left of its top column
+            else:
+                carry, top[j] = down, carry
+        elif down:
+            if carry:
+                return None
+            carry = down
+        row.append(carry)
+    return tuple(row), tuple(top)
+
+
+def _closed(i, j, right, bottom):
+    """The closed rule: the closed meetings, a21 and a23, take the greater
+    color (smaller int) from the left."""
+    return right < bottom
+
+
+def _closed_sweeps(n: int, pattern: Pattern) -> dict:
+    """Each flag whose closed sweep (_grids with the closed rule) ends,
+    mapped to its grids, unchecked.  Depth first over the exit colors of
+    rows r, r-1, ..., 1: row i is swept once per distinct suffix of exits
+    of rows i..r, and a row without a filling prunes every flag whose
+    exits end with its suffix."""
+    r, found = len(pattern), {}
+    # (exits of rows i+1..r, those rows, the edges above them and below row r)
+    stack = [((), (), ((0,) * n,))]
+    while stack:
+        exits, horizontal, vertical = stack.pop()
+        i = r - len(exits)
+        for carry in range(1, r + 1):
+            if carry in exits:
+                continue
+            swept = _row(pattern, i, carry, vertical[0], _closed)
+            if swept is None:
+                continue
+            grown = ((carry,) + exits, (swept[0],) + horizontal,
+                     (swept[1],) + vertical)
+            if i == 1:
+                found[weyl.inverse(grown[0])] = grown[1:]
+            else:
+                stack.append(grown)
+    return found
 
 
 def _surgery(state: LatticeState, spec: ModelSpec, a: int, b: int, cross_at):
@@ -205,23 +260,17 @@ def exit_colors(pattern: Pattern) -> tuple[int, ...]:
 
 def closed_state_of(y, lam, pattern: Pattern):
     """The unique closed state with flag y and the given left-strict
-    pattern, or None when the pattern's forced flag is not below y.  For
-    y None, a dict from every flag, in weyl.permutations_by_length order,
-    to its state or None.  Each flag is one sweep (_grids: rows bottom up,
-    each right to left from its exit color) and has a state iff the sweep
-    ends; it stops where no state can.  There is no memo."""
+    pattern, or None when the pattern's forced flag is not below y.  One
+    sweep (_grids with the closed rule: rows bottom up, each right to left
+    from its exit color); the flag has a state iff the sweep ends, and the
+    state is checked at the exit.  A flag of None is refused: every flag
+    of a pattern is the unchecked descent _closed_sweeps.  There is no
+    memo."""
+    if y is None:
+        raise ValueError("closed_state_of needs a flag, not None")
     spec = ModelSpec(lam, y, "closed")
     pattern = _check_state_pattern(spec, pattern)
-
-    def state_of(w):
-        # the closed meetings, a21 and a23, take the greater color (smaller
-        # int) from the left
-        grids = _grids(spec.n, pattern, weyl.inverse(w),
-                       lambda i, j, right, bottom: right < bottom)
-        if grids is None:
-            return None
-        return _checked(LatticeState(replace(spec, w=w), *grids), pattern)
-
-    if y is not None:
-        return state_of(spec.w)
-    return {w: state_of(w) for w in weyl.permutations_by_length(spec.r)}
+    grids = _grids(spec.n, pattern, spec.flag_spins, _closed)
+    if grids is None:
+        return None
+    return _checked(LatticeState(spec, *grids), pattern)

@@ -153,20 +153,27 @@ def check_partition(lam, r):
 def check_states(lam, r):
     """Existence/uniqueness of closed states per (flag, pattern) cell:
     exactly one state when the flag dominates the pattern's forced flag in
-    the Bruhat order (weyl.bruhat_below), none otherwise; the
-    constructive builder, called once per pattern, agrees with the census."""
+    the Bruhat order (weyl.bruhat_below), none otherwise.  Each pattern's
+    closed sweeps (adjust._closed_sweeps, one backward descent over its
+    exit colors) must end exactly at the flags whose cell holds a state,
+    with that state's grids.  The census comes from the forward walk, so
+    two independent constructions agree on every grid, and each agreed
+    state's paths must cross exactly where its flag inverts their colors."""
     lam = tuple(lam)
     by_pattern = _census(lam, r, "closed")
     pats = sorted(patterns.enumerate_left_strict(lam, r))
     forced = [weyl.inverse(adjust.exit_colors(p)) for p in pats]
     leq = weyl.bruhat_below(r, forced)
     for pattern, w_a in zip(pats, forced):
-        for y, built in adjust.closed_state_of(None, lam, pattern).items():
-            states = by_pattern[y].get(pattern, [])
+        built = adjust._closed_sweeps(lam[0] + r, pattern)
+        for y, cells in by_pattern.items():
+            states = cells.get(pattern, [])
+            grids = built.get(y)
             want = 1 if leq(w_a, y) else 0
             ok = (len(states) == want
-                  and (built is None) == (want == 0)
-                  and (built is None or built == states[0]))
+                  and (grids is None) == (want == 0)
+                  and (grids is None
+                       or grids == (states[0].horizontal, states[0].vertical)))
             if not ok:
                 return [Report("states", lam, r, "fail",
                                "state count or constructive state disagrees",
@@ -175,7 +182,16 @@ def check_states(lam, r):
                                    "forced_flag": list(w_a),
                                    "enumerated": len(states),
                                    "expected": want,
-                                   "constructive_found": built is not None})]
+                                   "constructive_found": grids is not None})]
+            if grids is None:
+                continue
+            pair = adjust._disagreeing_pair(states[0], pattern)
+            if pair is not None:
+                return [Report("states", lam, r, "fail",
+                               "closed state's paths disagree with its flag "
+                               "about crossing", w=y, counterexample={
+                                   "pattern": [list(row) for row in pattern],
+                                   "pair": list(pair)})]
     return [Report("states", lam, r, "pass",
                    "every (flag, pattern) cell has the predicted size and "
                    "matches the constructive state")]

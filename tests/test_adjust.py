@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -316,8 +317,6 @@ def test_public_exits_check_the_recolored_state(monkeypatch):
         adjust.raise_flag(closed, 1, 2)
     with pytest.raises(ValueError):
         adjust.closed_state_of((3, 2, 1), (3, 2, 0), FIG_PATTERN)
-    with pytest.raises(ValueError):
-        adjust.closed_state_of(None, (3, 2, 0), FIG_PATTERN)
 
 
 def test_exit_check_names_the_first_disagreeing_pair(monkeypatch):
@@ -366,6 +365,8 @@ def test_closed_state_of_examples():
     assert adjust.closed_state_of((1, 2), (1, 0), ((2, 0), (1,))) is None
     with pytest.raises(ValueError):  # a flag of the wrong rank is no answer
         adjust.closed_state_of((1, 2, 3), (1, 0), ((2, 0), (0,)))
+    with pytest.raises(ValueError, match="needs a flag"):  # nor is every flag
+        adjust.closed_state_of(None, (1, 0), ((2, 0), (0,)))
     # flag equal to the forced flag: just the closed-up open state
     w, open_state = lattice.open_state_of_pattern((3, 2, 0), FIG_PATTERN)
     built = adjust.closed_state_of(w, (3, 2, 0), FIG_PATTERN)
@@ -404,38 +405,46 @@ def _closed_by_cell(lam):
 
 @pytest.mark.parametrize("lam", [(2, 1, 1, 0), (2, 2, 1, 0), (2, 1, 0, 0, 0)])
 def test_closed_state_of_matches_enumeration_on_every_cell(lam):
+    # closed_state_of, and the every-flag descent's unchecked grids, are
+    # the enumerated state of each cell, and nothing where it has none
     r = len(lam)
-    flags = weyl.permutations_by_length(r)
     enumerated = _closed_by_cell(lam)
     for p in sorted(patterns.enumerate_left_strict(lam, r)):
         forced, _ = lattice.open_state_of_pattern(lam, p)
-        every = adjust.closed_state_of(None, lam, p)
-        assert list(every) == list(flags)
-        for y in flags:
+        every = adjust._closed_sweeps(lam[0] + r, p)
+        for y in weyl.permutations_by_length(r):
             built = adjust.closed_state_of(y, lam, p)
             assert (built is None) == (not weyl.bruhat_leq(forced, y))
             assert built == enumerated.get((y, p))
-            assert every[y] == built
+            assert every.get(y) == (
+                None if built is None else (built.horizontal, built.vertical))
+        assert len(every) == sum(key[1] == p for key in enumerated)
 
 
-def test_every_flag_call_builds_one_spec_per_state(monkeypatch):
-    lam = (2, 1, 1, 0)
-    pattern = next(p for p in sorted(patterns.enumerate_left_strict(lam, 4))
-                   if adjust.exit_colors(p) == (2, 1, 3, 4))
-    built = [0]
-    post_init = ModelSpec.__post_init__
+@pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0), (1, 1, 0, 0, 0)], ids=str)
+def test_closed_sweeps_sweep_each_exit_suffix_once(monkeypatch, lam):
+    # the descent makes one row step per distinct exit suffix that the
+    # per-flag sweeps (_grids, each stopping at its first dead row) reach,
+    # with the same arguments, and no other
+    r, n = len(lam), lam[0] + len(lam)
+    row, calls = adjust._row, []
 
-    def counted(spec):
-        built[0] += 1
-        post_init(spec)
+    def recorded(pattern, i, carry, below, passes):
+        calls.append((i, carry, below))
+        return row(pattern, i, carry, below, passes)
 
-    monkeypatch.setattr(ModelSpec, "__post_init__", counted)
-    every = adjust.closed_state_of(None, lam, pattern)
-    states = [s for s in every.values() if s is not None]
-    assert 0 < len(states) < len(every)
-    assert all(s.spec.w == y for y, s in every.items() if s is not None)
-    # the model, validated once, then one spec per state it returns
-    assert built[0] == len(states) + 1
+    monkeypatch.setattr(adjust, "_row", recorded)
+    for p in sorted(patterns.enumerate_left_strict(lam, r)):
+        by_suffix = {}
+        for y in weyl.permutations_by_length(r):
+            exits = weyl.inverse(y)
+            calls.clear()
+            adjust._grids(n, p, exits, adjust._closed)
+            for call in calls:
+                by_suffix[exits[call[0] - 1:]] = call
+        calls.clear()
+        adjust._closed_sweeps(n, p)
+        assert Counter(calls) == Counter(by_suffix.values())
 
 
 @pytest.mark.parametrize("family", ["reduced", "generalized"])

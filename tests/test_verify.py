@@ -218,6 +218,168 @@ def test_tau_reports_the_pattern_whose_exit_colors_are_wrong(
     assert report.counterexample["pattern"] == [list(row) for row in bad]
 
 
+def test_check_states_builds_no_spec_once_the_census_is_cached(
+        monkeypatch, fresh_census):
+    # the states check compares raw grids with the census: it builds no
+    # model and no checked state, and validates nothing itself
+    lam = (2, 1, 1, 0)
+    verify._census(lam, 4, "closed")
+    built = [0]
+    post_init = lattice.ModelSpec.__post_init__
+
+    def counted(spec):
+        built[0] += 1
+        post_init(spec)
+
+    def refuse(*args):
+        raise AssertionError("the states check built or validated a state")
+
+    monkeypatch.setattr(lattice.ModelSpec, "__post_init__", counted)
+    for module, name in [(adjust, "closed_state_of"), (adjust, "validate_state"),
+                         (lattice, "validate_state")]:
+        monkeypatch.setattr(module, name, refuse)
+    (report,) = verify.check_states(lam, 4)
+    assert report.status == "pass"
+    assert built[0] == 0
+
+
+def _first_cell(lam, differs):
+    """The first (flag, pattern) in the states check's order, patterns
+    outer and flags inner, where differs(y, pattern) holds."""
+    for pattern in sorted(patterns.enumerate_left_strict(lam, len(lam))):
+        for y in weyl.permutations_by_length(len(lam)):
+            if differs(y, pattern):
+                return y, pattern
+    raise AssertionError("no cell differs")
+
+
+def _assert_states_fails_at(lam, cell, **counterexample):
+    y, pattern = cell
+    (report,) = verify.check_states(lam, len(lam))
+    assert report.failed and report.w == y
+    assert report.counterexample["pattern"] == [list(row) for row in pattern]
+    for key, value in counterexample.items():
+        assert report.counterexample[key] == value, key
+
+
+@pytest.mark.parametrize("vertex", [(1, 0), (1, 3), (2, 1)], ids=str)
+def test_states_fails_where_a_flipped_closed_rule_first_shows(
+        monkeypatch, fresh_census, vertex):
+    # the descent with the closed rule flipped at one meeting vertex fails
+    # at the first cell whose per-flag sweep meets the flip
+    lam = (3, 2, 0)
+    n = lam[0] + 3
+
+    def flipped(i, j, right, bottom):
+        return (right < bottom) != ((i, j) == vertex)
+
+    cell = _first_cell(lam, lambda y, p: (
+        adjust._grids(n, p, weyl.inverse(y), flipped)
+        != adjust._grids(n, p, weyl.inverse(y), adjust._closed)))
+    monkeypatch.setattr(adjust, "_closed", flipped)
+    _assert_states_fails_at(lam, cell, enumerated=1, expected=1)
+
+
+def _census_with(monkeypatch, lam, cell, mutate):
+    """The closed walk with the state of one (flag, pattern) cell replaced
+    by mutate(state) (dropped, for None)."""
+    y, bad = cell
+    walk = lattice._walk
+
+    def mutated(spec, pats):
+        for pattern, states in zip(pats, walk(spec, pats)):
+            if spec.family == "closed" and pattern == bad:
+                states = tuple(filter(None, (
+                    mutate(s) if s.spec.w == y else s for s in states)))
+            yield states
+    monkeypatch.setattr(lattice, "_walk", mutated)
+
+
+def _moved_crossing(state):
+    """The state with its first pair that crosses after an earlier
+    meeting crossing at that meeting instead, or None."""
+    for (a, b), verts in sorted(lattice.meetings(state).items()):
+        if len(verts) > 1 and lattice.crosses(state, verts[-1]):
+            moved = adjust.move_crossing(state, a, b, verts[0])
+            return lattice.LatticeState(state.spec, moved.horizontal,
+                                        moved.vertical)
+    return None
+
+
+@pytest.mark.parametrize("mutate,enumerated", [
+    (lambda state: None, 0), (_moved_crossing, 1)], ids=["dropped", "moved"])
+def test_states_fails_at_a_census_cell_that_lost_its_state(
+        monkeypatch, fresh_census, mutate, enumerated):
+    # a census missing one state, or holding one whose crossing moved to
+    # an earlier meeting, fails at that cell and nowhere before it
+    lam = (3, 2, 0)
+    census = verify._census(lam, 3, "closed")
+    cell = _first_cell(lam, lambda y, p: any(
+        _moved_crossing(s) is not None for s in census[y].get(p, [])))
+    verify._census.cache_clear()
+    _census_with(monkeypatch, lam, cell, mutate)
+    _assert_states_fails_at(lam, cell, enumerated=enumerated, expected=1,
+                            constructive_found=True)
+
+
+def _raised(state):
+    """((a, b), raise_flag(state, a, b)) for the first crossing pair a, b
+    whose transposition raises the state's flag by a cover, or None."""
+    y, r = state.spec.w, state.spec.r
+    for a, b in sorted(lattice.meetings(state)):
+        yt = weyl.compose(y, weyl.transposition(a, b, r))
+        if (((a, b), y) in weyl.lower_covers(yt)
+                and any(lattice.crosses(state, v)
+                        for v in lattice.pair_intersections(state, a, b))):
+            return (a, b), adjust.raise_flag(state, a, b)
+    return None
+
+
+def test_states_reports_a_state_whose_crossings_disagree_with_its_flag(
+        monkeypatch, fresh_census):
+    # both constructions agree on a state with one pair uncrossed by
+    # raise_flag, filed under the lower flag: a report, not an exception,
+    # naming the cell and the pair
+    lam = (2, 1, 0)
+    census = verify._census(lam, 3, "closed")
+    cell = _first_cell(lam, lambda y, p: any(
+        _raised(s) for s in census[y].get(p, [])))
+    (state,) = census[cell[0]][cell[1]]
+    pair, raised = _raised(state)
+    verify._census.cache_clear()
+    _census_with(monkeypatch, lam, cell, lambda s: lattice.LatticeState(
+        s.spec, raised.horizontal, raised.vertical))
+    sweeps = adjust._closed_sweeps
+
+    def agreeing(n, pattern):
+        found = sweeps(n, pattern)
+        if pattern == cell[1]:
+            found[cell[0]] = raised.horizontal, raised.vertical
+        return found
+    monkeypatch.setattr(adjust, "_closed_sweeps", agreeing)
+    (report,) = verify.check_states(lam, 3)
+    assert report.failed and report.w == cell[0]
+    assert report.detail == "closed state's paths disagree with its flag about crossing"
+    assert report.counterexample == {
+        "pattern": [list(row) for row in cell[1]], "pair": list(pair)}
+
+
+@pytest.mark.parametrize("rank,lambda_max", [(3, 3), (4, 2)])
+def test_every_closed_census_state_is_admissible(rank, lambda_max):
+    # the states check trusts the forward walk's admissibility, which it
+    # no longer re-checks: validate_state accepts every closed state the
+    # census files, over the pinned sweeps' partitions
+    checked = 0
+    for r in range(1, rank + 1):
+        for lam in patterns.dominant_partitions(r, lambda_max):
+            for cells in verify._census(lam, r, "closed").values():
+                for states in cells.values():
+                    for state in states:
+                        lattice.validate_state(state)
+                        checked += 1
+    assert checked
+
+
 def _crystal_with_set(lam, w, elements):
     """check_crystal with Dem(w) replaced by elements, and w's character
     made theirs, so that only the string trichotomy or the tiling can
