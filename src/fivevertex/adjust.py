@@ -68,11 +68,9 @@ def _disagreeing_pair(state: LatticeState, pattern: Pattern):
     crossing = {(min(h[j], top[j]), max(h[j], top[j]))
                 for h, top, columns in zip(state.horizontal, state.vertical, pattern)
                 for j in columns if h[j + 1] and h[j + 1] == h[j]}
-    for a in range(1, r + 1):
-        for b in range(a + 1, r + 1):
-            if ((a, b) in crossing) != (w[a - 1] < w[b - 1]):
-                return a, b
-    return None
+    inverted = {(a, b) for a in range(1, r + 1) for b in range(a + 1, r + 1)
+                if w[a - 1] < w[b - 1]}
+    return min(crossing ^ inverted, default=None)
 
 
 def _grids(n: int, pattern: Pattern, exits, passes):

@@ -369,8 +369,8 @@ def boltzmann(state: LatticeState) -> laurent.LaurentPoly:
     if spec.family not in ("open", "closed"):
         raise ValueError(f"weights are undefined for family {spec.family!r}")
     return laurent.monomial(
-        sum(classify_vertex(h[j + 1], top[j], h[j], bottom[j]) not in _WEIGHT_ONE
-            for j in range(spec.n))
+        sum(kind not in _WEIGHT_ONE
+            for kind in map(classify_vertex, h[1:], top, h, bottom))
         for h, top, bottom in zip(state.horizontal, state.vertical, state.vertical[1:]))
 
 

@@ -9,9 +9,10 @@ normalization findings and scope comparisons and never signal failure.
 JSON-lines serialization lives here too, one object per report.
 
 Every flag of a partition is answered from one piece of work per family:
-one census, which walks each left-strict pattern once and files its
-states of every flag by flag and pattern; one row transfer giving every
-flag's partition function; and one table each of characters, atoms,
+one census, which walks each left-strict pattern once and keeps its
+states of every flag as the walk yields them, pattern by pattern, so each
+check that reads states makes one pass over it; one row transfer giving
+every flag's partition function; and one table each of characters, atoms,
 Demazure sets and atom sets, each flag one operator step from its
 left-descent parent.  The census cache keeps the last partition's two;
 run_checks runs one partition's checks in a row, so the partition, states
@@ -19,7 +20,6 @@ and bijection checks share the closed census, partition and tau the open.
 """
 
 import functools
-import itertools
 import json
 import time
 from collections import Counter
@@ -69,27 +69,13 @@ def _rho_shift(lam, f):
     return laurent.monomial(patterns.staircase(len(lam))) * f
 
 
-def _enumeration_sum(r, states):
-    """The partition function the slow way, as an oracle for the row
-    transfer: the Boltzmann weights of the enumerated states, summed."""
-    terms = Counter()
-    for state in states:
-        terms.update(lattice.boltzmann(state).terms)
-    return laurent.LaurentPoly(r, terms)
-
-
 @functools.lru_cache(maxsize=2)
 def _census(lam, r, family):
-    """Every flag in sweep order, mapped to its states of the family by
-    pattern (pattern -> states in walk order, so a cell holding two states
-    still shows), from one walk over the sorted left-strict patterns."""
-    census = {y: {} for y in weyl.permutations_by_length(r)}
+    """The sorted left-strict patterns, each paired with the tuple of its
+    states of the family over every flag, in walk order (so a (flag,
+    pattern) cell holding two states still shows), from one walk."""
     pats = sorted(patterns.enumerate_left_strict(lam, r))
-    for pattern, states in zip(pats, lattice._walk(
-            lattice.ModelSpec(lam, None, family), pats)):
-        for s in states:
-            census[s.spec.w].setdefault(pattern, []).append(s)
-    return census
+    return tuple(zip(pats, lattice._walk(lattice.ModelSpec(lam, None, family), pats)))
 
 
 def check_partition(lam, r):
@@ -102,8 +88,12 @@ def check_partition(lam, r):
     interval of w (weyl.bruhat_below over the support)."""
     lam = tuple(lam)
     flags = weyl.permutations_by_length(r)
-    census = _census(lam, r, "closed")
-    opened = _census(lam, r, "open")
+    enumerated = {}  # family -> flag -> the Boltzmann sum of its states
+    for family in ("closed", "open"):
+        sums = enumerated[family] = {y: Counter() for y in flags}
+        for _, states in _census(lam, r, family):
+            for s in states:
+                sums[s.spec.w].update(lattice.boltzmann(s).terms)
     z_closed = lattice.partition_function(lattice.ModelSpec(lam, None, "closed"))
     z_open = lattice.partition_function(lattice.ModelSpec(lam, None, "open"))
     chars = laurent.demazure_char(lam, None)
@@ -115,10 +105,8 @@ def check_partition(lam, r):
         char = chars[w]
         want_c = _rho_shift(lam, char)
         want_o = _rho_shift(lam, atoms[w])
-        enum_c = _enumeration_sum(r, itertools.chain.from_iterable(
-            census[w].values()))
-        enum_o = _enumeration_sum(r, itertools.chain.from_iterable(
-            opened[w].values()))
+        enum_c = laurent.LaurentPoly(r, enumerated["closed"][w])
+        enum_o = laurent.LaurentPoly(r, enumerated["open"][w])
         if z_closed[w] != char:
             literal_matches = False
         if not (z_closed[w] == enum_c == want_c and z_open[w] == enum_o == want_o):
@@ -160,14 +148,17 @@ def check_states(lam, r):
     two independent constructions agree on every grid, and each agreed
     state's paths must cross exactly where its flag inverts their colors."""
     lam = tuple(lam)
-    by_pattern = _census(lam, r, "closed")
-    pats = sorted(patterns.enumerate_left_strict(lam, r))
-    forced = [weyl.inverse(adjust.exit_colors(p)) for p in pats]
+    flags = weyl.permutations_by_length(r)
+    census = _census(lam, r, "closed")
+    forced = [weyl.inverse(adjust.exit_colors(p)) for p, _ in census]
     leq = weyl.bruhat_below(r, forced)
-    for pattern, w_a in zip(pats, forced):
+    for (pattern, found), w_a in zip(census, forced):
         built = adjust._closed_sweeps(lam[0] + r, pattern)
-        for y, cells in by_pattern.items():
-            states = cells.get(pattern, [])
+        by_flag = {}  # flag -> this pattern's states of it, in walk order
+        for s in found:
+            by_flag.setdefault(s.spec.w, []).append(s)
+        for y in flags:
+            states = by_flag.get(y, [])
             grids = built.get(y)
             want = 1 if leq(w_a, y) else 0
             ok = (len(states) == want
@@ -208,16 +199,19 @@ def check_bijection(lam, r):
     reports = []
     unrestricted_holds = True
     unrestricted_example = None
-    tableau_of = {}
+    flags = weyl.permutations_by_length(r)
+    images = {y: set() for y in flags}
+    counts = Counter()
+    for _, states in _census(lam, r, "closed"):
+        if states:
+            tableau = lattice.crystal_tableau(states[0])
+        for s in states:
+            images[s.spec.w].add(tableau)
+            counts[s.spec.w] += 1
     dems = crystal.demazure_crystal(lam, None)
     chars = laurent.demazure_char(lam, None)
-    for y, cells in _census(lam, r, "closed").items():
-        image = set()
-        for pattern, states in cells.items():
-            if pattern not in tableau_of:
-                tableau_of[pattern] = lattice.crystal_tableau(states[0])
-            image.add(tableau_of[pattern])
-        count = sum(map(len, cells.values()))
+    for y in flags:
+        image, count = images[y], counts[y]
         injective = len(image) == count
         target = dems[y].elements
         matches = injective and image == target
@@ -287,12 +281,7 @@ def check_tau(lam, r):
     """Exit colors read off a pattern invert the flag of its one open state
     (open census); checked on the left-strict pattern and its staircase shift."""
     lam = tuple(lam)
-    opened = {}  # pattern -> its open states
-    for cells in _census(lam, r, "open").values():
-        for pattern, states in cells.items():
-            opened.setdefault(pattern, []).extend(states)
-    for pattern in sorted(patterns.enumerate_left_strict(lam, r)):
-        states = opened.get(pattern, [])
+    for pattern, states in _census(lam, r, "open"):
         if len(states) != 1:
             return [Report("tau", lam, r, "fail", "pattern has no unique open state",
                            counterexample={"pattern": [list(row) for row in pattern],

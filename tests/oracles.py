@@ -1,7 +1,9 @@
 """Reference implementations that the tests check the library against;
 the library itself has no use for them."""
 
-from fivevertex import patterns, weyl
+from collections import Counter
+
+from fivevertex import lattice, patterns, weyl
 from fivevertex.laurent import LaurentPoly
 
 
@@ -106,6 +108,15 @@ def demazure_closure(elements, i: int) -> frozenset:
             out.add(cur)
             cur = lowering(cur, i)
     return frozenset(out)
+
+
+def enumeration_sum(r: int, states) -> LaurentPoly:
+    """The partition function the slow way, as an oracle for the row
+    transfer: the Boltzmann weights of the enumerated states, summed."""
+    terms = Counter()
+    for state in states:
+        terms.update(lattice.boltzmann(state).terms)
+    return LaurentPoly(r, terms)
 
 
 def format_poly(f: LaurentPoly) -> str:

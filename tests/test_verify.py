@@ -88,17 +88,16 @@ def test_checks_walk_each_census_once_and_keep_one_partition(monkeypatch):
 @pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0), (1, 1, 0, 0, 0),
                                  (3, 2, 1, 0), (20, 10, 0)], ids=str)
 def test_census_is_the_free_enumeration_grouped(lam):
-    # the oracle: every flag's states from one free enumeration, grouped by
-    # flag and then by the pattern read back off each grid; the same states
-    # in the same order in every cell
+    # the oracle: the sorted left-strict patterns, each with the states of
+    # one free enumeration over every flag whose grid reads back to it; the
+    # same states in the same order for every pattern
     r = len(lam)
     for family in ("open", "closed"):
-        want = {y: {} for y in weyl.permutations_by_length(r)}
+        want = {p: [] for p in sorted(patterns.enumerate_left_strict(lam, r))}
         for s in lattice.enumerate_states(lattice.ModelSpec(lam, None, family)):
-            want[s.spec.w].setdefault(lattice.gtp_of_state(s), []).append(s)
+            want[lattice.gtp_of_state(s)].append(s)
         census = verify._census(lam, r, family)
-        assert list(census) == list(want)
-        assert census == want, family
+        assert census == tuple((p, tuple(states)) for p, states in want.items()), family
 
 
 @pytest.mark.parametrize("lam,r", [((1, 0), 3), ((2, 1, 0), 2)])
@@ -280,17 +279,22 @@ def test_states_fails_where_a_flipped_closed_rule_first_shows(
     _assert_states_fails_at(lam, cell, enumerated=1, expected=1)
 
 
-def _census_with(monkeypatch, lam, cell, mutate):
-    """The closed walk with the state of one (flag, pattern) cell replaced
-    by mutate(state) (dropped, for None)."""
+def _cell(census, y, pattern):
+    """The census states of one (flag, pattern) cell, in walk order."""
+    return [s for s in dict(census)[pattern] if s.spec.w == y]
+
+
+def _census_with(monkeypatch, lam, cell, mutate, family="closed"):
+    """The family's walk with the state of one (flag, pattern) cell
+    replaced by the states of the tuple mutate(state)."""
     y, bad = cell
     walk = lattice._walk
 
     def mutated(spec, pats):
         for pattern, states in zip(pats, walk(spec, pats)):
-            if spec.family == "closed" and pattern == bad:
-                states = tuple(filter(None, (
-                    mutate(s) if s.spec.w == y else s for s in states)))
+            if spec.family == family and pattern == bad:
+                states = tuple(t for s in states
+                               for t in (mutate(s) if s.spec.w == y else (s,)))
             yield states
     monkeypatch.setattr(lattice, "_walk", mutated)
 
@@ -307,7 +311,8 @@ def _moved_crossing(state):
 
 
 @pytest.mark.parametrize("mutate,enumerated", [
-    (lambda state: None, 0), (_moved_crossing, 1)], ids=["dropped", "moved"])
+    (lambda state: (), 0), (lambda state: (_moved_crossing(state),), 1)],
+    ids=["dropped", "moved"])
 def test_states_fails_at_a_census_cell_that_lost_its_state(
         monkeypatch, fresh_census, mutate, enumerated):
     # a census missing one state, or holding one whose crossing moved to
@@ -315,7 +320,7 @@ def test_states_fails_at_a_census_cell_that_lost_its_state(
     lam = (3, 2, 0)
     census = verify._census(lam, 3, "closed")
     cell = _first_cell(lam, lambda y, p: any(
-        _moved_crossing(s) is not None for s in census[y].get(p, [])))
+        _moved_crossing(s) is not None for s in _cell(census, y, p)))
     verify._census.cache_clear()
     _census_with(monkeypatch, lam, cell, mutate)
     _assert_states_fails_at(lam, cell, enumerated=enumerated, expected=1,
@@ -343,12 +348,12 @@ def test_states_reports_a_state_whose_crossings_disagree_with_its_flag(
     lam = (2, 1, 0)
     census = verify._census(lam, 3, "closed")
     cell = _first_cell(lam, lambda y, p: any(
-        _raised(s) for s in census[y].get(p, [])))
-    (state,) = census[cell[0]][cell[1]]
+        _raised(s) for s in _cell(census, y, p)))
+    (state,) = _cell(census, *cell)
     pair, raised = _raised(state)
     verify._census.cache_clear()
-    _census_with(monkeypatch, lam, cell, lambda s: lattice.LatticeState(
-        s.spec, raised.horizontal, raised.vertical))
+    _census_with(monkeypatch, lam, cell, lambda s: (lattice.LatticeState(
+        s.spec, raised.horizontal, raised.vertical),))
     sweeps = adjust._closed_sweeps
 
     def agreeing(n, pattern):
@@ -364,6 +369,53 @@ def test_states_reports_a_state_whose_crossings_disagree_with_its_flag(
         "pattern": [list(row) for row in cell[1]], "pair": list(pair)}
 
 
+def _first_state_cell(lam, family):
+    """The (flag, pattern) cell of the middle pattern's first state of the
+    family, in walk order."""
+    pattern = _middle_pattern(lam)
+    (first, *_) = dict(verify._census(lam, len(lam), family))[pattern]
+    verify._census.cache_clear()
+    return first.spec.w, pattern
+
+
+@pytest.mark.parametrize("family,mutate", [
+    ("closed", lambda s: ()), ("closed", lambda s: (s, s)),
+    ("open", lambda s: ())], ids=["closed-dropped", "closed-duplicated",
+                                  "open-dropped"])
+def test_partition_fails_at_the_flag_of_a_changed_census_state(
+        monkeypatch, fresh_census, family, mutate):
+    # the enumeration oracle sums each family's census by flag, so a state
+    # dropped or counted twice shows at its own flag, in its family only
+    lam = (2, 1, 0)
+    cell = _first_state_cell(lam, family)
+    assert cell[0] not in ((1, 2, 3), longest_element(3))
+    _census_with(monkeypatch, lam, cell, mutate, family)
+    (report,) = verify.check_partition(lam, 3)
+    assert report.failed and report.w == cell[0]
+    doc = report.counterexample
+    other = "open" if family == "closed" else "closed"
+    assert doc[f"{family}_enumerated"] != doc[family] == doc[f"{family}_expected"]
+    assert doc[f"{other}_enumerated"] == doc[other] == doc[f"{other}_expected"]
+
+
+@pytest.mark.parametrize("mutate,injective,images,states", [
+    (lambda s: (), True, -1, -1), (lambda s: (s, s), False, 0, 1)],
+    ids=["dropped", "duplicated"])
+def test_bijection_fails_at_the_flag_of_a_changed_census_state(
+        monkeypatch, fresh_census, mutate, injective, images, states):
+    # each state files its pattern's tableau under its own flag: a state
+    # dropped shrinks that flag's image, one counted twice is not injective
+    lam = (2, 1, 0)
+    cell = _first_state_cell(lam, "closed")
+    size = len(crystal.demazure_crystal(lam, cell[0]).elements)
+    _census_with(monkeypatch, lam, cell, mutate)
+    (report,) = verify.check_bijection(lam, 3)
+    assert report.failed and report.w == cell[0]
+    assert report.counterexample == {
+        "injective": injective, "image_size": size + images,
+        "demazure_size": size, "state_count": size + states}
+
+
 @pytest.mark.parametrize("rank,lambda_max", [(3, 3), (4, 2)])
 def test_every_closed_census_state_is_admissible(rank, lambda_max):
     # the states check trusts the forward walk's admissibility, which it
@@ -372,11 +424,10 @@ def test_every_closed_census_state_is_admissible(rank, lambda_max):
     checked = 0
     for r in range(1, rank + 1):
         for lam in patterns.dominant_partitions(r, lambda_max):
-            for cells in verify._census(lam, r, "closed").values():
-                for states in cells.values():
-                    for state in states:
-                        lattice.validate_state(state)
-                        checked += 1
+            for _, states in verify._census(lam, r, "closed"):
+                for state in states:
+                    lattice.validate_state(state)
+                    checked += 1
     assert checked
 
 
