@@ -3,12 +3,13 @@ State surgery on reduced lattice states: relocating the crossing of a pair
 of paths, converting between open and closed states, raising the boundary
 flag along a Bruhat cover, reading the flag directly off a pattern, and
 the constructive production of the unique closed state with a prescribed
-flag and pattern, which to_closed uses too.  Every result but to_open's
-is one reverse sweep (_grids) that forces every spin from the pattern and
-the exits, one row step (_row) at a time, apart from whether the paths
-cross or touch at each meeting: the closed rule decides that for closed
-states, and the input state for surgery.  Nothing is remembered between
-calls.
+flag and pattern, which to_closed uses too.  Every grid but to_open's,
+closed or surgery, comes from one reverse descent (_sweeps) that forces
+every spin from the pattern and the exits, one row step (_row) at a time,
+apart from whether the paths cross or touch at each meeting: the closed
+rule decides that for closed states, and the input state for surgery.
+The exits it may take are data: one color per row for one flag, every
+color for every flag.  Nothing is remembered between calls.
 
 All operations keep the set of colored edges, so the underlying
 Gelfand-Tsetlin pattern is preserved by construction.  Results are not
@@ -16,8 +17,8 @@ trusted but checked once at each public exit: the state is admissible, its
 pattern is unchanged, and each pair of paths crosses exactly when the flag
 inverts it.  The private steps in between only build grids; verify
 compares its census with the unchecked closed grids of every flag of a
-pattern, from one descent that sweeps each row once per exit suffix
-(_closed_sweeps), and runs the crossing test (_disagreeing_pair) itself.
+pattern, from the same descent given every color as each row's exit, and
+runs the crossing test (_disagreeing_pair) itself.
 """
 
 from dataclasses import replace
@@ -73,21 +74,6 @@ def _disagreeing_pair(state: LatticeState, pattern: Pattern):
     return min(crossing ^ inverted, default=None)
 
 
-def _grids(n: int, pattern: Pattern, exits, passes):
-    """The grids of the state with the pattern whose row i exits color
-    exits[i-1], unchecked, from one sweep over rows r..1 (_row), or None
-    where a row has no filling.  A sweep that ends has the top boundary
-    as its top row."""
-    horizontal, vertical = [], [(0,) * n]
-    for i in range(len(pattern), 0, -1):
-        swept = _row(pattern, i, exits[i - 1], vertical[-1], passes)
-        if swept is None:
-            return None
-        horizontal.append(swept[0])
-        vertical.append(swept[1])
-    return tuple(horizontal[::-1]), tuple(vertical[::-1])
-
-
 def _row(pattern: Pattern, i: int, carry: int, below, passes):
     """Row i of a sweep: its horizontal spins and the spins of its top
     edges, read right to left from its exit color carry over the spins
@@ -123,30 +109,29 @@ def _closed(i, j, right, bottom):
     return right < bottom
 
 
-def _closed_sweeps(n: int, pattern: Pattern) -> dict:
-    """Each flag whose closed sweep (_grids with the closed rule) ends,
-    mapped to its grids, unchecked.  Depth first over the exit colors of
-    rows r, r-1, ..., 1: row i is swept once per distinct suffix of exits
-    of rows i..r, and a row without a filling prunes every flag whose
-    exits end with its suffix."""
+def _sweeps(n: int, pattern: Pattern, passes, exits) -> dict:
+    """Each flag whose reverse sweep ends, mapped to its grids, unchecked.
+    Depth first over rows r..1, where row i may exit any color of
+    exits[i-1] that no row below it exits: row i is swept (_row, passes
+    deciding each meeting) once per distinct suffix of exits of rows i..r,
+    and a row without a filling prunes every flag whose exits end with its
+    suffix.  A sweep that ends has the top boundary as its top row."""
     r, found = len(pattern), {}
     # (exits of rows i+1..r, those rows, the edges above them and below row r)
     stack = [((), (), ((0,) * n,))]
     while stack:
-        exits, horizontal, vertical = stack.pop()
-        i = r - len(exits)
-        for carry in range(1, r + 1):
-            if carry in exits:
+        suffix, horizontal, vertical = stack.pop()
+        i = r - len(suffix)
+        if i == 0:
+            found[weyl.inverse(suffix)] = horizontal, vertical
+            continue
+        for carry in exits[i - 1]:
+            if carry in suffix:
                 continue
-            swept = _row(pattern, i, carry, vertical[0], _closed)
-            if swept is None:
-                continue
-            grown = ((carry,) + exits, (swept[0],) + horizontal,
-                     (swept[1],) + vertical)
-            if i == 1:
-                found[weyl.inverse(grown[0])] = grown[1:]
-            else:
-                stack.append(grown)
+            swept = _row(pattern, i, carry, vertical[0], passes)
+            if swept is not None:
+                stack.append(((carry,) + suffix, (swept[0],) + horizontal,
+                              (swept[1],) + vertical))
     return found
 
 
@@ -161,8 +146,8 @@ def _surgery(state: LatticeState, spec: ModelSpec, a: int, b: int, cross_at):
             return (i, j) == cross_at
         return crosses(state, (i, j))
 
-    return _checked(LatticeState(spec, *_grids(
-        spec.n, pattern, weyl.inverse(spec.w), passes)), pattern)
+    grids = _sweeps(spec.n, pattern, passes, [(c,) for c in spec.flag_spins])
+    return _checked(LatticeState(spec, *grids.get(spec.w)), pattern)
 
 
 def move_crossing(state: LatticeState, a: int, b: int, target) -> LatticeState:
@@ -259,16 +244,17 @@ def exit_colors(pattern: Pattern) -> tuple[int, ...]:
 def closed_state_of(y, lam, pattern: Pattern):
     """The unique closed state with flag y and the given left-strict
     pattern, or None when the pattern's forced flag is not below y.  One
-    sweep (_grids with the closed rule: rows bottom up, each right to left
-    from its exit color); the flag has a state iff the sweep ends, and the
-    state is checked at the exit.  A flag of None is refused: every flag
-    of a pattern is the unchecked descent _closed_sweeps.  There is no
-    memo."""
+    sweep (_sweeps with the closed rule and y's exits: rows bottom up, each
+    right to left from its exit color); the flag has a state iff the sweep
+    ends, and the state is checked at the exit.  A flag of None is refused:
+    every flag of a pattern is the unchecked descent with every exit.
+    There is no memo."""
     if y is None:
         raise ValueError("closed_state_of needs a flag, not None")
     spec = ModelSpec(lam, y, "closed")
     pattern = _check_state_pattern(spec, pattern)
-    grids = _grids(spec.n, pattern, spec.flag_spins, _closed)
+    grids = _sweeps(spec.n, pattern, _closed,
+                    [(c,) for c in spec.flag_spins]).get(spec.w)
     if grids is None:
         return None
     return _checked(LatticeState(spec, *grids), pattern)

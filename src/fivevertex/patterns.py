@@ -212,10 +212,5 @@ def enumerate_patterns(top_row) -> set[Pattern]:
 def dominant_partitions(r: int, max_part: int):
     """Weakly decreasing nonnegative vectors of length r with parts at most
     max_part, in graded-lex order (sweeps meet small cases first)."""
-    out = []
-    for parts in itertools.product(range(max_part, -1, -1), repeat=r):
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            continue
-        out.append(parts)
-    out.sort(key=lambda p: (sum(p), p))
-    return out
+    return sorted(itertools.combinations_with_replacement(
+        range(max_part, -1, -1), r), key=lambda p: (sum(p), p))

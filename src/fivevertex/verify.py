@@ -8,15 +8,18 @@ reports.  Statuses are "pass", "fail", and "convention-note"; notes record
 normalization findings and scope comparisons and never signal failure.
 JSON-lines serialization lives here too, one object per report.
 
-Every flag of a partition is answered from one piece of work per family:
-one census, which walks each left-strict pattern once and keeps its
-states of every flag as the walk yields them, pattern by pattern, so each
-check that reads states makes one pass over it; one row transfer giving
-every flag's partition function; and one table each of characters, atoms,
-Demazure sets and atom sets, each flag one operator step from its
-left-descent parent.  The census cache keeps the last partition's two;
-run_checks runs one partition's checks in a row, so the partition, states
-and bijection checks share the closed census, partition and tau the open.
+Within one check, every flag of a partition is answered from one piece
+of work per family: one census, which walks each left-strict pattern once
+and keeps its states of every flag as the walk yields them, pattern by
+pattern, so each check that reads states makes one pass over it; one row
+transfer giving every flag's partition function; and tables of
+characters, atoms, Demazure sets and atom sets for every flag, each flag
+one operator step from its left-descent parent.  Across checks only the
+census is shared, through its cache, which keeps the last partition's
+two: run_checks runs one partition's checks in a row, so the partition,
+states and bijection checks share the closed census, partition and tau
+the open.  Each check builds every other table it reads itself.  Every
+check refuses a partition whose length is not the rank.
 """
 
 import functools
@@ -142,18 +145,20 @@ def check_states(lam, r):
     """Existence/uniqueness of closed states per (flag, pattern) cell:
     exactly one state when the flag dominates the pattern's forced flag in
     the Bruhat order (weyl.bruhat_below), none otherwise.  Each pattern's
-    closed sweeps (adjust._closed_sweeps, one backward descent over its
-    exit colors) must end exactly at the flags whose cell holds a state,
-    with that state's grids.  The census comes from the forward walk, so
-    two independent constructions agree on every grid, and each agreed
-    state's paths must cross exactly where its flag inverts their colors."""
+    closed sweeps (adjust._sweeps, one backward descent over every exit
+    color of every row) must end exactly at the flags whose cell holds a
+    state, with that state's grids.  The census comes from the forward
+    walk, so two independent constructions agree on every grid, and each
+    agreed state's paths must cross exactly where its flag inverts their
+    colors."""
     lam = tuple(lam)
     flags = weyl.permutations_by_length(r)
     census = _census(lam, r, "closed")
     forced = [weyl.inverse(adjust.exit_colors(p)) for p, _ in census]
     leq = weyl.bruhat_below(r, forced)
     for (pattern, found), w_a in zip(census, forced):
-        built = adjust._closed_sweeps(lam[0] + r, pattern)
+        built = adjust._sweeps(lam[0] + r, pattern, adjust._closed,
+                               [range(1, r + 1)] * r)
         by_flag = {}  # flag -> this pattern's states of it, in walk order
         for s in found:
             by_flag.setdefault(s.spec.w, []).append(s)
@@ -317,6 +322,8 @@ def check_crystal(lam, r):
     nothing.  Sets, atoms and characters are computed for every flag at
     once."""
     lam = tuple(lam)
+    if len(lam) != r:
+        raise ValueError("partition length must equal the rank")
     elements = sorted(patterns.enumerate_ssyt(lam, r))
 
     def fail(detail, **extra):

@@ -176,7 +176,7 @@ def _unflagged(state):
 def _refuse_sweeps(monkeypatch):
     def refuse(*args):
         raise AssertionError("a sweep ran")
-    monkeypatch.setattr(adjust, "_grids", refuse)
+    monkeypatch.setattr(adjust, "_sweeps", refuse)
 
 
 def test_to_closed_needs_the_state_flag(monkeypatch):
@@ -303,12 +303,13 @@ def _break_one_horizontal_edge(grids, a, b):
 def test_public_exits_check_the_recolored_state(monkeypatch):
     open_state = _fig4_open()
     closed = adjust.to_closed(open_state)
-    # every exit but to_open builds its grids in one sweep; paths 1,2 meet
+    # every exit but to_open builds its grids in one descent; paths 1,2 meet
     # in the figure, so a fault planted there reaches every such exit
-    sweep = adjust._grids
+    sweeps = adjust._sweeps
     monkeypatch.setattr(
-        adjust, "_grids", lambda n, pattern, exits, passes:
-        _break_one_horizontal_edge(sweep(n, pattern, exits, passes), 1, 2))
+        adjust, "_sweeps", lambda n, pattern, passes, exits: {
+            y: _break_one_horizontal_edge(grids, 1, 2)
+            for y, grids in sweeps(n, pattern, passes, exits).items()})
     with pytest.raises(ValueError):
         adjust.move_crossing(open_state, 1, 2, (2, 1))
     with pytest.raises(ValueError):
@@ -375,6 +376,11 @@ def test_closed_state_of_examples():
         (expected.horizontal, expected.vertical)
 
 
+def _one_flag(w):
+    """The exits of _sweeps that admit flag w alone: one color per row."""
+    return [(c,) for c in weyl.inverse(w)]
+
+
 def test_closed_sweep_stops_where_no_state_exists():
     # flag (1,2) is not above the forced flag (2,1) of ((2,0),(1,)): color 2
     # would rise at column 1, left of its top column 0, so the sweep stops
@@ -382,12 +388,14 @@ def test_closed_sweep_stops_where_no_state_exists():
     def closed(i, j, right, bottom):
         return right < bottom
 
-    assert adjust._grids(3, ((2, 0), (1,)), (1, 2), closed) is None
+    assert adjust._sweeps(3, ((2, 0), (1,)), closed, [(1,), (2,)]) == {}
     lam = (2, 1, 0)
     for p in patterns.enumerate_left_strict(lam, 3):
         forced = weyl.inverse(adjust.exit_colors(p))
         for w in weyl.permutations_by_length(3):
-            grids = adjust._grids(5, p, weyl.inverse(w), closed)
+            found = adjust._sweeps(5, p, closed, _one_flag(w))
+            assert set(found) <= {w}
+            grids = found.get(w)
             assert (grids is None) == (not weyl.bruhat_leq(forced, w))
             top = ModelSpec(lam, w, "closed").top_boundary
             assert grids is None or grids[1][0] == top
@@ -411,7 +419,8 @@ def test_closed_state_of_matches_enumeration_on_every_cell(lam):
     enumerated = _closed_by_cell(lam)
     for p in sorted(patterns.enumerate_left_strict(lam, r)):
         forced, _ = lattice.open_state_of_pattern(lam, p)
-        every = adjust._closed_sweeps(lam[0] + r, p)
+        every = adjust._sweeps(lam[0] + r, p, adjust._closed,
+                               [range(1, r + 1)] * r)
         for y in weyl.permutations_by_length(r):
             built = adjust.closed_state_of(y, lam, p)
             assert (built is None) == (not weyl.bruhat_leq(forced, y))
@@ -423,9 +432,9 @@ def test_closed_state_of_matches_enumeration_on_every_cell(lam):
 
 @pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0), (1, 1, 0, 0, 0)], ids=str)
 def test_closed_sweeps_sweep_each_exit_suffix_once(monkeypatch, lam):
-    # the descent makes one row step per distinct exit suffix that the
-    # per-flag sweeps (_grids, each stopping at its first dead row) reach,
-    # with the same arguments, and no other
+    # the every-flag descent makes one row step per distinct exit suffix
+    # that the single-flag descents (each stopping at its first dead row)
+    # reach, with the same arguments, and no other
     r, n = len(lam), lam[0] + len(lam)
     row, calls = adjust._row, []
 
@@ -439,12 +448,51 @@ def test_closed_sweeps_sweep_each_exit_suffix_once(monkeypatch, lam):
         for y in weyl.permutations_by_length(r):
             exits = weyl.inverse(y)
             calls.clear()
-            adjust._grids(n, p, exits, adjust._closed)
+            adjust._sweeps(n, p, adjust._closed, _one_flag(y))
             for call in calls:
                 by_suffix[exits[call[0] - 1:]] = call
         calls.clear()
-        adjust._closed_sweeps(n, p)
+        adjust._sweeps(n, p, adjust._closed, [range(1, r + 1)] * r)
         assert Counter(calls) == Counter(by_suffix.values())
+
+
+def test_single_flag_calls_sweep_one_path(monkeypatch):
+    # a public call for one flag sweeps each row at most once: its descent
+    # is given that flag's exits alone, not every flag's, though the
+    # latter would return the same state
+    lam, r = (2, 1, 1, 0), 4
+    pairs = [(a, b) for a in range(1, r + 1) for b in range(a + 1, r + 1)]
+    row, steps = adjust._row, []
+
+    def recorded(pattern, i, carry, below, passes):
+        steps.append(i)
+        return row(pattern, i, carry, below, passes)
+
+    def one_path(call, *args):
+        steps.clear()
+        result = call(*args)
+        assert 0 < len(steps) <= r, (call.__name__, args)
+        return result
+
+    monkeypatch.setattr(adjust, "_row", recorded)
+    for p in sorted(patterns.enumerate_left_strict(lam, r)):
+        for y in weyl.permutations_by_length(r):
+            one_path(adjust.closed_state_of, y, lam, p)
+    for state in lattice.enumerate_states(ModelSpec(lam, None, "reduced")):
+        one_path(adjust.to_closed, state)
+        for a, b in pairs:
+            if len(_crossings(state, a, b)) == 1:
+                for target in lattice.pair_intersections(state, a, b):
+                    one_path(adjust.move_crossing, state, a, b, target)
+    raised = 0
+    for state in lattice.enumerate_states(ModelSpec(lam, None, "closed")):
+        y = state.spec.w
+        for a, b in pairs:
+            yt = weyl.compose(y, weyl.transposition(a, b, r))
+            if _crossings(state, a, b) and ((a, b), y) in weyl.lower_covers(yt):
+                one_path(adjust.raise_flag, state, a, b)
+                raised += 1
+    assert raised
 
 
 @pytest.mark.parametrize("family", ["reduced", "generalized"])

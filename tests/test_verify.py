@@ -106,6 +106,16 @@ def test_run_checks_rejects_a_rank_mismatch(lam, r):
         verify.run_checks(list(verify.CHECKS), lam, r)
 
 
+def test_every_check_rejects_a_partition_of_another_rank():
+    # each check is public, so each refuses a partition whose length is
+    # not the rank, as run_checks does, rather than fail inside
+    for lam, r in [((1, 0), 3), ((1, 0, 0), 2), ((1, 0), 1)]:
+        for name, check in verify.CHECKS.items():
+            with pytest.raises(ValueError, match="length must equal the rank"):
+                check(lam, r)
+                pytest.fail(f"{name} accepted {lam} at rank {r}")
+
+
 @pytest.mark.parametrize("names", [[], ["partition", "nope"]], ids=str)
 def test_unknown_or_no_checks_are_rejected_before_any_runs(monkeypatch, names):
     def refuse(lam, r):
@@ -272,9 +282,12 @@ def test_states_fails_where_a_flipped_closed_rule_first_shows(
     def flipped(i, j, right, bottom):
         return (right < bottom) != ((i, j) == vertex)
 
+    def one_flag(y, p, passes):
+        return adjust._sweeps(n, p, passes, [(c,) for c in weyl.inverse(y)])
+
     cell = _first_cell(lam, lambda y, p: (
-        adjust._grids(n, p, weyl.inverse(y), flipped)
-        != adjust._grids(n, p, weyl.inverse(y), adjust._closed)))
+        one_flag(y, p, flipped).get(y)
+        != one_flag(y, p, adjust._closed).get(y)))
     monkeypatch.setattr(adjust, "_closed", flipped)
     _assert_states_fails_at(lam, cell, enumerated=1, expected=1)
 
@@ -354,14 +367,14 @@ def test_states_reports_a_state_whose_crossings_disagree_with_its_flag(
     verify._census.cache_clear()
     _census_with(monkeypatch, lam, cell, lambda s: (lattice.LatticeState(
         s.spec, raised.horizontal, raised.vertical),))
-    sweeps = adjust._closed_sweeps
+    sweeps = adjust._sweeps
 
-    def agreeing(n, pattern):
-        found = sweeps(n, pattern)
+    def agreeing(n, pattern, passes, exits):
+        found = sweeps(n, pattern, passes, exits)
         if pattern == cell[1]:
             found[cell[0]] = raised.horizontal, raised.vertical
         return found
-    monkeypatch.setattr(adjust, "_closed_sweeps", agreeing)
+    monkeypatch.setattr(adjust, "_sweeps", agreeing)
     (report,) = verify.check_states(lam, 3)
     assert report.failed and report.w == cell[0]
     assert report.detail == "closed state's paths disagree with its flag about crossing"
