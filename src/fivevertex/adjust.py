@@ -109,16 +109,18 @@ def _closed(i, j, right, bottom):
     return right < bottom
 
 
-def _sweeps(n: int, pattern: Pattern, passes, exits) -> dict:
+def _sweeps(pattern: Pattern, passes, exits) -> dict:
     """Each flag whose reverse sweep ends, mapped to its grids, unchecked.
     Depth first over rows r..1, where row i may exit any color of
     exits[i-1] that no row below it exits: row i is swept (_row, passes
     deciding each meeting) once per distinct suffix of exits of rows i..r,
     and a row without a filling prunes every flag whose exits end with its
-    suffix.  A sweep that ends has the top boundary as its top row."""
+    suffix.  A sweep that ends has the top boundary as its top row.  The
+    grid is N = pattern[0][0] + 1 columns wide: the pattern's top row is
+    the partition plus the staircase, whose first entry is N - 1."""
     r, found = len(pattern), {}
     # (exits of rows i+1..r, those rows, the edges above them and below row r)
-    stack = [((), (), ((0,) * n,))]
+    stack = [((), (), ((0,) * (pattern[0][0] + 1),))]
     while stack:
         suffix, horizontal, vertical = stack.pop()
         i = r - len(suffix)
@@ -146,7 +148,7 @@ def _surgery(state: LatticeState, spec: ModelSpec, a: int, b: int, cross_at):
             return (i, j) == cross_at
         return crosses(state, (i, j))
 
-    grids = _sweeps(spec.n, pattern, passes, [(c,) for c in spec.flag_spins])
+    grids = _sweeps(pattern, passes, [(c,) for c in spec.flag_spins])
     return _checked(LatticeState(spec, *grids.get(spec.w)), pattern)
 
 
@@ -253,8 +255,7 @@ def closed_state_of(y, lam, pattern: Pattern):
         raise ValueError("closed_state_of needs a flag, not None")
     spec = ModelSpec(lam, y, "closed")
     pattern = _check_state_pattern(spec, pattern)
-    grids = _sweeps(spec.n, pattern, _closed,
-                    [(c,) for c in spec.flag_spins]).get(spec.w)
+    grids = _sweeps(pattern, _closed, [(c,) for c in spec.flag_spins]).get(spec.w)
     if grids is None:
         return None
     return _checked(LatticeState(spec, *grids), pattern)

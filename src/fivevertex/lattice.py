@@ -58,7 +58,8 @@ _FORBIDDEN = {
     "reduced": frozenset({"b1"}),
 }
 
-# weight of every other configuration is z_i on row i
+# the row transfer's weight rule (_row_fillings): every other
+# configuration weighs z_i on row i
 _WEIGHT_ONE = frozenset({"a1", "c2"})
 
 
@@ -363,15 +364,17 @@ def gtp_of_state(state: LatticeState) -> Pattern:
 
 
 def boltzmann(state: LatticeState) -> laurent.LaurentPoly:
-    """Product of the local weights: a vertex contributes z_i on row i
-    unless its configuration is a1 or c2.  Open and closed families only."""
-    spec = state.spec
-    if spec.family not in ("open", "closed"):
-        raise ValueError(f"weights are undefined for family {spec.family!r}")
-    return laurent.monomial(
-        sum(kind not in _WEIGHT_ONE
-            for kind in map(classify_vertex, h[1:], top, h, bottom))
-        for h, top, bottom in zip(state.horizontal, state.vertical, state.vertical[1:]))
+    """Product of the local weights, read off the grid: the exponent of
+    z_i is the number of colored slots 1..N of row i, the edges left of
+    its right boundary.  A vertex weighs z_i on row i unless it is a1 or
+    c2; in the open and closed families, which forbid b1, those are
+    exactly the vertices whose left edge is uncolored, and vertex (i, j)
+    has left edge slot j+1.  Open and closed families only.  No vertex is
+    classified, so the state is not validated: validate_state is the one
+    check (statedoc validates a loaded document before weighing it)."""
+    if state.spec.family not in ("open", "closed"):
+        raise ValueError(f"weights are undefined for family {state.spec.family!r}")
+    return laurent.monomial(sum(map(bool, h[1:])) for h in state.horizontal)
 
 
 def partition_function(spec: ModelSpec) -> laurent.LaurentPoly | dict:

@@ -4,7 +4,7 @@ the library itself has no use for them."""
 from collections import Counter
 
 from fivevertex import lattice, patterns, weyl
-from fivevertex.laurent import LaurentPoly
+from fivevertex.laurent import LaurentPoly, monomial
 
 
 def longest_element(r: int) -> tuple[int, ...]:
@@ -108,6 +108,18 @@ def demazure_closure(elements, i: int) -> frozenset:
             out.add(cur)
             cur = lowering(cur, i)
     return frozenset(out)
+
+
+def vertex_kind_weight(state) -> LaurentPoly:
+    """The Boltzmann weight as the product of the local weights, one
+    classified vertex at a time: z_i on row i unless the vertex is a1 or
+    c2.  The reference for lattice.boltzmann's colored-slot count; it
+    names its own weight-one kinds, so it shares no rule with the row
+    transfer's lattice._WEIGHT_ONE."""
+    return monomial(
+        sum(kind not in ("a1", "c2")
+            for kind in map(lattice.classify_vertex, h[1:], top, h, bottom))
+        for h, top, bottom in zip(state.horizontal, state.vertical, state.vertical[1:]))
 
 
 def enumeration_sum(r: int, states) -> LaurentPoly:

@@ -307,9 +307,9 @@ def test_public_exits_check_the_recolored_state(monkeypatch):
     # in the figure, so a fault planted there reaches every such exit
     sweeps = adjust._sweeps
     monkeypatch.setattr(
-        adjust, "_sweeps", lambda n, pattern, passes, exits: {
+        adjust, "_sweeps", lambda pattern, passes, exits: {
             y: _break_one_horizontal_edge(grids, 1, 2)
-            for y, grids in sweeps(n, pattern, passes, exits).items()})
+            for y, grids in sweeps(pattern, passes, exits).items()})
     with pytest.raises(ValueError):
         adjust.move_crossing(open_state, 1, 2, (2, 1))
     with pytest.raises(ValueError):
@@ -388,12 +388,12 @@ def test_closed_sweep_stops_where_no_state_exists():
     def closed(i, j, right, bottom):
         return right < bottom
 
-    assert adjust._sweeps(3, ((2, 0), (1,)), closed, [(1,), (2,)]) == {}
+    assert adjust._sweeps(((2, 0), (1,)), closed, [(1,), (2,)]) == {}
     lam = (2, 1, 0)
     for p in patterns.enumerate_left_strict(lam, 3):
         forced = weyl.inverse(adjust.exit_colors(p))
         for w in weyl.permutations_by_length(3):
-            found = adjust._sweeps(5, p, closed, _one_flag(w))
+            found = adjust._sweeps(p, closed, _one_flag(w))
             assert set(found) <= {w}
             grids = found.get(w)
             assert (grids is None) == (not weyl.bruhat_leq(forced, w))
@@ -419,8 +419,7 @@ def test_closed_state_of_matches_enumeration_on_every_cell(lam):
     enumerated = _closed_by_cell(lam)
     for p in sorted(patterns.enumerate_left_strict(lam, r)):
         forced, _ = lattice.open_state_of_pattern(lam, p)
-        every = adjust._sweeps(lam[0] + r, p, adjust._closed,
-                               [range(1, r + 1)] * r)
+        every = adjust._sweeps(p, adjust._closed, [range(1, r + 1)] * r)
         for y in weyl.permutations_by_length(r):
             built = adjust.closed_state_of(y, lam, p)
             assert (built is None) == (not weyl.bruhat_leq(forced, y))
@@ -435,7 +434,7 @@ def test_closed_sweeps_sweep_each_exit_suffix_once(monkeypatch, lam):
     # the every-flag descent makes one row step per distinct exit suffix
     # that the single-flag descents (each stopping at its first dead row)
     # reach, with the same arguments, and no other
-    r, n = len(lam), lam[0] + len(lam)
+    r = len(lam)
     row, calls = adjust._row, []
 
     def recorded(pattern, i, carry, below, passes):
@@ -448,11 +447,11 @@ def test_closed_sweeps_sweep_each_exit_suffix_once(monkeypatch, lam):
         for y in weyl.permutations_by_length(r):
             exits = weyl.inverse(y)
             calls.clear()
-            adjust._sweeps(n, p, adjust._closed, _one_flag(y))
+            adjust._sweeps(p, adjust._closed, _one_flag(y))
             for call in calls:
                 by_suffix[exits[call[0] - 1:]] = call
         calls.clear()
-        adjust._sweeps(n, p, adjust._closed, [range(1, r + 1)] * r)
+        adjust._sweeps(p, adjust._closed, [range(1, r + 1)] * r)
         assert Counter(calls) == Counter(by_suffix.values())
 
 

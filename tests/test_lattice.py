@@ -5,6 +5,7 @@ import pytest
 
 from fivevertex import crystal, lattice, laurent, patterns, weyl
 from fivevertex.lattice import ModelSpec, NonAdmissibleError, classify_vertex
+from oracles import vertex_kind_weight
 
 
 def _weights(spec):
@@ -251,6 +252,34 @@ def test_gtp_of_state_examples():
     spec = ModelSpec((3, 1, 0), (1, 2, 3), "open")
     (hw,) = lattice.enumerate_states(spec)
     assert lattice.gtp_of_state(hw) == ((5, 2, 0), (2, 0), (0,))
+
+
+# every partition with r <= 4 and parts <= 2, and (3,2,1,0)
+_WEIGHED_SHAPES = [lam for r in range(1, 5)
+                   for lam in itertools.combinations_with_replacement((2, 1, 0), r)
+                   ] + [(3, 2, 1, 0)]
+
+
+@pytest.mark.parametrize("lam", _WEIGHED_SHAPES, ids=str)
+def test_boltzmann_is_the_vertex_kind_product(lam):
+    # the colored-slot count equals the product over classified vertices
+    # on every state of both weighted families, every flag
+    for family in ("open", "closed"):
+        for state in lattice.enumerate_states(ModelSpec(lam, None, family)):
+            assert lattice.boltzmann(state) == vertex_kind_weight(state)
+
+
+def test_boltzmann_classifies_no_vertex(monkeypatch):
+    # the weight is read off the grid: no vertex kind, no weight-one set
+    states = [s for family in ("open", "closed")
+              for s in lattice.enumerate_states(ModelSpec((2, 1, 0), None, family))]
+    want = [vertex_kind_weight(s) for s in states]
+
+    def refuse(*spins):
+        raise AssertionError("a vertex was classified")
+    monkeypatch.setattr(lattice, "classify_vertex", refuse)
+    monkeypatch.delattr(lattice, "_WEIGHT_ONE")
+    assert [lattice.boltzmann(s) for s in states] == want
 
 
 def test_boltzmann_rejects_unweighted_families():

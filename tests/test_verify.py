@@ -277,13 +277,12 @@ def test_states_fails_where_a_flipped_closed_rule_first_shows(
     # the descent with the closed rule flipped at one meeting vertex fails
     # at the first cell whose per-flag sweep meets the flip
     lam = (3, 2, 0)
-    n = lam[0] + 3
 
     def flipped(i, j, right, bottom):
         return (right < bottom) != ((i, j) == vertex)
 
     def one_flag(y, p, passes):
-        return adjust._sweeps(n, p, passes, [(c,) for c in weyl.inverse(y)])
+        return adjust._sweeps(p, passes, [(c,) for c in weyl.inverse(y)])
 
     cell = _first_cell(lam, lambda y, p: (
         one_flag(y, p, flipped).get(y)
@@ -369,8 +368,8 @@ def test_states_reports_a_state_whose_crossings_disagree_with_its_flag(
         s.spec, raised.horizontal, raised.vertical),))
     sweeps = adjust._sweeps
 
-    def agreeing(n, pattern, passes, exits):
-        found = sweeps(n, pattern, passes, exits)
+    def agreeing(pattern, passes, exits):
+        found = sweeps(pattern, passes, exits)
         if pattern == cell[1]:
             found[cell[0]] = raised.horizontal, raised.vertical
         return found
@@ -409,6 +408,27 @@ def test_partition_fails_at_the_flag_of_a_changed_census_state(
     other = "open" if family == "closed" else "closed"
     assert doc[f"{family}_enumerated"] != doc[family] == doc[f"{family}_expected"]
     assert doc[f"{other}_enumerated"] == doc[other] == doc[f"{other}_expected"]
+
+
+def _slots_from_zero(state):
+    """The slot count with slot 0, the always colored right boundary."""
+    return laurent.monomial(sum(map(bool, h)) for h in state.horizontal)
+
+
+@pytest.mark.parametrize("name,mutant,wrong,right", [
+    ("_WEIGHT_ONE", frozenset({"a1"}), "", "_enumerated"),
+    ("boltzmann", _slots_from_zero, "_enumerated", "")],
+    ids=["c2-weighs-z", "slot-0-counted"])
+def test_partition_fails_under_a_wrong_weight_rule(
+        monkeypatch, fresh_census, name, mutant, wrong, right):
+    # the transfer weighs vertex kinds and the enumeration colored slots,
+    # so a fault in either rule fails at the first flag, on its side only
+    monkeypatch.setattr(lattice, name, mutant)
+    (report,) = verify.check_partition((2, 1, 0), 3)
+    assert report.failed and report.w == (1, 2, 3)
+    doc = report.counterexample
+    for family in ("closed", "open"):
+        assert doc[family + wrong] != doc[family + right] == doc[f"{family}_expected"]
 
 
 @pytest.mark.parametrize("mutate,injective,images,states", [
