@@ -18,7 +18,9 @@ pattern is unchanged, and each pair of paths crosses exactly when the flag
 inverts it.  The private steps in between only build grids; verify
 compares its census with the unchecked closed grids of every flag of a
 pattern, from the same descent given every color as each row's exit, and
-runs the crossing test (_disagreeing_pair) itself.
+runs the crossing test itself: each state's crossings (_crossings) against
+its flag's inverted pairs (_inverted), and _disagreeing_pair, the
+lex-first pair where they differ, for a failure's report.
 """
 
 from dataclasses import replace
@@ -61,17 +63,26 @@ def _agreeing(state: LatticeState, pattern: Pattern) -> LatticeState:
 
 
 def _disagreeing_pair(state: LatticeState, pattern: Pattern):
-    """The lex-first pair (a, b), a < b, whose paths cross (a colored top
-    edge, at one of the pattern's columns, between equal left and right
-    colors) though the flag does not put the greater color's exit row
-    above the lesser's, or the other way round; None if there is none."""
-    w, r = state.spec.w, state.spec.r
-    crossing = {(min(h[j], top[j]), max(h[j], top[j]))
-                for h, top, columns in zip(state.horizontal, state.vertical, pattern)
-                for j in columns if h[j + 1] and h[j + 1] == h[j]}
-    inverted = {(a, b) for a in range(1, r + 1) for b in range(a + 1, r + 1)
-                if w[a - 1] < w[b - 1]}
-    return min(crossing ^ inverted, default=None)
+    """The lex-first pair (a, b), a < b, whose paths cross (_crossings)
+    though the flag does not invert it (_inverted), or the other way
+    round; None if there is none."""
+    return min(_crossings(state, pattern) ^ _inverted(state.spec.w), default=None)
+
+
+def _crossings(state: LatticeState, pattern: Pattern) -> set:
+    """The pairs (a, b), a < b, whose paths cross: a colored top edge, at
+    one of the pattern's columns, between equal left and right colors."""
+    return {(min(h[j], top[j]), max(h[j], top[j]))
+            for h, top, columns in zip(state.horizontal, state.vertical, pattern)
+            for j in columns if h[j + 1] and h[j + 1] == h[j]}
+
+
+def _inverted(w) -> set:
+    """The pairs (a, b), a < b, whose paths the flag w makes cross: the
+    greater color a exits above the lesser, w(a) < w(b)."""
+    r = len(w)
+    return {(a, b) for a in range(1, r + 1) for b in range(a + 1, r + 1)
+            if w[a - 1] < w[b - 1]}
 
 
 def _row(pattern: Pattern, i: int, carry: int, below, passes):

@@ -180,11 +180,13 @@ def classify_vertex(left: int, top: int, right: int, bottom: int) -> str:
 @functools.lru_cache(maxsize=None)
 def _completions(left: int, top: int, right_spin: int | None,
                  colored: bool | None, family: str):
-    """The _choices of a vertex that fit the boundary: on the right edge
-    (right_spin not None) the right spin must be colored, and be right_spin
-    unless that is 0 (every flag), and the bottom spin must be colored just
-    when `colored` is True, unless that is None.  The only filter over
-    _choices; few distinct arguments occur, so the cache stays small."""
+    """The _choices of a vertex that fit the boundary: unless right_spin is
+    None (on the right edge, and wherever _row_fillings needs the right
+    edge's color carried), the right spin must be colored, and be
+    right_spin unless that is 0 (every flag), and the bottom spin must be
+    colored just when `colored` is True, unless that is None.  The only
+    filter over _choices; few distinct arguments occur, so the cache stays
+    small."""
     return tuple(c for c in _choices(left, top, family)
                  if (right_spin is None or c[0] and right_spin in (0, c[0]))
                  and (colored is None or bool(c[1]) == colored))
@@ -194,22 +196,35 @@ def _row_fillings(top, right_spin: int, below: tuple[int, ...] | None, family: s
     """Every admissible filling of one row under the vertical spins `top`,
     as (horizontal row, bottom row, weight, capped pairs), in the order a
     depth-first search over the row's vertices, right to left, meets them.
-    Each vertex completes through _completions, with right_spin at the
-    right edge; unless `below` is None, the colored bottom columns are
-    exactly those `below` lists (() for the last row, the next pattern row
-    for a state of a pattern).  The weight counts the vertices outside
-    _WEIGHT_ONE; the capped pairs are the pairs that cross (a21, a22) in
-    the row for the reduced family, and none for the others.  The search
-    keeps, per vertex, the completions still to try, so no row is too long
-    for the interpreter's recursion limit."""
+    Each vertex completes through _completions; unless `below` is None,
+    the colored bottom columns are exactly those `below` lists (() for the
+    last row, the next pattern row for a state of a pattern).  The weight
+    counts the vertices outside _WEIGHT_ONE; the capped pairs are the
+    pairs that cross (a21, a22) in the row for the reduced family, and
+    none for the others.  The search keeps, per vertex, the completions
+    still to try, so no row is too long for the interpreter's recursion
+    limit.
+
+    Colors move only right and down, and the color carried right changes
+    only under a colored top edge.  So from the right edge up to the first
+    column where its color enters from the top (any color, for every flag:
+    right_spin 0), every vertex must carry that color right, and these
+    vertices complete with right_spin as the right edge does: a partial row
+    that can no longer send the right edge's color is dropped at once.
+    Only dead ends go, so the output and its order are those of the full
+    search, and a long row costs in proportion to its fillings."""
     n = len(top)
     capped = ("a21", "a22") if family == "reduced" else ()
     colored = [None] * n if below is None else [j in below for j in range(n)]
+    # the first column, from the right, where the right edge's color
+    # enters from the top; n where none does
+    color = right_spin or next(filter(None, top), 0)
+    enters = top.index(color) if color and color in top else n
     horizontal, bottom = [0] * (n + 1), [0] * n
     weight, pairs = [0] * (n + 1), [()] * (n + 1)  # of the vertices left of slot j
     j = n - 1
-    todo = [None] * j + [iter(_completions(0, top[j], None if j else right_spin,
-                                           colored[j], family))]
+    todo = [None] * j + [iter(_completions(
+        0, top[j], right_spin if j <= enters else None, colored[j], family))]
     out = []
     while j < n:
         choice = next(todo[j], None)
@@ -222,7 +237,8 @@ def _row_fillings(top, right_spin: int, below: tuple[int, ...] | None, family: s
         if j:
             j -= 1
             todo[j] = iter(_completions(horizontal[j + 1], top[j],
-                                        None if j else right_spin, colored[j], family))
+                                        right_spin if j <= enters else None,
+                                        colored[j], family))
         else:
             out.append((tuple(horizontal), tuple(bottom), weight[0], pairs[0]))
     return tuple(out)
@@ -363,18 +379,27 @@ def gtp_of_state(state: LatticeState) -> Pattern:
     return pattern
 
 
+def _slot_exponents(horizontal) -> tuple[int, ...]:
+    """The exponent tuple of a state's Boltzmann weight, read off its
+    horizontal spins: row i's entry counts the colored slots 1..N of the
+    row, the edges left of its right boundary.  The one home of the slot
+    rule: boltzmann wraps it, and verify's enumeration oracle counts its
+    tuples directly."""
+    return tuple(len(h) - h.count(0) - (h[0] != 0) for h in horizontal)
+
+
 def boltzmann(state: LatticeState) -> laurent.LaurentPoly:
-    """Product of the local weights, read off the grid: the exponent of
-    z_i is the number of colored slots 1..N of row i, the edges left of
-    its right boundary.  A vertex weighs z_i on row i unless it is a1 or
-    c2; in the open and closed families, which forbid b1, those are
-    exactly the vertices whose left edge is uncolored, and vertex (i, j)
-    has left edge slot j+1.  Open and closed families only.  No vertex is
-    classified, so the state is not validated: validate_state is the one
-    check (statedoc validates a loaded document before weighing it)."""
+    """Product of the local weights, read off the grid (_slot_exponents):
+    the exponent of z_i is the number of colored slots 1..N of row i.  A
+    vertex weighs z_i on row i unless it is a1 or c2; in the open and
+    closed families, which forbid b1, those are exactly the vertices
+    whose left edge is uncolored, and vertex (i, j) has left edge slot
+    j+1.  Open and closed families only.  No vertex is classified, so the
+    state is not validated: validate_state is the one check (statedoc
+    validates a loaded document before weighing it)."""
     if state.spec.family not in ("open", "closed"):
         raise ValueError(f"weights are undefined for family {state.spec.family!r}")
-    return laurent.monomial(sum(map(bool, h[1:])) for h in state.horizontal)
+    return laurent.monomial(_slot_exponents(state.horizontal))
 
 
 def partition_function(spec: ModelSpec) -> laurent.LaurentPoly | dict:

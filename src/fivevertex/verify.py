@@ -24,6 +24,7 @@ check refuses a partition whose length is not the rank.
 
 import functools
 import json
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -68,10 +69,6 @@ def report_to_json(report: Report) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _rho_shift(lam, f):
-    return laurent.monomial(patterns.staircase(len(lam))) * f
-
-
 @functools.lru_cache(maxsize=2)
 def _census(lam, r, family):
     """The sorted left-strict patterns, each paired with the tuple of its
@@ -85,58 +82,64 @@ def check_partition(lam, r):
     """Closed and open partition functions, by row transfer and by state
     enumeration, against the staircase-shifted Demazure character and
     atom, plus the closed = sum-of-open-below-w decomposition; exact
-    polynomial equality throughout.  The three sides share no weight
-    rule: the transfer weighs each vertex by its kind (lattice._row_fillings),
-    the enumeration each state by its colored slots (lattice.boltzmann),
-    and the character and atom come from divided differences.  Each of
-    these is computed for every flag at once, once per family.  The sum
-    runs over the open support, the flags whose open function is nonzero,
-    that lie in the lower interval of w (weyl.bruhat_below over the
-    support)."""
+    equality of terms throughout.  The three sides share no weight rule:
+    the transfer weighs each vertex by its kind (lattice._row_fillings),
+    the enumeration each state by its colored slots (the exponent tuple
+    lattice._slot_exponents, counted straight into its flag's Counter),
+    and the character and atom come from divided differences, their
+    exponents shifted by the staircase.  Each of these is computed for
+    every flag at once, once per family, and each flag compares term
+    dicts; only a failure builds polynomials, for its counterexample.  The
+    sum runs over the open support, the flags whose open function is
+    nonzero, that lie in the lower interval of w (weyl.bruhat_below over
+    the support)."""
     lam = tuple(lam)
     flags = weyl.permutations_by_length(r)
-    enumerated = {}  # family -> flag -> the Boltzmann sum of its states
+    rho = patterns.staircase(len(lam))
+    enumerated = {}  # family -> flag -> Counter of its states' exponents
     for family in ("closed", "open"):
         sums = enumerated[family] = {y: Counter() for y in flags}
         for _, states in _census(lam, r, family):
             for s in states:
-                sums[s.spec.w].update(lattice.boltzmann(s).terms)
+                sums[s.spec.w][lattice._slot_exponents(s.horizontal)] += 1
     z_closed = lattice.partition_function(lattice.ModelSpec(lam, None, "closed"))
     z_open = lattice.partition_function(lattice.ModelSpec(lam, None, "open"))
     chars = laurent.demazure_char(lam, None)
     atoms = laurent.demazure_atom(lam, None)
+
+    def shifted(f):
+        return {tuple(map(operator.add, e, rho)): c for e, c in f.terms.items()}
+
     support = [y for y in flags if z_open[y]]
     leq = weyl.bruhat_below(r, support)
     literal_matches = True
     for w in flags:
         char = chars[w]
-        want_c = _rho_shift(lam, char)
-        want_o = _rho_shift(lam, atoms[w])
-        enum_c = laurent.LaurentPoly(r, enumerated["closed"][w])
-        enum_o = laurent.LaurentPoly(r, enumerated["open"][w])
+        want_c, want_o = shifted(char), shifted(atoms[w])
+        enum_c, enum_o = enumerated["closed"][w], enumerated["open"][w]
         if z_closed[w] != char:
             literal_matches = False
-        if not (z_closed[w] == enum_c == want_c and z_open[w] == enum_o == want_o):
+        if not (z_closed[w].terms == enum_c == want_c
+                and z_open[w].terms == enum_o == want_o):
             return [Report("partition", lam, r, "fail",
                            "partition function does not match the shifted character/atom",
                            w=w, counterexample={
                                "closed": laurent.format_poly(z_closed[w]),
-                               "closed_enumerated": laurent.format_poly(enum_c),
-                               "closed_expected": laurent.format_poly(want_c),
+                               "closed_enumerated": _formatted(r, enum_c),
+                               "closed_expected": _formatted(r, want_c),
                                "open": laurent.format_poly(z_open[w]),
-                               "open_enumerated": laurent.format_poly(enum_o),
-                               "open_expected": laurent.format_poly(want_o)})]
+                               "open_enumerated": _formatted(r, enum_o),
+                               "open_expected": _formatted(r, want_o)})]
         below = Counter()
         for y in support:
             if leq(y, w):
                 below.update(z_open[y].terms)
-        total = laurent.LaurentPoly(r, below)
-        if total != z_closed[w]:
+        if below != Counter(z_closed[w].terms):
             return [Report("partition", lam, r, "fail",
                            "closed function is not the sum of open ones below",
                            w=w, counterexample={
                                "closed": laurent.format_poly(z_closed[w]),
-                               "sum_open_below": laurent.format_poly(total)})]
+                               "sum_open_below": _formatted(r, below)})]
     note = ("staircase-shifted identities hold; the unshifted form also holds"
             if literal_matches else
             "staircase-shifted identities hold; the unshifted character form "
@@ -144,6 +147,11 @@ def check_partition(lam, r):
     return [Report("partition", lam, r, "pass",
                    f"verified for all {len(flags)} flags"),
             Report("partition", lam, r, "convention-note", note)]
+
+
+def _formatted(r, terms):
+    """The canonical text of the polynomial with these terms."""
+    return laurent.format_poly(laurent.LaurentPoly(r, terms))
 
 
 def check_states(lam, r):
@@ -155,14 +163,31 @@ def check_states(lam, r):
     state, with that state's grids.  The census comes from the forward
     walk, so two independent constructions agree on every grid, and each
     agreed state's paths must cross exactly where its flag inverts their
-    colors."""
+    colors.
+
+    A pattern passes from the flags its descent built alone: as many as
+    its census states and as the flags above its forced flag w_a (counted
+    once per distinct w_a), each above w_a and holding exactly one census
+    state, with equal grids, whose crossings are its flag's inverted pairs
+    (built once per flag).  So the work follows the states, not the r!
+    cells.  Only a pattern that fails is scanned cell by cell, every flag
+    in sweep order, to report its first failing cell."""
     lam = tuple(lam)
     flags = weyl.permutations_by_length(r)
     census = _census(lam, r, "closed")
     forced = [weyl.inverse(adjust.exit_colors(p)) for p, _ in census]
     leq = weyl.bruhat_below(r, forced)
+    above = {w_a: sum(leq(w_a, y) for y in flags) for w_a in set(forced)}
+    inverted = functools.cache(adjust._inverted)  # for this call only
     for (pattern, found), w_a in zip(census, forced):
         built = adjust._sweeps(pattern, adjust._closed, [range(1, r + 1)] * r)
+        if len(built) == len(found) == above[w_a]:
+            one = {s.spec.w: s for s in found}  # flag -> its state
+            if all((s := one.get(y)) is not None and leq(w_a, y)
+                   and grids == (s.horizontal, s.vertical)
+                   and adjust._crossings(s, pattern) == inverted(y)
+                   for y, grids in built.items()):
+                continue
         by_flag = {}  # flag -> this pattern's states of it, in walk order
         for s in found:
             by_flag.setdefault(s.spec.w, []).append(s)

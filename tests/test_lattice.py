@@ -180,6 +180,30 @@ def test_row_filter_keeps_the_free_fillings_with_its_bottom_columns(lam):
                     f for f in free if columns(f[1]) == below), (family, top, below)
 
 
+@pytest.mark.parametrize("lam,w,family", [
+    ((600, 0), (1, 2), "open"), ((80, 80, 0), (3, 2, 1), "closed"),
+    ((40, 40, 0), None, "closed")], ids=str)
+def test_row_walker_steps_in_proportion_to_its_fillings(monkeypatch, lam, w, family):
+    # a partial row whose carried color can no longer become the right
+    # edge's is dropped at once, so the row searches of a transfer visit
+    # no more vertices than the fillings they return have columns
+    steps, cells = [0], [0]
+    completions, row_fillings = lattice._completions, lattice._row_fillings
+
+    def counted(*args):
+        steps[0] += 1
+        return completions(*args)
+
+    def measured(*args):
+        out = row_fillings(*args)
+        cells[0] += sum(len(h) - 1 for h, *_ in out)
+        return out
+    monkeypatch.setattr(lattice, "_completions", counted)
+    monkeypatch.setattr(lattice, "_row_fillings", measured)
+    lattice.partition_function(ModelSpec(lam, w, family))
+    assert 0 < steps[0] <= cells[0]
+
+
 def test_every_flag_spec_has_no_flag():
     spec = ModelSpec([2, 1, 0], None, "open")
     assert (spec.lam, spec.w, spec.flag_spins) == ((2, 1, 0), None, None)

@@ -208,3 +208,26 @@ def test_rank_checks():
     for i in (0, f.nvars):
         with pytest.raises(ValueError):
             laurent.demazure(f, i)
+
+
+def test_operations_return_clean_polynomials_random():
+    # the operations build their results without the constructor's
+    # checks, so each result must be what the constructor makes of its
+    # terms, with tuple exponents of the right length and no zero term
+    rng = random.Random(20261020)
+    for _ in range(200):
+        r = rng.randint(1, 4)
+        f = laurent.LaurentPoly(r, {tuple(rng.randint(-3, 3) for _ in range(r)):
+                                    rng.randint(-4, 4) for _ in range(rng.randint(0, 6))})
+        g = f * rng.randint(-1, 1) + laurent.LaurentPoly(
+            r, {tuple(rng.randint(-3, 3) for _ in range(r)): rng.randint(-4, 4)
+                for _ in range(rng.randint(0, 6))})
+        results = [f + g, f - g, f * g, -f, f * rng.randint(-2, 2), f - f]
+        for i in range(1, r):
+            results += [laurent.demazure(f, i), laurent.demazure_atom_op(f, i)]
+        for h in results:
+            assert h == laurent.LaurentPoly(r, h.terms), (f, g)
+            assert 0 not in h.terms.values(), (f, g)
+            assert all(type(e) is tuple and len(e) == r for e in h.terms), (f, g)
+    with pytest.raises(ValueError, match="wrong length"):
+        laurent.LaurentPoly(2, {(1,): 1})

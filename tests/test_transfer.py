@@ -48,6 +48,13 @@ def test_transfer_on_the_22050_state_shape():
     lattice.enumerate_states.cache_clear()
 
 
+def test_transfer_on_long_rows():
+    # rows 63 columns long, each pinned to one exit color: the row walker
+    # drops every partial row that can no longer reach it
+    spec = _longest((60, 60, 0))
+    assert lattice.partition_function(spec) == _shifted(spec)
+
+
 @pytest.mark.parametrize("family", ["generalized", "reduced"])
 def test_transfer_rejects_families_without_weights(family):
     with pytest.raises(ValueError, match="weights are undefined"):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import replace
@@ -381,6 +382,143 @@ def test_states_reports_a_state_whose_crossings_disagree_with_its_flag(
         "pattern": [list(row) for row in cell[1]], "pair": list(pair)}
 
 
+# the cell of the pinned failure reports below: in the closed census of
+# (2,1,1,0), a pattern past the middle whose forced flag (3,1,2,4) lies
+# below twelve flags, and the seventh of those in sweep order.  Each
+# report is the one a cell-by-cell scan of every flag gives
+_PINNED_LAM = (2, 1, 1, 0)
+_PINNED_CELL = ((4, 1, 3, 2), ((5, 3, 2, 0), (4, 2, 0), (3, 0), (0,)))
+_PINNED_PATTERN = [[5, 3, 2, 0], [4, 2, 0], [3, 0], [0]]
+
+
+def _respun(monkeypatch):
+    """The descent with one spin of the pinned cell's grids changed: the
+    left boundary of its last row colored."""
+    sweeps = adjust._sweeps
+    y, bad = _PINNED_CELL
+
+    def respun(pattern, passes, exits):
+        found = sweeps(pattern, passes, exits)
+        if pattern == bad:
+            horizontal, vertical = found[y]
+            found[y] = horizontal[:-1] + (horizontal[-1][:-1] + (1,),), vertical
+        return found
+    monkeypatch.setattr(adjust, "_sweeps", respun)
+
+
+@pytest.mark.parametrize("mutant,enumerated", [
+    (lambda mp: _census_with(mp, _PINNED_LAM, _PINNED_CELL, lambda s: ()), 0),
+    (lambda mp: _census_with(mp, _PINNED_LAM, _PINNED_CELL, lambda s: (s, s)), 2),
+    (_respun, 1)], ids=["dropped", "duplicated", "respun"])
+def test_states_failure_reports_are_pinned(
+        monkeypatch, fresh_census, mutant, enumerated):
+    # a state dropped or duplicated at a flag past the forced one, or one
+    # spin changed in the descent's grids there, fails at that cell with
+    # the pinned report, though the patterns before it pass
+    mutant(monkeypatch)
+    (report,) = verify.check_states(_PINNED_LAM, 4)
+    assert (report.status, report.w) == ("fail", _PINNED_CELL[0])
+    assert report.detail == "state count or constructive state disagrees"
+    assert report.counterexample == {
+        "pattern": _PINNED_PATTERN, "forced_flag": [3, 1, 2, 4],
+        "enumerated": enumerated, "expected": 1, "constructive_found": True}
+
+
+@pytest.mark.parametrize("wrong", [(2, 1, 3, 4), (1, 4, 2, 3)], ids=str)
+def test_states_fails_a_pattern_read_with_a_wrong_forced_flag(
+        monkeypatch, fresh_census, wrong):
+    # the pinned pattern's forced flag (3,1,2,4) replaced by one below it,
+    # which more flags lie above, or by one apart from it with as many
+    # above: the census and the descent agree with each other, not with
+    # the prediction, which fails at the wrong flag itself
+    bad = _PINNED_CELL[1]
+    exit_colors = adjust.exit_colors
+    monkeypatch.setattr(adjust, "exit_colors", lambda pattern: (
+        weyl.inverse(wrong) if pattern == bad else exit_colors(pattern)))
+    (report,) = verify.check_states(_PINNED_LAM, 4)
+    assert (report.status, report.w) == ("fail", wrong)
+    assert report.counterexample == {
+        "pattern": _PINNED_PATTERN, "forced_flag": list(wrong),
+        "enumerated": 0, "expected": 1, "constructive_found": False}
+
+
+def test_states_crossing_failure_report_is_pinned(monkeypatch, fresh_census):
+    # both constructions agree on the pinned cell's state with its pair
+    # (2, 3) uncrossed by raise_flag: the pinned crossing report
+    y, bad = _PINNED_CELL
+    (state,) = _cell(verify._census(_PINNED_LAM, 4, "closed"), y, bad)
+    _, raised = _raised(state)
+    verify._census.cache_clear()
+    _census_with(monkeypatch, _PINNED_LAM, _PINNED_CELL, lambda s: (
+        lattice.LatticeState(s.spec, raised.horizontal, raised.vertical),))
+    sweeps = adjust._sweeps
+
+    def agreeing(pattern, passes, exits):
+        found = sweeps(pattern, passes, exits)
+        if pattern == bad:
+            found[y] = raised.horizontal, raised.vertical
+        return found
+    monkeypatch.setattr(adjust, "_sweeps", agreeing)
+    (report,) = verify.check_states(_PINNED_LAM, 4)
+    assert (report.status, report.w) == ("fail", y)
+    assert report.detail == "closed state's paths disagree with its flag about crossing"
+    assert report.counterexample == {"pattern": _PINNED_PATTERN, "pair": [2, 3]}
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 1, 0), (3, 2, 1, 0)], ids=str)
+def test_states_asks_in_proportion_to_its_states(monkeypatch, fresh_census, lam):
+    # a passing pattern is decided from the flags its descent built, one
+    # Bruhat question each, after one count of the flags above each
+    # distinct forced flag; at (3,2,1,0) that is fewer questions than its
+    # cells, one per pattern and flag
+    r = len(lam)
+    census = verify._census(lam, r, "closed")
+    states = sum(len(found) for _, found in census)
+    forced = {weyl.inverse(adjust.exit_colors(p)) for p, _ in census}
+    asked = [0]
+    bruhat_below = weyl.bruhat_below
+
+    def counted(r, xs):
+        leq = bruhat_below(r, xs)
+
+        def ask(x, w):
+            asked[0] += 1
+            return leq(x, w)
+        return ask
+    monkeypatch.setattr(weyl, "bruhat_below", counted)
+    (report,) = verify.check_states(lam, r)
+    assert report.status == "pass"
+    assert asked[0] <= states + len(forced) * math.factorial(r)
+
+
+def test_partition_builds_no_polynomial_per_state(monkeypatch, fresh_census):
+    # the enumeration oracle counts exponent tuples, never a state's
+    # Boltzmann polynomial, and a passing flag compares term dicts: the
+    # polynomials built are the transfers' and the tables', a few per flag
+    lam, r = (2, 1, 1, 0), 4
+
+    def refuse(state):
+        raise AssertionError("check_partition weighed a state by boltzmann")
+    built = [0]
+    init, of = laurent.LaurentPoly.__init__, laurent.LaurentPoly._of
+
+    def counted_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    def counted_of(nvars, terms):
+        built[0] += 1
+        return of(nvars, terms)
+    monkeypatch.setattr(lattice, "boltzmann", refuse)
+    monkeypatch.setattr(laurent.LaurentPoly, "__init__", counted_init)
+    monkeypatch.setattr(laurent.LaurentPoly, "_of", staticmethod(counted_of))
+    reports = verify.check_partition(lam, r)
+    assert [rep.status for rep in reports] == ["pass", "convention-note"]
+    states = sum(len(found) for family in ("closed", "open")
+                 for _, found in verify._census(lam, r, family))
+    assert built[0] <= 5 * math.factorial(r) < states
+
+
 def _first_state_cell(lam, family):
     """The (flag, pattern) cell of the middle pattern's first state of the
     family, in walk order."""
@@ -410,14 +548,14 @@ def test_partition_fails_at_the_flag_of_a_changed_census_state(
     assert doc[f"{other}_enumerated"] == doc[other] == doc[f"{other}_expected"]
 
 
-def _slots_from_zero(state):
+def _slots_from_zero(horizontal):
     """The slot count with slot 0, the always colored right boundary."""
-    return laurent.monomial(sum(map(bool, h)) for h in state.horizontal)
+    return tuple(sum(map(bool, h)) for h in horizontal)
 
 
 @pytest.mark.parametrize("name,mutant,wrong,right", [
     ("_WEIGHT_ONE", frozenset({"a1"}), "", "_enumerated"),
-    ("boltzmann", _slots_from_zero, "_enumerated", "")],
+    ("_slot_exponents", _slots_from_zero, "_enumerated", "")],
     ids=["c2-weighs-z", "slot-0-counted"])
 def test_partition_fails_under_a_wrong_weight_rule(
         monkeypatch, fresh_census, name, mutant, wrong, right):
@@ -429,6 +567,27 @@ def test_partition_fails_under_a_wrong_weight_rule(
     doc = report.counterexample
     for family in ("closed", "open"):
         assert doc[family + wrong] != doc[family + right] == doc[f"{family}_expected"]
+
+
+@pytest.mark.parametrize("name,family", [
+    ("demazure_char", "closed"), ("demazure_atom", "open")])
+def test_partition_fails_at_the_flag_of_a_wrong_character_or_atom(
+        monkeypatch, name, family):
+    # the divided-difference side is compared on its own: one flag's
+    # character or atom doubled fails there, with the transfer and the
+    # enumeration agreeing against it
+    lam, y = (2, 1, 0), (2, 3, 1)
+    table = getattr(laurent, name)
+
+    def doubled(lam, w):
+        out = table(lam, w)
+        out[y] = out[y] * 2
+        return out
+    monkeypatch.setattr(laurent, name, doubled)
+    (report,) = verify.check_partition(lam, 3)
+    assert report.failed and report.w == y
+    doc = report.counterexample
+    assert doc[f"{family}_expected"] != doc[family] == doc[f"{family}_enumerated"]
 
 
 @pytest.mark.parametrize("mutate,injective,images,states", [
