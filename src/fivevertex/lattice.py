@@ -180,11 +180,11 @@ def classify_vertex(left: int, top: int, right: int, bottom: int) -> str:
 @functools.lru_cache(maxsize=None)
 def _completions(left: int, top: int, right_spin: int | None,
                  colored: bool | None, family: str):
-    """The _choices of a vertex that fit the boundary: unless right_spin is
-    None (on the right edge, and wherever _row_fillings needs the right
-    edge's color carried), the right spin must be colored, and be
-    right_spin unless that is 0 (every flag), and the bottom spin must be
-    colored just when `colored` is True, unless that is None.  The only
+    """The _choices of a vertex that fit the boundary.  right_spin is None
+    except on the right edge and the vertices where _row_fillings requires
+    the right edge's color carried; there the right spin must be colored,
+    and be right_spin unless that is 0 (every flag).  The bottom spin must
+    be colored just when `colored` is True, unless that is None.  The only
     filter over _choices; few distinct arguments occur, so the cache stays
     small."""
     return tuple(c for c in _choices(left, top, family)

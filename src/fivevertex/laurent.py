@@ -30,15 +30,6 @@ class LaurentPoly:
                 clean[tuple(expo)] = coeff
         self.terms = clean
 
-    @classmethod
-    def _of(cls, nvars: int, terms: dict):
-        """A polynomial holding `terms` itself, unchecked: for the
-        operations below, whose terms are already clean (tuple exponents
-        of length nvars, no zero coefficient)."""
-        f = object.__new__(cls)
-        f.nvars, f.terms = nvars, terms
-        return f
-
     def __eq__(self, other):
         return (isinstance(other, LaurentPoly) and self.nvars == other.nvars
                 and self.terms == other.terms)
@@ -53,31 +44,26 @@ class LaurentPoly:
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
 
-    def _plus(self, other, sign):
-        """self + sign * other, in one pass over other's terms."""
+    def __add__(self, other):
         self._check_rank(other)
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            new = out.get(expo, 0) + sign * coeff
+            new = out.get(expo, 0) + coeff
             if new:
                 out[expo] = new
             else:
-                del out[expo]
-        return LaurentPoly._of(self.nvars, out)
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
+                out.pop(expo, None)
+        return LaurentPoly(self.nvars, out)
 
     def __neg__(self):
-        return LaurentPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            terms = {e: c * other for e, c in self.terms.items()} if other else {}
-            return LaurentPoly._of(self.nvars, terms)
+            return LaurentPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check_rank(other)
         out = {}
         for e1, c1 in self.terms.items():
@@ -87,8 +73,8 @@ class LaurentPoly:
                 if new:
                     out[expo] = new
                 else:
-                    del out[expo]
-        return LaurentPoly._of(self.nvars, out)
+                    out.pop(expo, None)
+        return LaurentPoly(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -111,38 +97,32 @@ def eval_ones(f: LaurentPoly) -> int:
     return sum(f.terms.values())
 
 
-def _demazure_terms(f: LaurentPoly, i: int, out: dict) -> LaurentPoly:
-    """demazure(f, i) added into the terms `out`, as a polynomial: a term
-    whose exponents of z_i, z_{i+1} are (p, q) goes to the terms with
-    exponents (x, p+q-x) for q <= x <= p when p >= q, and to minus those
-    for p < x < q otherwise."""
+def demazure(f: LaurentPoly, i: int) -> LaurentPoly:
+    """The Demazure operator (z_i*f - z_{i+1}*f(s_i z)) / (z_i - z_{i+1}),
+    term by term: a term whose exponents of z_i, z_{i+1} are (p, q) goes to
+    the terms with exponents (x, p+q-x) for q <= x <= p when p >= q, and to
+    minus those for p < x < q otherwise.
+
+    Idempotent, and fixes anything symmetric in z_i, z_{i+1}.
+    """
     if not 1 <= i <= f.nvars - 1:
         raise ValueError(f"simple index {i} out of range")
+    out = {}
     for expo, coeff in f.terms.items():
         p, q = expo[i - 1], expo[i]
         if p >= q:
             xs = range(q, p + 1)
         else:
             xs, coeff = range(p + 1, q), -coeff
-        head, tail = expo[:i - 1], expo[i + 1:]
         for x in xs:
-            key = head + (x, p + q - x) + tail
+            key = expo[:i - 1] + (x, p + q - x) + expo[i + 1:]
             out[key] = out.get(key, 0) + coeff
-    return LaurentPoly._of(f.nvars, {e: c for e, c in out.items() if c})
-
-
-def demazure(f: LaurentPoly, i: int) -> LaurentPoly:
-    """The Demazure operator (z_i*f - z_{i+1}*f(s_i z)) / (z_i - z_{i+1}),
-    term by term (_demazure_terms).
-
-    Idempotent, and fixes anything symmetric in z_i, z_{i+1}.
-    """
-    return _demazure_terms(f, i, {})
+    return LaurentPoly(f.nvars, out)
 
 
 def demazure_atom_op(f: LaurentPoly, i: int) -> LaurentPoly:
-    """The atom operator: demazure(f, i) - f, in one pass from -f."""
-    return _demazure_terms(f, i, {e: -c for e, c in f.terms.items()})
+    """The atom operator: demazure(f, i) - f."""
+    return demazure(f, i) - f
 
 
 def _along(lam, w, op):

@@ -165,36 +165,30 @@ def check_states(lam, r):
     agreed state's paths must cross exactly where its flag inverts their
     colors.
 
-    A pattern passes from the flags its descent built alone: as many as
-    its census states and as the flags above its forced flag w_a (counted
-    once per distinct w_a), each above w_a and holding exactly one census
-    state, with equal grids, whose crossings are its flag's inverted pairs
-    (built once per flag).  So the work follows the states, not the r!
-    cells.  Only a pattern that fails is scanned cell by cell, every flag
-    in sweep order, to report its first failing cell."""
+    The flags above each distinct forced flag w_a are read once, as a set.
+    A cell that is not above w_a, holds no state and has no grids passes,
+    so each pattern visits, in sweep order, only the flags above its w_a,
+    built, or holding a state: the work follows the states, not the r!
+    cells.  Each state's crossings are compared with its flag's inverted
+    pairs, built once per flag; _disagreeing_pair only names a failure's
+    pair."""
     lam = tuple(lam)
     flags = weyl.permutations_by_length(r)
+    order = {y: k for k, y in enumerate(flags)}  # sweep order
     census = _census(lam, r, "closed")
     forced = [weyl.inverse(adjust.exit_colors(p)) for p, _ in census]
     leq = weyl.bruhat_below(r, forced)
-    above = {w_a: sum(leq(w_a, y) for y in flags) for w_a in set(forced)}
+    above = {w_a: frozenset(y for y in flags if leq(w_a, y)) for w_a in set(forced)}
     inverted = functools.cache(adjust._inverted)  # for this call only
     for (pattern, found), w_a in zip(census, forced):
         built = adjust._sweeps(pattern, adjust._closed, [range(1, r + 1)] * r)
-        if len(built) == len(found) == above[w_a]:
-            one = {s.spec.w: s for s in found}  # flag -> its state
-            if all((s := one.get(y)) is not None and leq(w_a, y)
-                   and grids == (s.horizontal, s.vertical)
-                   and adjust._crossings(s, pattern) == inverted(y)
-                   for y, grids in built.items()):
-                continue
         by_flag = {}  # flag -> this pattern's states of it, in walk order
         for s in found:
             by_flag.setdefault(s.spec.w, []).append(s)
-        for y in flags:
+        for y in sorted(above[w_a].union(built, by_flag), key=order.__getitem__):
             states = by_flag.get(y, [])
             grids = built.get(y)
-            want = 1 if leq(w_a, y) else 0
+            want = 1 if y in above[w_a] else 0
             ok = (len(states) == want
                   and (grids is None) == (want == 0)
                   and (grids is None
@@ -208,10 +202,8 @@ def check_states(lam, r):
                                    "enumerated": len(states),
                                    "expected": want,
                                    "constructive_found": grids is not None})]
-            if grids is None:
-                continue
-            pair = adjust._disagreeing_pair(states[0], pattern)
-            if pair is not None:
+            if grids is not None and adjust._crossings(states[0], pattern) != inverted(y):
+                pair = adjust._disagreeing_pair(states[0], pattern)
                 return [Report("states", lam, r, "fail",
                                "closed state's paths disagree with its flag "
                                "about crossing", w=y, counterexample={

@@ -211,9 +211,9 @@ def test_rank_checks():
 
 
 def test_operations_return_clean_polynomials_random():
-    # the operations build their results without the constructor's
-    # checks, so each result must be what the constructor makes of its
-    # terms, with tuple exponents of the right length and no zero term
+    # each result must be what the constructor makes of its terms, with
+    # tuple exponents of the right length and no zero term, however the
+    # operation builds it
     rng = random.Random(20261020)
     for _ in range(200):
         r = rng.randint(1, 4)

