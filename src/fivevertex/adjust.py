@@ -236,7 +236,11 @@ def exit_colors(pattern: Pattern) -> tuple[int, ...]:
     shift, so weak and left-strict patterns answer alike.)  The result is
     the inverse of the flag of the pattern's unique open state.
     """
-    pattern = check_pattern(pattern)
+    return _exit_colors(check_pattern(pattern))
+
+
+def _exit_colors(pattern: Pattern) -> tuple[int, ...]:
+    """exit_colors of a pattern already known to be valid; unchecked."""
     colors = list(range(1, len(pattern) + 1))
     out = []
     for row, below in zip(pattern, pattern[1:] + ((),)):

@@ -219,6 +219,14 @@ def gtp_raise(pattern: Pattern, i: int):
     r = len(pattern)
     if not 1 <= i <= r - 1:
         raise ValueError(f"simple index {i} out of range for rank {r}")
+    raised = _gtp_raise(pattern, i)
+    return None if raised is None else patterns.check_pattern(raised)
+
+
+def _gtp_raise(pattern: Pattern, i: int):
+    """gtp_raise of a valid pattern at an index in 1..r-1; checks neither
+    its input nor its result."""
+    r = len(pattern)
     k = r - i + 1
     x = pattern[i - 1]
     y = pattern[i] + (0,)
@@ -234,5 +242,4 @@ def gtp_raise(pattern: Pattern, i: int):
     t = scores.index(best) + 1
     new_row = list(pattern[i])
     new_row[k - t - 1] -= 1
-    return patterns.check_pattern(
-        pattern[:i] + (tuple(new_row),) + pattern[i + 1:])
+    return pattern[:i] + (tuple(new_row),) + pattern[i + 1:]

@@ -38,8 +38,8 @@ from itertools import compress
 
 from . import laurent, weyl
 from .crystal import schuetzenberger
-from .patterns import (Pattern, Tableau, check_pattern, gt_to_tableau,
-                       is_left_strict, staircase, subtract_staircase)
+from .patterns import (Pattern, Tableau, _subtract_staircase, _tableau_of,
+                       check_pattern, is_left_strict, staircase)
 
 __all__ = [
     "FAMILIES", "NonAdmissibleError", "ModelSpec", "LatticeState",
@@ -253,9 +253,11 @@ def _walk(spec: ModelSpec, patterns):
     row: so depth-first over the vertices in row-major order, and no grid
     too large for the recursion limit.  The reduced family's one-crossing
     cap skips a filling whose pairs crossed above it (two paths meet at
-    most once in a row).  A flag filters the right boundary, which for
-    flag None only has to be colored; each state carries its own flag's
-    spec, one per flag, and the patterns share one cache of row fillings."""
+    most once in a row); a filling with no pairs, as every open and closed
+    one, keeps the partial state's set as it is.  A flag filters the right
+    boundary, which for flag None only has to be colored; each state
+    carries its own flag's spec, one per flag, and the patterns share one
+    cache of row fillings."""
     fillings = functools.cache(_row_fillings)  # for this walk only
     right_spins = spec.flag_spins or (0,) * spec.r
     specs = {} if spec.w is None else {spec.flag_spins: spec}
@@ -263,11 +265,12 @@ def _walk(spec: ModelSpec, patterns):
         rows_below = (None,) * (spec.r - 1) if pattern is None else pattern[1:]
         partial = [((), (spec.top_boundary,), frozenset())]  # (horizontal, vertical, crossed)
         for right_spin, below in zip(right_spins, rows_below + ((),)):
-            partial = [(rows + (h,), cols + (bottom,), crossed.union(pairs))
+            partial = [(rows + (h,), cols + (bottom,),
+                        crossed.union(pairs) if pairs else crossed)
                        for rows, cols, crossed in partial
                        for h, bottom, _, pairs in fillings(
                            cols[-1], right_spin, below, spec.family)
-                       if crossed.isdisjoint(pairs)]
+                       if not pairs or crossed.isdisjoint(pairs)]
         states = []
         for rows, cols, _ in partial:
             colors = tuple(row[0] for row in rows)
@@ -438,9 +441,13 @@ def partition_function(spec: ModelSpec) -> laurent.LaurentPoly | dict:
 def crystal_tableau(state: LatticeState) -> Tableau:
     """The crystal embedding of a state: evacuation of the tableau of its
     staircase-lowered pattern.  Sends the unique flag-identity state
-    family to highest weight."""
-    return schuetzenberger(gt_to_tableau(subtract_staircase(gtp_of_state(state))),
-                           state.spec.r)
+    family to highest weight.  The pattern is checked once, as it is read
+    off the state (gtp_of_state, which also requires it left-strict
+    outside the generalized family)."""
+    pattern = gtp_of_state(state)
+    if state.spec.family == "generalized" and not is_left_strict(pattern):
+        raise ValueError("pattern is not left-strict")
+    return schuetzenberger(_tableau_of(_subtract_staircase(pattern)), state.spec.r)
 
 
 def color_path(state: LatticeState, m: int):

@@ -111,7 +111,9 @@ def tableau_to_gt(tab: Tableau, r: int) -> Pattern:
             row = tab[ell] if ell < len(tab) else ()
             shape.append(sum(1 for x in row if x <= bound))
         out.append(tuple(shape))
-    return check_pattern(out)
+    # not re-checked: the entries <= bound - 1 of a semistandard tableau
+    # are those <= bound less a horizontal strip, so the shapes interleave
+    return tuple(out)
 
 
 def subtract_staircase(pattern: Pattern) -> Pattern:
@@ -120,10 +122,19 @@ def subtract_staircase(pattern: Pattern) -> Pattern:
     pattern = check_pattern(pattern)
     if not is_left_strict(pattern):
         raise ValueError("pattern is not left-strict")
+    return _subtract_staircase(pattern)
+
+
+def _subtract_staircase(pattern: Pattern) -> Pattern:
+    """subtract_staircase of a pattern already known to be left-strict;
+    unchecked.  The result needs no check: an entry and its lower-left
+    neighbor shift by amounts one apart, so left-strictness becomes
+    upper[j] >= lower[j], and an entry and its lower-right neighbor shift
+    alike, so lower[j] >= upper[j+1] carries over."""
     r = len(pattern)
-    return check_pattern(tuple(
+    return tuple(
         tuple(entry - (r - i + 1 - j) for j, entry in enumerate(row, start=1))
-        for i, row in enumerate(pattern, start=1)))
+        for i, row in enumerate(pattern, start=1))
 
 
 def weight(tab: Tableau, r: int) -> tuple[int, ...]:

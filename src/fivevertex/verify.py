@@ -14,18 +14,24 @@ and keeps its states of every flag as the walk yields them, pattern by
 pattern, so each check that reads states makes one pass over it; one row
 transfer giving every flag's partition function; and tables of
 characters, atoms, Demazure sets and atom sets for every flag, each flag
-one operator step from its left-descent parent.  Across checks only the
-census is shared, through its cache, which keeps the last partition's
-two: run_checks runs one partition's checks in a row, so the partition,
-states and bijection checks share the closed census, partition and tau
-the open.  Each check builds every other table it reads itself.  Every
-check refuses a partition whose length is not the rank.
+one operator step from its left-descent parent.  Across checks, what
+two checks read is shared through caches that keep the last partition
+only (run_checks runs one partition's checks in a row): the closed
+census (partition, states, bijection), the open one (partition, tau),
+the characters (partition, bijection, crystal), the atoms and the Bruhat
+predicate over the support (partition, crystal) and the Demazure sets
+(bijection, crystal), each table handed out read-only.  Census patterns
+are built valid, so the checks hand them, and what they derive from
+them, to the unchecked cores of the public pattern functions;
+lattice.crystal_tableau checks each pattern once, as it reads it off a
+state.  Every check refuses a partition whose length is not the rank.
 """
 
 import functools
 import json
 import operator
 import time
+import types
 from collections import Counter
 from dataclasses import dataclass
 
@@ -78,6 +84,36 @@ def _census(lam, r, family):
     return tuple(zip(pats, lattice._walk(lattice.ModelSpec(lam, None, family), pats)))
 
 
+# Every-flag tables that several checks read, for the last partition asked
+# for only, each handed out read-only so that no check changes another's
+# input.  Each calls its builder by name on a miss.
+@functools.lru_cache(maxsize=1)
+def _chars(lam):
+    """Every flag's Demazure character of lam (partition, bijection,
+    crystal)."""
+    return types.MappingProxyType(laurent.demazure_char(lam, None))
+
+
+@functools.lru_cache(maxsize=1)
+def _atoms(lam):
+    """Every flag's Demazure atom of lam (partition, crystal)."""
+    return types.MappingProxyType(laurent.demazure_atom(lam, None))
+
+
+@functools.lru_cache(maxsize=1)
+def _dems(lam):
+    """Every flag's Demazure set of lam (bijection, crystal)."""
+    return types.MappingProxyType(crystal.demazure_crystal(lam, None))
+
+
+@functools.lru_cache(maxsize=1)
+def _below(r, support):
+    """weyl.bruhat_below over a tuple of flags: partition asks it over the
+    open support and crystal over the atom support, the same flags when
+    partition passes; a support that differs builds its own."""
+    return weyl.bruhat_below(r, support)
+
+
 def check_partition(lam, r):
     """Closed and open partition functions, by row transfer and by state
     enumeration, against the staircase-shifted Demazure character and
@@ -92,7 +128,7 @@ def check_partition(lam, r):
     dicts; only a failure builds polynomials, for its counterexample.  The
     sum runs over the open support, the flags whose open function is
     nonzero, that lie in the lower interval of w (weyl.bruhat_below over
-    the support)."""
+    the support, shared with crystal through _below)."""
     lam = tuple(lam)
     flags = weyl.permutations_by_length(r)
     rho = patterns.staircase(len(lam))
@@ -104,14 +140,13 @@ def check_partition(lam, r):
                 sums[s.spec.w][lattice._slot_exponents(s.horizontal)] += 1
     z_closed = lattice.partition_function(lattice.ModelSpec(lam, None, "closed"))
     z_open = lattice.partition_function(lattice.ModelSpec(lam, None, "open"))
-    chars = laurent.demazure_char(lam, None)
-    atoms = laurent.demazure_atom(lam, None)
+    chars, atoms = _chars(lam), _atoms(lam)
 
     def shifted(f):
         return {tuple(map(operator.add, e, rho)): c for e, c in f.terms.items()}
 
     support = [y for y in flags if z_open[y]]
-    leq = weyl.bruhat_below(r, support)
+    leq = _below(r, tuple(support))
     literal_matches = True
     for w in flags:
         char = chars[w]
@@ -176,7 +211,7 @@ def check_states(lam, r):
     flags = weyl.permutations_by_length(r)
     order = {y: k for k, y in enumerate(flags)}  # sweep order
     census = _census(lam, r, "closed")
-    forced = [weyl.inverse(adjust.exit_colors(p)) for p, _ in census]
+    forced = [weyl.inverse(adjust._exit_colors(p)) for p, _ in census]
     leq = weyl.bruhat_below(r, forced)
     above = {w_a: frozenset(y for y in flags if leq(w_a, y)) for w_a in set(forced)}
     inverted = functools.cache(adjust._inverted)  # for this call only
@@ -209,6 +244,7 @@ def check_states(lam, r):
                                "about crossing", w=y, counterexample={
                                    "pattern": [list(row) for row in pattern],
                                    "pair": list(pair)})]
+        del built, by_flag  # before the next pattern's descent, not after it
     return [Report("states", lam, r, "pass",
                    "every (flag, pattern) cell has the predicted size and "
                    "matches the constructive state")]
@@ -226,16 +262,17 @@ def check_bijection(lam, r):
     unrestricted_holds = True
     unrestricted_example = None
     flags = weyl.permutations_by_length(r)
+    census = _census(lam, r, "closed")
+    # the kept tables before the images, which are freed on return
+    dems, chars = _dems(lam), _chars(lam)
     images = {y: set() for y in flags}
     counts = Counter()
-    for _, states in _census(lam, r, "closed"):
+    for _, states in census:
         if states:
             tableau = lattice.crystal_tableau(states[0])
         for s in states:
             images[s.spec.w].add(tableau)
             counts[s.spec.w] += 1
-    dems = crystal.demazure_crystal(lam, None)
-    chars = laurent.demazure_char(lam, None)
     for y in flags:
         image, count = images[y], counts[y]
         injective = len(image) == count
@@ -276,11 +313,11 @@ def check_shortcut(lam, r):
     order that holds it."""
     lam = tuple(lam)
     for pattern in sorted(patterns.enumerate_left_strict(lam, r)):
-        shifted = patterns.subtract_staircase(pattern)
-        plain = patterns.gt_to_tableau(shifted)
+        shifted = patterns._subtract_staircase(pattern)
+        plain = patterns._tableau_of(shifted)
         embedded = crystal.schuetzenberger(plain, r)
         for i in range(1, r):
-            raised = crystal.gtp_raise(shifted, i)
+            raised = crystal._gtp_raise(shifted, i)
             direct = crystal.raising(embedded, i)
             bridge_ok = ((direct is None)
                          == (crystal.lowering(plain, r - i) is None))
@@ -293,7 +330,7 @@ def check_shortcut(lam, r):
             if not ok:
                 return [Report("shortcut", lam, r, "fail",
                                "pattern-level raising disagrees with the composite",
-                               w=weyl.inverse(adjust.exit_colors(pattern)),
+                               w=weyl.inverse(adjust._exit_colors(pattern)),
                                counterexample={
                                    "pattern": [list(row) for row in shifted],
                                    "index": i,
@@ -315,8 +352,8 @@ def check_tau(lam, r):
         lattice.validate_state(states[0])
         w_a = states[0].spec.w
         expected = weyl.inverse(w_a)
-        got = adjust.exit_colors(pattern)
-        got_shifted = adjust.exit_colors(patterns.subtract_staircase(pattern))
+        got = adjust._exit_colors(pattern)
+        got_shifted = adjust._exit_colors(patterns._subtract_staircase(pattern))
         if got != expected or got_shifted != expected:
             return [Report("tau", lam, r, "fail",
                            "exit colors do not invert the open-state flag",
@@ -339,9 +376,9 @@ def check_crystal(lam, r):
     below every w are disjoint and tile Dem(w) iff every atom(w) is Dem(w)
     minus the Dem(y), y < w (by induction up the Bruhat order).  It walks
     the nonempty atoms in the lower interval of w (weyl.bruhat_below over
-    them), in sweep order; an empty atom adds nothing to the union and meets
-    nothing.  Sets, atoms and characters are computed for every flag at
-    once."""
+    them, shared with partition through _below), in sweep order; an empty
+    atom adds nothing to the union and meets nothing.  Sets, atoms and
+    characters are computed for every flag at once."""
     lam = tuple(lam)
     if len(lam) != r:
         raise ValueError("partition length must equal the rank")
@@ -353,7 +390,7 @@ def check_crystal(lam, r):
 
     evac = {tab: crystal.schuetzenberger(tab, r) for tab in elements}
     flags = weyl.permutations_by_length(r)
-    dems = crystal.demazure_crystal(lam, None)
+    dems = _dems(lam)
     holds = Counter()  # tableau -> bit k set when Dem(flags[k]) holds it
     for k, w in enumerate(flags):
         for tab in dems[w].elements:
@@ -392,10 +429,9 @@ def check_crystal(lam, r):
             return fail("evacuation does not reverse the weight")
 
     atoms = {w: a.elements for w, a in crystal.demazure_atom_set(lam, None).items()}
-    chars = laurent.demazure_char(lam, None)
-    atom_chars = laurent.demazure_atom(lam, None)
+    chars, atom_chars = _chars(lam), _atoms(lam)
     support = [y for y in flags if atoms[y]]
-    leq = weyl.bruhat_below(r, support)
+    leq = _below(r, tuple(support))
     for k, w in enumerate(flags):
         dem = dems[w].elements
         if crystal.character(dem, r) != chars[w]:

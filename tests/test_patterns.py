@@ -218,3 +218,15 @@ def test_dominant_partitions():
     strict = [lam for lam in patterns.dominant_partitions(3, 3)
               if len(set(lam)) == 3]
     assert strict == [(2, 1, 0), (3, 1, 0), (3, 2, 0), (3, 2, 1)]
+
+
+def test_shifted_patterns_and_tableau_shapes_always_interleave():
+    # subtract_staircase and tableau_to_gt do not check their results: a
+    # left-strict pattern minus the staircase, and the truncation shapes of
+    # a semistandard tableau, are always weak patterns
+    for r in range(1, 5):
+        for lam in patterns.dominant_partitions(r, 2):
+            for pat in patterns.enumerate_left_strict(lam, r):
+                assert patterns.is_pattern(patterns.subtract_staircase(pat)), pat
+            for tab in patterns.enumerate_ssyt(lam, r):
+                assert patterns.is_pattern(patterns.tableau_to_gt(tab, r)), tab

@@ -15,6 +15,20 @@ def _statuses(reports):
     return {rep.status for rep in reports}
 
 
+def _clear_caches():
+    for cache in (verify._census, verify._chars, verify._atoms, verify._dems,
+                  verify._below):
+        cache.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    # a mutant's census or table must neither come from nor stay in a cache
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
 def test_every_check_passes_on_bootstrap_shape():
     for name, check in verify.CHECKS.items():
         reports = check((1, 0), 2)
@@ -52,7 +66,8 @@ def test_interval_checks_ask_no_pairwise_bruhat_question(monkeypatch, lam):
 @pytest.mark.parametrize("check", [
     verify.check_partition, verify.check_states, verify.check_crystal],
     ids=lambda f: f.__name__)
-def test_interval_checks_fail_under_a_reflexive_only_order(monkeypatch, check):
+def test_interval_checks_fail_under_a_reflexive_only_order(
+        monkeypatch, fresh_caches, check):
     # with x <= w only for x == w, the sums and unions over lower intervals
     # and the predicted state counts go wrong, so each check needs its
     # Bruhat facts to pass
@@ -84,6 +99,48 @@ def test_checks_walk_each_census_once_and_keep_one_partition(monkeypatch):
     verify._census((2, 1, 0), 3, "open")
     assert verify._census.cache_info().hits == census.hits + 2
     assert len(walked) == 4
+
+
+def test_checks_build_each_shared_table_once_and_keep_one_partition(
+        monkeypatch, fresh_caches):
+    # partition, bijection and crystal read one character table, partition
+    # and crystal one atom table and one Bruhat predicate over the support,
+    # bijection and crystal one Demazure-set table; each cache holds the
+    # last partition's only, and hands its table out read-only
+    def support(lam):
+        return tuple(y for y, atom in laurent.demazure_atom(lam, None).items() if atom)
+    supports = {lam: support(lam) for lam in [(2, 1, 1, 0), (2, 1, 0)]}
+    built = Counter()
+
+    def counted(module, name):
+        build = getattr(module, name)
+
+        def call(first, second):
+            built[name, first, None if second is None else tuple(second)] += 1
+            return build(first, second)
+        monkeypatch.setattr(module, name, call)
+    for module, name in [(laurent, "demazure_char"), (laurent, "demazure_atom"),
+                         (crystal, "demazure_crystal"), (weyl, "bruhat_below")]:
+        counted(module, name)
+    tables = (verify._chars, verify._atoms, verify._dems)
+    for lam, r in [((2, 1, 1, 0), 4), ((2, 1, 0), 3)]:
+        reports = verify.run_checks(list(verify.CHECKS), lam, r)
+        assert all(not rep.failed for rep in reports)
+        for name in ("demazure_char", "demazure_atom", "demazure_crystal"):
+            assert built[name, lam, None] == 1, name
+        assert built["bruhat_below", r, supports[lam]] == 1
+    assert sorted(key[0] for key in built) == (
+        ["bruhat_below"] * 4 + ["demazure_atom"] * 2 + ["demazure_char"] * 2
+        + ["demazure_crystal"] * 2)  # states asks over its forced flags
+    for cache in tables + (verify._below,):
+        assert cache.cache_info().currsize == 1
+    for table in tables:
+        hits = table.cache_info().hits
+        cached = table((2, 1, 0))
+        assert table.cache_info().hits == hits + 1
+        with pytest.raises(TypeError):
+            cached[(1, 2, 3)] = cached[(3, 2, 1)]
+    assert verify._below.cache_info().hits == 2
 
 
 @pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0), (1, 1, 0, 0, 0),
@@ -155,8 +212,8 @@ def test_shortcut_reports_the_first_flag_of_a_bad_pattern(monkeypatch):
     bad = next(p for p in reversed(pats)
                if forced[p] not in ((1, 2, 3), longest_element(3)))
     bad_shifted = patterns.subtract_staircase(bad)
-    gtp_raise = crystal.gtp_raise
-    monkeypatch.setattr(crystal, "gtp_raise", lambda pattern, i: (
+    gtp_raise = crystal._gtp_raise
+    monkeypatch.setattr(crystal, "_gtp_raise", lambda pattern, i: (
         ((0,),) if pattern == bad_shifted else gtp_raise(pattern, i)))
     (report,) = verify.check_shortcut(lam, 3)
     assert report.failed
@@ -164,7 +221,7 @@ def test_shortcut_reports_the_first_flag_of_a_bad_pattern(monkeypatch):
     assert report.counterexample["pattern"] == [list(row) for row in bad_shifted]
 
 
-def test_crystal_reports_a_demazure_set_that_cuts_a_string(monkeypatch):
+def test_crystal_reports_a_demazure_set_that_cuts_a_string(monkeypatch, fresh_caches):
     # a tableau of Dem(2,3,1) swapped for one of the same weight keeps every
     # character, so only the string trichotomy can catch it
     lam, w = (2, 1, 0), (2, 3, 1)
@@ -183,14 +240,6 @@ def test_crystal_reports_a_demazure_set_that_cuts_a_string(monkeypatch):
     assert report.counterexample == {"w": list(w)}
 
 
-@pytest.fixture
-def fresh_census():
-    # a mutant's census must neither come from nor stay in the cache
-    verify._census.cache_clear()
-    yield
-    verify._census.cache_clear()
-
-
 def _middle_pattern(lam):
     pats = sorted(patterns.enumerate_left_strict(lam, len(lam)))
     return pats[len(pats) // 2]
@@ -200,7 +249,7 @@ def _middle_pattern(lam):
     (lambda states: (), 0), (lambda states: states + states[:1], 2)],
     ids=["dropped", "duplicated"])
 def test_tau_fails_on_a_pattern_without_one_open_state(
-        monkeypatch, fresh_census, mutate, count):
+        monkeypatch, fresh_caches, mutate, count):
     lam = (2, 1, 0)
     bad = _middle_pattern(lam)
     walk = lattice._walk
@@ -217,11 +266,11 @@ def test_tau_fails_on_a_pattern_without_one_open_state(
 
 
 def test_tau_reports_the_pattern_whose_exit_colors_are_wrong(
-        monkeypatch, fresh_census):
+        monkeypatch, fresh_caches):
     lam = (2, 1, 0)
     bad = _middle_pattern(lam)
-    exit_colors = adjust.exit_colors
-    monkeypatch.setattr(adjust, "exit_colors", lambda pattern: (
+    exit_colors = adjust._exit_colors
+    monkeypatch.setattr(adjust, "_exit_colors", lambda pattern: (
         exit_colors(pattern)[::-1] if pattern == bad else exit_colors(pattern)))
     (report,) = verify.check_tau(lam, 3)
     assert report.failed
@@ -229,7 +278,7 @@ def test_tau_reports_the_pattern_whose_exit_colors_are_wrong(
 
 
 def test_check_states_builds_no_spec_once_the_census_is_cached(
-        monkeypatch, fresh_census):
+        monkeypatch, fresh_caches):
     # the states check compares raw grids with the census: it builds no
     # model and no checked state, and validates nothing itself
     lam = (2, 1, 1, 0)
@@ -274,7 +323,7 @@ def _assert_states_fails_at(lam, cell, **counterexample):
 
 @pytest.mark.parametrize("vertex", [(1, 0), (1, 3), (2, 1)], ids=str)
 def test_states_fails_where_a_flipped_closed_rule_first_shows(
-        monkeypatch, fresh_census, vertex):
+        monkeypatch, fresh_caches, vertex):
     # the descent with the closed rule flipped at one meeting vertex fails
     # at the first cell whose per-flag sweep meets the flip
     lam = (3, 2, 0)
@@ -327,7 +376,7 @@ def _moved_crossing(state):
     (lambda state: (), 0), (lambda state: (_moved_crossing(state),), 1)],
     ids=["dropped", "moved"])
 def test_states_fails_at_a_census_cell_that_lost_its_state(
-        monkeypatch, fresh_census, mutate, enumerated):
+        monkeypatch, fresh_caches, mutate, enumerated):
     # a census missing one state, or holding one whose crossing moved to
     # an earlier meeting, fails at that cell and nowhere before it
     lam = (3, 2, 0)
@@ -354,7 +403,7 @@ def _raised(state):
 
 
 def test_states_reports_a_state_whose_crossings_disagree_with_its_flag(
-        monkeypatch, fresh_census):
+        monkeypatch, fresh_caches):
     # both constructions agree on a state with one pair uncrossed by
     # raise_flag, filed under the lower flag: a report, not an exception,
     # naming the cell and the pair
@@ -411,7 +460,7 @@ def _respun(monkeypatch):
     (lambda mp: _census_with(mp, _PINNED_LAM, _PINNED_CELL, lambda s: (s, s)), 2),
     (_respun, 1)], ids=["dropped", "duplicated", "respun"])
 def test_states_failure_reports_are_pinned(
-        monkeypatch, fresh_census, mutant, enumerated):
+        monkeypatch, fresh_caches, mutant, enumerated):
     # a state dropped or duplicated at a flag past the forced one, or one
     # spin changed in the descent's grids there, fails at that cell with
     # the pinned report, though the patterns before it pass
@@ -426,14 +475,14 @@ def test_states_failure_reports_are_pinned(
 
 @pytest.mark.parametrize("wrong", [(2, 1, 3, 4), (1, 4, 2, 3)], ids=str)
 def test_states_fails_a_pattern_read_with_a_wrong_forced_flag(
-        monkeypatch, fresh_census, wrong):
+        monkeypatch, fresh_caches, wrong):
     # the pinned pattern's forced flag (3,1,2,4) replaced by one below it,
     # which more flags lie above, or by one apart from it with as many
     # above: the census and the descent agree with each other, not with
     # the prediction, which fails at the wrong flag itself
     bad = _PINNED_CELL[1]
-    exit_colors = adjust.exit_colors
-    monkeypatch.setattr(adjust, "exit_colors", lambda pattern: (
+    exit_colors = adjust._exit_colors
+    monkeypatch.setattr(adjust, "_exit_colors", lambda pattern: (
         weyl.inverse(wrong) if pattern == bad else exit_colors(pattern)))
     (report,) = verify.check_states(_PINNED_LAM, 4)
     assert (report.status, report.w) == ("fail", wrong)
@@ -442,7 +491,7 @@ def test_states_fails_a_pattern_read_with_a_wrong_forced_flag(
         "enumerated": 0, "expected": 1, "constructive_found": False}
 
 
-def test_states_crossing_failure_report_is_pinned(monkeypatch, fresh_census):
+def test_states_crossing_failure_report_is_pinned(monkeypatch, fresh_caches):
     # both constructions agree on the pinned cell's state with its pair
     # (2, 3) uncrossed by raise_flag: the pinned crossing report
     y, bad = _PINNED_CELL
@@ -466,7 +515,7 @@ def test_states_crossing_failure_report_is_pinned(monkeypatch, fresh_census):
 
 
 @pytest.mark.parametrize("lam", [(2, 1, 1, 0), (3, 2, 1, 0)], ids=str)
-def test_states_asks_in_proportion_to_its_states(monkeypatch, fresh_census, lam):
+def test_states_asks_in_proportion_to_its_states(monkeypatch, fresh_caches, lam):
     # each pattern's cells are read from the set of flags above its forced
     # flag, built once per distinct forced flag with r! Bruhat questions;
     # at (3,2,1,0) that is fewer questions than its cells, one per pattern
@@ -491,7 +540,7 @@ def test_states_asks_in_proportion_to_its_states(monkeypatch, fresh_census, lam)
     assert asked[0] <= states + len(forced) * math.factorial(r)
 
 
-def test_partition_builds_no_polynomial_per_state(monkeypatch, fresh_census):
+def test_partition_builds_no_polynomial_per_state(monkeypatch, fresh_caches):
     # the enumeration oracle counts exponent tuples, never a state's
     # Boltzmann polynomial, and a passing flag compares term dicts: the
     # polynomials built are the transfers' and the tables', a few per flag
@@ -528,7 +577,7 @@ def _first_state_cell(lam, family):
     ("open", lambda s: ())], ids=["closed-dropped", "closed-duplicated",
                                   "open-dropped"])
 def test_partition_fails_at_the_flag_of_a_changed_census_state(
-        monkeypatch, fresh_census, family, mutate):
+        monkeypatch, fresh_caches, family, mutate):
     # the enumeration oracle sums each family's census by flag, so a state
     # dropped or counted twice shows at its own flag, in its family only
     lam = (2, 1, 0)
@@ -553,7 +602,7 @@ def _slots_from_zero(horizontal):
     ("_slot_exponents", _slots_from_zero, "_enumerated", "")],
     ids=["c2-weighs-z", "slot-0-counted"])
 def test_partition_fails_under_a_wrong_weight_rule(
-        monkeypatch, fresh_census, name, mutant, wrong, right):
+        monkeypatch, fresh_caches, name, mutant, wrong, right):
     # the transfer weighs vertex kinds and the enumeration colored slots,
     # so a fault in either rule fails at the first flag, on its side only
     monkeypatch.setattr(lattice, name, mutant)
@@ -567,7 +616,7 @@ def test_partition_fails_under_a_wrong_weight_rule(
 @pytest.mark.parametrize("name,family", [
     ("demazure_char", "closed"), ("demazure_atom", "open")])
 def test_partition_fails_at_the_flag_of_a_wrong_character_or_atom(
-        monkeypatch, name, family):
+        monkeypatch, fresh_caches, name, family):
     # the divided-difference side is compared on its own: one flag's
     # character or atom doubled fails there, with the transfer and the
     # enumeration agreeing against it
@@ -589,7 +638,7 @@ def test_partition_fails_at_the_flag_of_a_wrong_character_or_atom(
     (lambda s: (), True, -1, -1), (lambda s: (s, s), False, 0, 1)],
     ids=["dropped", "duplicated"])
 def test_bijection_fails_at_the_flag_of_a_changed_census_state(
-        monkeypatch, fresh_census, mutate, injective, images, states):
+        monkeypatch, fresh_caches, mutate, injective, images, states):
     # each state files its pattern's tableau under its own flag: a state
     # dropped shrinks that flag's image, one counted twice is not injective
     lam = (2, 1, 0)
@@ -601,6 +650,44 @@ def test_bijection_fails_at_the_flag_of_a_changed_census_state(
     assert report.counterexample == {
         "injective": injective, "image_size": size + images,
         "demazure_size": size, "state_count": size + states}
+
+
+def test_pattern_checks_validate_each_census_pattern_at_most_once(
+        monkeypatch, fresh_caches):
+    # census patterns are built valid, so shortcut, tau and states hand
+    # them and what they derive from them to the unchecked cores, and
+    # bijection's crystal tableaux check each pattern as they read it off
+    # its state
+    lam, r = (3, 2, 1, 0), 4
+    census = verify._census(lam, r, "closed")
+    check = patterns.check_pattern
+    calls = [0]
+
+    def counted(rows):
+        calls[0] += 1
+        return check(rows)
+    for module in (adjust, crystal, lattice, patterns, verify):
+        if getattr(module, "check_pattern", None) is check:
+            monkeypatch.setattr(module, "check_pattern", counted)
+    for name in ("shortcut", "tau", "states", "bijection"):
+        reports = verify.CHECKS[name](lam, r)
+        assert reports[0].status == "pass", name
+    assert 0 < calls[0] <= len(census)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: patterns.subtract_staircase(((2, 0), (3,))),
+    lambda: patterns.subtract_staircase(((2, 0), (2,))),
+    lambda: adjust.exit_colors(((2, 0), (3,))),
+    lambda: adjust.exit_colors(((2, 1, 0), (1,))),
+    lambda: crystal.gtp_raise(((1, 0), (2,)), 1),
+    lambda: crystal.gtp_raise(((1, 0), (0,)), 2)],
+    ids=["shift-malformed", "shift-not-left-strict", "exits-malformed",
+         "exits-short-row", "raise-malformed", "raise-index"])
+def test_public_pattern_functions_still_check_their_input(call):
+    # the public functions around the unchecked cores keep every input check
+    with pytest.raises(ValueError):
+        call()
 
 
 @pytest.mark.parametrize("rank,lambda_max", [(3, 3), (4, 2)])
@@ -629,7 +716,9 @@ def _crystal_with_set(lam, w, elements):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(crystal, "demazure_crystal", lambda lam, flag: dems)
         mp.setattr(laurent, "demazure_char", lambda lam, flag: chars)
+        _clear_caches()
         (report,) = verify.check_crystal(lam, len(lam))
+        _clear_caches()
     return report
 
 
