@@ -15,12 +15,15 @@ pattern, so each check that reads states makes one pass over it; one row
 transfer giving every flag's partition function; and tables of
 characters, atoms, Demazure sets and atom sets for every flag, each flag
 one operator step from its left-descent parent.  Across checks, what
-two checks read is shared through caches that keep the last partition
-only (run_checks runs one partition's checks in a row): the closed
-census (partition, states, bijection), the open one (partition, tau),
-the characters (partition, bijection, crystal), the atoms and the Bruhat
-predicate over the support (partition, crystal) and the Demazure sets
-(bijection, crystal), each table handed out read-only.  Census patterns
+two checks read is shared through two caches sized for the last
+partition (run_checks runs one partition's checks in a row).  _census
+keeps the closed census (partition, states, bijection) and the open one
+(partition, tau).  _shared is one memo keyed by the builder and its
+arguments, so a result is only ever handed to a reader of the builder
+that made it: the characters (partition, bijection, crystal), the atoms
+(partition, crystal) and the Demazure sets (bijection, crystal), each
+table handed out read-only, and the Bruhat predicate over the support
+(partition, states, crystal).  Census patterns
 are built valid, so the checks hand them, and what they derive from
 them, to the unchecked cores of the public pattern functions;
 lattice.crystal_tableau checks each pattern once, as it reads it off a
@@ -84,34 +87,17 @@ def _census(lam, r, family):
     return tuple(zip(pats, lattice._walk(lattice.ModelSpec(lam, None, family), pats)))
 
 
-# Every-flag tables that several checks read, for the last partition asked
-# for only, each handed out read-only so that no check changes another's
-# input.  Each calls its builder by name on a miss.
-@functools.lru_cache(maxsize=1)
-def _chars(lam):
-    """Every flag's Demazure character of lam (partition, bijection,
-    crystal)."""
-    return types.MappingProxyType(laurent.demazure_char(lam, None))
+@functools.lru_cache(maxsize=4)
+def _shared(build, *args):
+    """build(*args), for what several checks read: the key holds the
+    builder, so no other builder's result is ever handed out.  Four entries
+    hold one partition's three tables and Bruhat predicate."""
+    return build(*args)
 
 
-@functools.lru_cache(maxsize=1)
-def _atoms(lam):
-    """Every flag's Demazure atom of lam (partition, crystal)."""
-    return types.MappingProxyType(laurent.demazure_atom(lam, None))
-
-
-@functools.lru_cache(maxsize=1)
-def _dems(lam):
-    """Every flag's Demazure set of lam (bijection, crystal)."""
-    return types.MappingProxyType(crystal.demazure_crystal(lam, None))
-
-
-@functools.lru_cache(maxsize=1)
-def _below(r, support):
-    """weyl.bruhat_below over a tuple of flags: partition asks it over the
-    open support and crystal over the atom support, the same flags when
-    partition passes; a support that differs builds its own."""
-    return weyl.bruhat_below(r, support)
+def _table(build, lam):
+    """Every flag's build(lam, None), shared and read-only."""
+    return types.MappingProxyType(_shared(build, lam, None))
 
 
 def check_partition(lam, r):
@@ -128,7 +114,7 @@ def check_partition(lam, r):
     dicts; only a failure builds polynomials, for its counterexample.  The
     sum runs over the open support, the flags whose open function is
     nonzero, that lie in the lower interval of w (weyl.bruhat_below over
-    the support, shared with crystal through _below)."""
+    the support, shared with states and crystal)."""
     lam = tuple(lam)
     flags = weyl.permutations_by_length(r)
     rho = patterns.staircase(len(lam))
@@ -140,13 +126,14 @@ def check_partition(lam, r):
                 sums[s.spec.w][lattice._slot_exponents(s.horizontal)] += 1
     z_closed = lattice.partition_function(lattice.ModelSpec(lam, None, "closed"))
     z_open = lattice.partition_function(lattice.ModelSpec(lam, None, "open"))
-    chars, atoms = _chars(lam), _atoms(lam)
+    chars = _table(laurent.demazure_char, lam)
+    atoms = _table(laurent.demazure_atom, lam)
 
     def shifted(f):
         return {tuple(map(operator.add, e, rho)): c for e, c in f.terms.items()}
 
     support = [y for y in flags if z_open[y]]
-    leq = _below(r, tuple(support))
+    leq = _shared(weyl.bruhat_below, r, tuple(support))
     literal_matches = True
     for w in flags:
         char = chars[w]
@@ -200,11 +187,13 @@ def check_states(lam, r):
     agreed state's paths must cross exactly where its flag inverts their
     colors.
 
-    The flags above each distinct forced flag w_a are read once, as a set.
-    A cell that is not above w_a, holds no state and has no grids passes,
-    so each pattern visits, in sweep order, only the flags above its w_a,
-    built, or holding a state: the work follows the states, not the r!
-    cells.  Each state's crossings are compared with its flag's inverted
+    The flags above each distinct forced flag w_a are read once, as a set,
+    from weyl.bruhat_below over those flags in sweep order: the open
+    support when the checks pass, so this is the predicate partition and
+    crystal share, and other flags build their own.  A cell that is not
+    above w_a, holds no state and has no grids passes, so each pattern
+    visits, in sweep order, only the flags above its w_a, built, or
+    holding a state: the work follows the states, not the r! cells.  Each state's crossings are compared with its flag's inverted
     pairs, built once per flag; _disagreeing_pair only names a failure's
     pair."""
     lam = tuple(lam)
@@ -212,8 +201,9 @@ def check_states(lam, r):
     order = {y: k for k, y in enumerate(flags)}  # sweep order
     census = _census(lam, r, "closed")
     forced = [weyl.inverse(adjust._exit_colors(p)) for p, _ in census]
-    leq = weyl.bruhat_below(r, forced)
-    above = {w_a: frozenset(y for y in flags if leq(w_a, y)) for w_a in set(forced)}
+    distinct = tuple(sorted(set(forced), key=order.__getitem__))
+    leq = _shared(weyl.bruhat_below, r, distinct)
+    above = {w_a: frozenset(y for y in flags if leq(w_a, y)) for w_a in distinct}
     inverted = functools.cache(adjust._inverted)  # for this call only
     for (pattern, found), w_a in zip(census, forced):
         built = adjust._sweeps(pattern, adjust._closed, [range(1, r + 1)] * r)
@@ -264,7 +254,8 @@ def check_bijection(lam, r):
     flags = weyl.permutations_by_length(r)
     census = _census(lam, r, "closed")
     # the kept tables before the images, which are freed on return
-    dems, chars = _dems(lam), _chars(lam)
+    dems = _table(crystal.demazure_crystal, lam)
+    chars = _table(laurent.demazure_char, lam)
     images = {y: set() for y in flags}
     counts = Counter()
     for _, states in census:
@@ -376,7 +367,7 @@ def check_crystal(lam, r):
     below every w are disjoint and tile Dem(w) iff every atom(w) is Dem(w)
     minus the Dem(y), y < w (by induction up the Bruhat order).  It walks
     the nonempty atoms in the lower interval of w (weyl.bruhat_below over
-    them, shared with partition through _below), in sweep order; an empty
+    them, shared with partition and states), in sweep order; an empty
     atom adds nothing to the union and meets nothing.  Sets, atoms and
     characters are computed for every flag at once."""
     lam = tuple(lam)
@@ -390,7 +381,7 @@ def check_crystal(lam, r):
 
     evac = {tab: crystal.schuetzenberger(tab, r) for tab in elements}
     flags = weyl.permutations_by_length(r)
-    dems = _dems(lam)
+    dems = _table(crystal.demazure_crystal, lam)
     holds = Counter()  # tableau -> bit k set when Dem(flags[k]) holds it
     for k, w in enumerate(flags):
         for tab in dems[w].elements:
@@ -429,9 +420,10 @@ def check_crystal(lam, r):
             return fail("evacuation does not reverse the weight")
 
     atoms = {w: a.elements for w, a in crystal.demazure_atom_set(lam, None).items()}
-    chars, atom_chars = _chars(lam), _atoms(lam)
+    chars = _table(laurent.demazure_char, lam)
+    atom_chars = _table(laurent.demazure_atom, lam)
     support = [y for y in flags if atoms[y]]
-    leq = _below(r, tuple(support))
+    leq = _shared(weyl.bruhat_below, r, tuple(support))
     for k, w in enumerate(flags):
         dem = dems[w].elements
         if crystal.character(dem, r) != chars[w]:

@@ -15,18 +15,28 @@ def _statuses(reports):
     return {rep.status for rep in reports}
 
 
+# every cache that verify holds, each cleared by fresh_caches
+_CACHES = ("_census", "_shared")
+
+
 def _clear_caches():
-    for cache in (verify._census, verify._chars, verify._atoms, verify._dems,
-                  verify._below):
-        cache.cache_clear()
+    for name in _CACHES:
+        getattr(verify, name).cache_clear()
 
 
 @pytest.fixture
 def fresh_caches():
-    # a mutant's census or table must neither come from nor stay in a cache
+    # a mutated census must neither come from nor stay in the census cache,
+    # whose key does not name the walk; a mutant builder needs no fixture,
+    # since the shared memo's key holds the builder
     _clear_caches()
     yield
     _clear_caches()
+
+
+def test_fresh_caches_clears_every_cache_of_verify():
+    assert {name for name, value in vars(verify).items()
+            if hasattr(value, "cache_clear")} == set(_CACHES)
 
 
 def test_every_check_passes_on_bootstrap_shape():
@@ -66,8 +76,7 @@ def test_interval_checks_ask_no_pairwise_bruhat_question(monkeypatch, lam):
 @pytest.mark.parametrize("check", [
     verify.check_partition, verify.check_states, verify.check_crystal],
     ids=lambda f: f.__name__)
-def test_interval_checks_fail_under_a_reflexive_only_order(
-        monkeypatch, fresh_caches, check):
+def test_interval_checks_fail_under_a_reflexive_only_order(monkeypatch, check):
     # with x <= w only for x == w, the sums and unions over lower intervals
     # and the predicted state counts go wrong, so each check needs its
     # Bruhat facts to pass
@@ -104,9 +113,10 @@ def test_checks_walk_each_census_once_and_keep_one_partition(monkeypatch):
 def test_checks_build_each_shared_table_once_and_keep_one_partition(
         monkeypatch, fresh_caches):
     # partition, bijection and crystal read one character table, partition
-    # and crystal one atom table and one Bruhat predicate over the support,
-    # bijection and crystal one Demazure-set table; each cache holds the
-    # last partition's only, and hands its table out read-only
+    # and crystal one atom table, bijection and crystal one Demazure-set
+    # table, and partition, states and crystal one Bruhat predicate over
+    # the support (states asks over its forced flags, the same ones); the
+    # memo then holds the last partition's four, each table read-only
     def support(lam):
         return tuple(y for y, atom in laurent.demazure_atom(lam, None).items() if atom)
     supports = {lam: support(lam) for lam in [(2, 1, 1, 0), (2, 1, 0)]}
@@ -119,28 +129,59 @@ def test_checks_build_each_shared_table_once_and_keep_one_partition(
             built[name, first, None if second is None else tuple(second)] += 1
             return build(first, second)
         monkeypatch.setattr(module, name, call)
-    for module, name in [(laurent, "demazure_char"), (laurent, "demazure_atom"),
-                         (crystal, "demazure_crystal"), (weyl, "bruhat_below")]:
+    tables = [(laurent, "demazure_char"), (laurent, "demazure_atom"),
+              (crystal, "demazure_crystal")]
+    for module, name in tables + [(weyl, "bruhat_below")]:
         counted(module, name)
-    tables = (verify._chars, verify._atoms, verify._dems)
     for lam, r in [((2, 1, 1, 0), 4), ((2, 1, 0), 3)]:
         reports = verify.run_checks(list(verify.CHECKS), lam, r)
         assert all(not rep.failed for rep in reports)
-        for name in ("demazure_char", "demazure_atom", "demazure_crystal"):
+        for _, name in tables:
             assert built[name, lam, None] == 1, name
         assert built["bruhat_below", r, supports[lam]] == 1
     assert sorted(key[0] for key in built) == (
-        ["bruhat_below"] * 4 + ["demazure_atom"] * 2 + ["demazure_char"] * 2
-        + ["demazure_crystal"] * 2)  # states asks over its forced flags
-    for cache in tables + (verify._below,):
-        assert cache.cache_info().currsize == 1
-    for table in tables:
-        hits = table.cache_info().hits
-        cached = table((2, 1, 0))
-        assert table.cache_info().hits == hits + 1
+        ["bruhat_below"] * 2 + ["demazure_atom"] * 2 + ["demazure_char"] * 2
+        + ["demazure_crystal"] * 2)
+    assert verify._shared.cache_info().currsize == 4
+    calls = built.copy()
+    for module, name in tables:
+        table = verify._table(getattr(module, name), (2, 1, 0))
         with pytest.raises(TypeError):
-            cached[(1, 2, 3)] = cached[(3, 2, 1)]
-    assert verify._below.cache_info().hits == 2
+            table[(1, 2, 3)] = table[(3, 2, 1)]
+    verify._shared(weyl.bruhat_below, 3, supports[(2, 1, 0)])
+    assert built == calls
+
+
+@pytest.mark.parametrize("mutant_first", [False, True], ids=["warm", "mutant-first"])
+def test_a_shared_table_reaches_only_readers_of_its_builder(
+        monkeypatch, fresh_caches, mutant_first):
+    # a Demazure-set builder that drops one tableau of Dem(w0) fails crystal
+    # after the real tables are shared, and leaves nothing behind for the
+    # real builder; no cache is cleared between the two runs
+    lam, r = (2, 1, 0), 3
+    w0 = longest_element(r)
+    demazure_crystal = crystal.demazure_crystal
+
+    def dropped(lam, flag):
+        dems = demazure_crystal(lam, flag)
+        elements = dems[w0].elements
+        dems[w0] = replace(dems[w0], elements=elements - {min(elements)})
+        return dems
+
+    if mutant_first:
+        with monkeypatch.context() as mp:
+            mp.setattr(crystal, "demazure_crystal", dropped)
+            assert verify.check_crystal(lam, r)[0].failed
+        reports = verify.run_checks(["crystal", "bijection"], lam, r)
+        assert [(rep.check, rep.status) for rep in reports] == [
+            ("crystal", "pass"), ("bijection", "pass")]
+    else:
+        assert not any(rep.failed for rep in verify.run_checks(list(verify.CHECKS), lam, r))
+        monkeypatch.setattr(crystal, "demazure_crystal", dropped)
+        (report,) = verify.check_crystal(lam, r)
+        assert report.failed and report.w is None
+        assert report.detail == "Demazure set character mismatch"
+        assert report.counterexample == {"w": list(w0)}
 
 
 @pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0), (1, 1, 0, 0, 0),
@@ -221,7 +262,7 @@ def test_shortcut_reports_the_first_flag_of_a_bad_pattern(monkeypatch):
     assert report.counterexample["pattern"] == [list(row) for row in bad_shifted]
 
 
-def test_crystal_reports_a_demazure_set_that_cuts_a_string(monkeypatch, fresh_caches):
+def test_crystal_reports_a_demazure_set_that_cuts_a_string(monkeypatch):
     # a tableau of Dem(2,3,1) swapped for one of the same weight keeps every
     # character, so only the string trichotomy can catch it
     lam, w = (2, 1, 0), (2, 3, 1)
@@ -616,7 +657,7 @@ def test_partition_fails_under_a_wrong_weight_rule(
 @pytest.mark.parametrize("name,family", [
     ("demazure_char", "closed"), ("demazure_atom", "open")])
 def test_partition_fails_at_the_flag_of_a_wrong_character_or_atom(
-        monkeypatch, fresh_caches, name, family):
+        monkeypatch, name, family):
     # the divided-difference side is compared on its own: one flag's
     # character or atom doubled fails there, with the transfer and the
     # enumeration agreeing against it
@@ -716,9 +757,7 @@ def _crystal_with_set(lam, w, elements):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(crystal, "demazure_crystal", lambda lam, flag: dems)
         mp.setattr(laurent, "demazure_char", lambda lam, flag: chars)
-        _clear_caches()
         (report,) = verify.check_crystal(lam, len(lam))
-        _clear_caches()
     return report
 
 
