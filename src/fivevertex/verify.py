@@ -21,13 +21,15 @@ keeps the closed census (partition, states, bijection) and the open one
 (partition, tau).  _shared is one memo keyed by the builder and its
 arguments, so a result is only ever handed to a reader of the builder
 that made it: the characters (partition, bijection, crystal), the atoms
-(partition, crystal) and the Demazure sets (bijection, crystal), each
-table handed out read-only, and the Bruhat predicate over the support
-(partition, states, crystal).  Census patterns
-are built valid, so the checks hand them, and what they derive from
-them, to the unchecked cores of the public pattern functions;
-lattice.crystal_tableau checks each pattern once, as it reads it off a
-state.  Every check refuses a partition whose length is not the rank.
+(partition, crystal), the Demazure sets (bijection, crystal) and the
+crystal table, each tableau's evacuation, e_i and f_i (bijection,
+shortcut, crystal), each table handed out read-only, and the Bruhat
+predicate over the support (partition, states, crystal).  Census
+patterns are built valid, so the checks hand them, and what they derive
+from them, to the unchecked cores of the public pattern functions, and
+bijection reads a state's crystal tableau off its census pattern, not
+off its grid.  Every check refuses a partition whose length is not the
+rank before it builds any table.
 """
 
 import functools
@@ -37,8 +39,10 @@ import time
 import types
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import adjust, crystal, laurent, lattice, patterns, weyl
+from .patterns import Tableau
 
 __all__ = [
     "Report", "report_to_json", "CHECKS", "run_checks", "sweep",
@@ -87,17 +91,41 @@ def _census(lam, r, family):
     return tuple(zip(pats, lattice._walk(lattice.ModelSpec(lam, None, family), pats)))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=5)
 def _shared(build, *args):
     """build(*args), for what several checks read: the key holds the
-    builder, so no other builder's result is ever handed out.  Four entries
-    hold one partition's three tables and Bruhat predicate."""
+    builder, so no other builder's result is ever handed out.  Five entries
+    hold one partition's four tables and Bruhat predicate."""
     return build(*args)
 
 
-def _table(build, lam):
-    """Every flag's build(lam, None), shared and read-only."""
-    return types.MappingProxyType(_shared(build, lam, None))
+def _table(build, *args):
+    """The table build(*args), shared and read-only."""
+    return types.MappingProxyType(_shared(build, *args))
+
+
+class _Crystal(NamedTuple):
+    """One tableau's entry in the crystal table: its evacuation and its
+    e_i and f_i images, i = 1..r-1, each None where the operator vanishes."""
+    evac: Tableau
+    up: tuple
+    down: tuple
+
+
+def _crystal_table(lam, r):
+    """The crystal B(lam): every tableau of shape lam with entries at most
+    r, in sorted order, mapped to its _Crystal entry, computed once with
+    the public crystal.schuetzenberger, raising and lowering.  An image
+    equal to a tableau of the table is that tableau, so the images share
+    the keys' objects; one outside the table stays as it is."""
+    tabs = {tab: tab for tab in sorted(patterns.enumerate_ssyt(lam, r))}
+
+    def own(t):
+        return tabs.get(t, t)
+    return {tab: _Crystal(own(crystal.schuetzenberger(tab, r)),
+                          tuple(own(crystal.raising(tab, i)) for i in range(1, r)),
+                          tuple(own(crystal.lowering(tab, i)) for i in range(1, r)))
+            for tab in tabs}
 
 
 def check_partition(lam, r):
@@ -126,8 +154,8 @@ def check_partition(lam, r):
                 sums[s.spec.w][lattice._slot_exponents(s.horizontal)] += 1
     z_closed = lattice.partition_function(lattice.ModelSpec(lam, None, "closed"))
     z_open = lattice.partition_function(lattice.ModelSpec(lam, None, "open"))
-    chars = _table(laurent.demazure_char, lam)
-    atoms = _table(laurent.demazure_atom, lam)
+    chars = _table(laurent.demazure_char, lam, None)
+    atoms = _table(laurent.demazure_atom, lam, None)
 
     def shifted(f):
         return {tuple(map(operator.add, e, rho)): c for e, c in f.terms.items()}
@@ -193,9 +221,10 @@ def check_states(lam, r):
     crystal share, and other flags build their own.  A cell that is not
     above w_a, holds no state and has no grids passes, so each pattern
     visits, in sweep order, only the flags above its w_a, built, or
-    holding a state: the work follows the states, not the r! cells.  Each state's crossings are compared with its flag's inverted
-    pairs, built once per flag; _disagreeing_pair only names a failure's
-    pair."""
+    holding a state: the work follows the states, not the r! cells.  Each
+    state's crossings are compared with its flag's inverted pairs, as one
+    int mask of pairs, built once per flag; _disagreeing_pair only names a
+    failure's pair, the lex-first one."""
     lam = tuple(lam)
     flags = weyl.permutations_by_length(r)
     order = {y: k for k, y in enumerate(flags)}  # sweep order
@@ -204,7 +233,11 @@ def check_states(lam, r):
     distinct = tuple(sorted(set(forced), key=order.__getitem__))
     leq = _shared(weyl.bruhat_below, r, distinct)
     above = {w_a: frozenset(y for y in flags if leq(w_a, y)) for w_a in distinct}
-    inverted = functools.cache(adjust._inverted)  # for this call only
+
+    def mask(pairs):  # one bit per pair (a, b) of colors 0..r
+        return sum(1 << a * (r + 1) + b for a, b in pairs)
+    # one int per flag, for this call only: sets of pairs weigh 67 MB at rank 8
+    inverted = functools.cache(lambda y: mask(adjust._inverted(y)))
     for (pattern, found), w_a in zip(census, forced):
         built = adjust._sweeps(pattern, adjust._closed, [range(1, r + 1)] * r)
         by_flag = {}  # flag -> this pattern's states of it, in walk order
@@ -227,7 +260,7 @@ def check_states(lam, r):
                                    "enumerated": len(states),
                                    "expected": want,
                                    "constructive_found": grids is not None})]
-            if grids is not None and adjust._crossings(states[0], pattern) != inverted(y):
+            if grids is not None and mask(adjust._crossings(states[0], pattern)) != inverted(y):
                 pair = adjust._disagreeing_pair(states[0], pattern)
                 return [Report("states", lam, r, "fail",
                                "closed state's paths disagree with its flag "
@@ -240,12 +273,23 @@ def check_states(lam, r):
                    "matches the constructive state")]
 
 
+def _untabled(check, lam, r, pattern):
+    """The failure of a census pattern whose plain tableau, or its
+    evacuation, is not a tableau of the crystal table: the left-strict and
+    the SSYT enumerations (or evacuation) disagree."""
+    return [Report(check, lam, r, "fail",
+                   "pattern's tableau or its evacuation is missing from the crystal",
+                   counterexample={"pattern": [list(row) for row in pattern]})]
+
+
 def check_bijection(lam, r):
     """The crystal embedding restricted to closed states of each flag is
     injective with image the Demazure set of that flag.  Longest-coset
     flags carry the asserted claim; for non-strict shapes the unrestricted
-    reading is compared separately and reported as a note.  A tableau
-    depends on the pattern alone, so each pattern's is computed once."""
+    reading is compared separately and reported as a note.  A state's
+    tableau depends on its census pattern alone: the evacuation of the
+    pattern's plain tableau, read off the crystal table (shared with
+    shortcut and crystal), whose tableaux it shares."""
     lam = tuple(lam)
     strict = len(set(lam)) == r
     reports = []
@@ -254,15 +298,17 @@ def check_bijection(lam, r):
     flags = weyl.permutations_by_length(r)
     census = _census(lam, r, "closed")
     # the kept tables before the images, which are freed on return
-    dems = _table(crystal.demazure_crystal, lam)
-    chars = _table(laurent.demazure_char, lam)
+    dems = _table(crystal.demazure_crystal, lam, None)
+    chars = _table(laurent.demazure_char, lam, None)
+    table = _table(_crystal_table, lam, r)
     images = {y: set() for y in flags}
     counts = Counter()
-    for _, states in census:
-        if states:
-            tableau = lattice.crystal_tableau(states[0])
+    for pattern, states in census:
+        entry = table.get(patterns._tableau_of(patterns._subtract_staircase(pattern)))
+        if entry is None:
+            return _untabled("bijection", lam, r, pattern)
         for s in states:
-            images[s.spec.w].add(tableau)
+            images[s.spec.w].add(entry.evac)
             counts[s.spec.w] += 1
     for y in flags:
         image, count = images[y], counts[y]
@@ -301,23 +347,27 @@ def check_shortcut(lam, r):
     including the bridge that raising vanishes iff the mirrored lowering
     does.  Both sides depend on the pattern alone, so no state is built; a
     failure reports the pattern's forced flag, the first flag in sweep
-    order that holds it."""
+    order that holds it.  The composite's evacuations, e_i and mirrored
+    f_{r-i} are read off the crystal table (shared with bijection and
+    crystal); a raised tableau outside it fails the pattern."""
     lam = tuple(lam)
-    for pattern in sorted(patterns.enumerate_left_strict(lam, r)):
+    pats = sorted(patterns.enumerate_left_strict(lam, r))
+    table = _table(_crystal_table, lam, r)
+    for pattern in pats:
         shifted = patterns._subtract_staircase(pattern)
-        plain = patterns._tableau_of(shifted)
-        embedded = crystal.schuetzenberger(plain, r)
+        plain = table.get(patterns._tableau_of(shifted))
+        embedded = None if plain is None else table.get(plain.evac)
+        if embedded is None:
+            return _untabled("shortcut", lam, r, pattern)
         for i in range(1, r):
             raised = crystal._gtp_raise(shifted, i)
-            direct = crystal.raising(embedded, i)
-            bridge_ok = ((direct is None)
-                         == (crystal.lowering(plain, r - i) is None))
+            direct = embedded.up[i - 1]
+            bridge_ok = (direct is None) == (plain.down[r - i - 1] is None)
             if direct is None:
                 ok = raised is None and bridge_ok
             else:
-                expected = patterns.tableau_to_gt(
-                    crystal.schuetzenberger(direct, r), r)
-                ok = raised == expected and bridge_ok
+                ok = (direct in table and bridge_ok and raised
+                      == patterns.tableau_to_gt(table[direct].evac, r))
             if not ok:
                 return [Report("shortcut", lam, r, "fail",
                                "pattern-level raising disagrees with the composite",
@@ -373,31 +423,36 @@ def check_crystal(lam, r):
     lam = tuple(lam)
     if len(lam) != r:
         raise ValueError("partition length must equal the rank")
-    elements = sorted(patterns.enumerate_ssyt(lam, r))
 
     def fail(detail, **extra):
         return [Report("crystal", lam, r, "fail", detail,
                        counterexample=extra or None)]
 
-    evac = {tab: crystal.schuetzenberger(tab, r) for tab in elements}
     flags = weyl.permutations_by_length(r)
-    dems = _table(crystal.demazure_crystal, lam)
+    dems = _table(crystal.demazure_crystal, lam, None)
+    table = _table(_crystal_table, lam, r)
     holds = Counter()  # tableau -> bit k set when Dem(flags[k]) holds it
     for k, w in enumerate(flags):
         for tab in dems[w].elements:
             holds[tab] |= 1 << k
     cut = 0  # bit k set when Dem(flags[k]) cuts an i-string
-    for tab in elements:
+    for tab, (evac, ups, downs) in table.items():
         wt = patterns.weight(tab, r)
+        # first, so that the axioms below read only entries of the table
+        if evac not in table or table[evac].evac != tab:
+            return fail("evacuation is not an involution",
+                        tableau=[list(row) for row in tab])
+        if patterns.weight(evac, r) != wt[::-1]:
+            return fail("evacuation does not reverse the weight")
+        mirrored = table[evac].down  # f_{r-i} of the evacuation at r-i-1
         for i in range(1, r):
-            up = crystal.raising(tab, i)
-            down = crystal.lowering(tab, i)
-            if up is not None and (crystal.lowering(up, i) != tab or
+            up, down = ups[i - 1], downs[i - 1]
+            if up is not None and (up not in table or table[up].down[i - 1] != tab or
                                    patterns.weight(up, r) !=
                                    wt[:i - 1] + (wt[i - 1] + 1, wt[i] - 1) + wt[i + 1:]):
                 return fail("raising is not inverted by lowering",
                             tableau=[list(row) for row in tab], index=i)
-            if down is not None and crystal.raising(down, i) != tab:
+            if down is not None and (down not in table or table[down].up[i - 1] != tab):
                 return fail("lowering is not inverted by raising",
                             tableau=[list(row) for row in tab], index=i)
             e, p = crystal.eps(tab, i), crystal.phi(tab, i)
@@ -407,21 +462,16 @@ def check_crystal(lam, r):
                 return fail("lowering nullity disagrees with the string statistic")
             if p != wt[i - 1] - wt[i] + e:
                 return fail("string statistics do not satisfy the weight relation")
-            if (None if up is None else evac[up]) != crystal.lowering(evac[tab], r - i):
+            if (None if up is None else table[up].evac) != mirrored[r - i - 1]:
                 return fail("evacuation does not intertwine raising with "
                             "the mirrored lowering")
             if up is not None:  # below its head, tab needs e_i and any f_i
                 below = -1 if down is None else holds[down]  # -1: every flag
                 cut |= holds[tab] & ~(holds[up] & below)
-        if evac.get(evac[tab]) != tab:
-            return fail("evacuation is not an involution",
-                        tableau=[list(row) for row in tab])
-        if patterns.weight(evac[tab], r) != wt[::-1]:
-            return fail("evacuation does not reverse the weight")
 
     atoms = {w: a.elements for w, a in crystal.demazure_atom_set(lam, None).items()}
-    chars = _table(laurent.demazure_char, lam)
-    atom_chars = _table(laurent.demazure_atom, lam)
+    chars = _table(laurent.demazure_char, lam, None)
+    atom_chars = _table(laurent.demazure_atom, lam, None)
     support = [y for y in flags if atoms[y]]
     leq = _shared(weyl.bruhat_below, r, tuple(support))
     for k, w in enumerate(flags):

@@ -114,9 +114,10 @@ def test_checks_build_each_shared_table_once_and_keep_one_partition(
         monkeypatch, fresh_caches):
     # partition, bijection and crystal read one character table, partition
     # and crystal one atom table, bijection and crystal one Demazure-set
-    # table, and partition, states and crystal one Bruhat predicate over
-    # the support (states asks over its forced flags, the same ones); the
-    # memo then holds the last partition's four, each table read-only
+    # table, bijection, shortcut and crystal one crystal table, and
+    # partition, states and crystal one Bruhat predicate over the support
+    # (states asks over its forced flags, the same ones); the memo then
+    # holds the last partition's five, each table read-only
     def support(lam):
         return tuple(y for y, atom in laurent.demazure_atom(lam, None).items() if atom)
     supports = {lam: support(lam) for lam in [(2, 1, 1, 0), (2, 1, 0)]}
@@ -126,28 +127,35 @@ def test_checks_build_each_shared_table_once_and_keep_one_partition(
         build = getattr(module, name)
 
         def call(first, second):
-            built[name, first, None if second is None else tuple(second)] += 1
+            built[name, first, second] += 1
             return build(first, second)
         monkeypatch.setattr(module, name, call)
     tables = [(laurent, "demazure_char"), (laurent, "demazure_atom"),
               (crystal, "demazure_crystal")]
-    for module, name in tables + [(weyl, "bruhat_below")]:
+    for module, name in tables + [(weyl, "bruhat_below"), (verify, "_crystal_table")]:
         counted(module, name)
     for lam, r in [((2, 1, 1, 0), 4), ((2, 1, 0), 3)]:
         reports = verify.run_checks(list(verify.CHECKS), lam, r)
         assert all(not rep.failed for rep in reports)
         for _, name in tables:
             assert built[name, lam, None] == 1, name
+        assert built["_crystal_table", lam, r] == 1
         assert built["bruhat_below", r, supports[lam]] == 1
     assert sorted(key[0] for key in built) == (
-        ["bruhat_below"] * 2 + ["demazure_atom"] * 2 + ["demazure_char"] * 2
-        + ["demazure_crystal"] * 2)
-    assert verify._shared.cache_info().currsize == 4
+        ["_crystal_table"] * 2 + ["bruhat_below"] * 2 + ["demazure_atom"] * 2
+        + ["demazure_char"] * 2 + ["demazure_crystal"] * 2)
+    assert verify._shared.cache_info().currsize == 5
     calls = built.copy()
     for module, name in tables:
-        table = verify._table(getattr(module, name), (2, 1, 0))
+        table = verify._table(getattr(module, name), (2, 1, 0), None)
         with pytest.raises(TypeError):
             table[(1, 2, 3)] = table[(3, 2, 1)]
+    table = verify._table(verify._crystal_table, (2, 1, 0), 3)
+    top = crystal.highest_weight_tableau((2, 1, 0))
+    with pytest.raises(TypeError):
+        table[top] = table[top]
+    with pytest.raises(AttributeError):
+        table[top].evac = top
     verify._shared(weyl.bruhat_below, 3, supports[(2, 1, 0)])
     assert built == calls
 
@@ -184,6 +192,123 @@ def test_a_shared_table_reaches_only_readers_of_its_builder(
         assert report.counterexample == {"w": list(w0)}
 
 
+# a tableau of the crystal table of (2,1,0) and an index where f_i is defined
+_CUT_TABLEAU, _CUT_INDEX = ((1, 3), (2,)), 2
+_real_crystal_table = verify._crystal_table
+
+
+def _cut_crystal_table(lam, r):
+    """The real crystal table with f_i of _CUT_TABLEAU made to vanish."""
+    table = _real_crystal_table(lam, r)
+    entry = table[_CUT_TABLEAU]
+    down = list(entry.down)
+    assert down[_CUT_INDEX - 1] is not None
+    down[_CUT_INDEX - 1] = None
+    table[_CUT_TABLEAU] = entry._replace(down=tuple(down))
+    return table
+
+
+def _assert_cut_reports(lam, r):
+    (report,) = verify.check_crystal(lam, r)
+    assert report.failed and report.w is None and report.counterexample is None
+    assert report.detail == "evacuation does not intertwine raising with the mirrored lowering"
+    (report,) = verify.check_shortcut(lam, r)
+    assert report.failed and report.w == (2, 3, 1)
+    assert report.detail == "pattern-level raising disagrees with the composite"
+    assert report.counterexample == {"pattern": [[2, 1, 0], [1, 1], [1]], "index": 1,
+                                     "rule_null": False, "direct_null": False}
+
+
+@pytest.mark.parametrize("mutant_first", [False, True], ids=["warm", "mutant-first"])
+def test_a_wrong_crystal_edge_fails_crystal_and_shortcut(
+        monkeypatch, fresh_caches, mutant_first):
+    # one f_i edge of the crystal table made to vanish: the axioms and the
+    # shortcut's bridge, both reading the table, fail with pinned reports,
+    # and the mutant's table never reaches the real builder's readers, nor
+    # the real one the mutant's; no cache is cleared between the runs
+    lam, r = (2, 1, 0), 3
+    if not mutant_first:
+        assert not any(rep.failed for rep in verify.run_checks(list(verify.CHECKS), lam, r))
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_crystal_table", _cut_crystal_table)
+        _assert_cut_reports(lam, r)
+    reports = verify.run_checks(["crystal", "shortcut", "bijection"], lam, r)
+    assert [(rep.check, rep.status) for rep in reports] == [
+        ("crystal", "pass"), ("shortcut", "pass"), ("bijection", "pass")]
+
+
+def test_a_pattern_missing_from_the_crystal_table_is_a_report(monkeypatch, fresh_caches):
+    # a census pattern whose plain tableau the table lacks means the SSYT
+    # and left-strict enumerations disagree: bijection and shortcut fail
+    # with a report naming the pattern, never a KeyError, and so does
+    # crystal, whose axioms meet the tableau as an image
+    lam, r = (2, 1, 0), 3
+
+    def dropped(lam, r):
+        table = _real_crystal_table(lam, r)
+        del table[_CUT_TABLEAU]
+        return table
+    monkeypatch.setattr(verify, "_crystal_table", dropped)
+    for check in (verify.check_bijection, verify.check_shortcut):
+        (report,) = check(lam, r)
+        assert report.failed and report.w is None
+        assert report.detail == "pattern's tableau or its evacuation is missing from the crystal"
+        assert report.counterexample == {"pattern": [[4, 2, 0], [2, 1], [1]]}
+    (report,) = verify.check_crystal(lam, r)
+    assert report.failed and report.detail == "lowering is not inverted by raising"
+    assert report.counterexample == {"tableau": [[1, 2], [2]], "index": 2}
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), (3, 1, 0, 0), (2, 2, 1, 0)], ids=str)
+def test_crystal_tableau_of_a_state_is_the_table_evacuation_of_its_pattern(
+        monkeypatch, fresh_caches, lam):
+    # bijection files each closed state under the table's evacuation of its
+    # census pattern's plain tableau, and calls no lattice.crystal_tableau,
+    # which reads the pattern back off the grid (statedoc's reader); the
+    # two readings agree on every closed state
+    r = len(lam)
+    table = verify._crystal_table(lam, r)
+    checked = 0
+    for pattern, states in verify._census(lam, r, "closed"):
+        plain = patterns.gt_to_tableau(patterns.subtract_staircase(pattern))
+        for state in states:
+            assert lattice.gtp_of_state(state) == pattern
+            assert lattice.crystal_tableau(state) == table[plain].evac
+            checked += 1
+    assert checked
+
+    def refuse(state):
+        raise AssertionError("verify read a crystal tableau off a state")
+    monkeypatch.setattr(lattice, "crystal_tableau", refuse)
+    assert verify.check_bijection(lam, r)[0].status == "pass"
+
+
+def test_crystal_checks_evacuate_raise_and_lower_each_tableau_once(
+        monkeypatch, fresh_caches):
+    # bijection, shortcut and crystal read one crystal table: each tableau
+    # of (2,1,1,0) is evacuated once and each (tableau, i) raised and
+    # lowered once, whatever the three checks ask of it
+    lam, r = (2, 1, 1, 0), 4
+    calls = Counter()
+
+    def counted(name, build):
+        def call(tab, arg):
+            calls[name, tab, arg] += 1
+            return build(tab, arg)
+        return call
+    for name in ("schuetzenberger", "raising", "lowering"):
+        monkeypatch.setattr(crystal, name, counted(name, getattr(crystal, name)))
+    monkeypatch.setattr(lattice, "schuetzenberger", crystal.schuetzenberger)
+    reports = verify.run_checks(["bijection", "shortcut", "crystal"], lam, r)
+    assert all(not rep.failed for rep in reports)
+    tabs = patterns.enumerate_ssyt(lam, r)
+    once = Counter(("schuetzenberger", tab, r) for tab in tabs)
+    once.update((name, tab, i) for name in ("raising", "lowering")
+                for tab in tabs for i in range(1, r))
+    assert set(once.values()) == {1}
+    assert calls == once
+
+
 @pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0), (1, 1, 0, 0, 0),
                                  (3, 2, 1, 0), (20, 10, 0)], ids=str)
 def test_census_is_the_free_enumeration_grouped(lam):
@@ -205,9 +330,13 @@ def test_run_checks_rejects_a_rank_mismatch(lam, r):
         verify.run_checks(list(verify.CHECKS), lam, r)
 
 
-def test_every_check_rejects_a_partition_of_another_rank():
+def test_every_check_rejects_a_partition_of_another_rank(monkeypatch):
     # each check is public, so each refuses a partition whose length is
-    # not the rank, as run_checks does, rather than fail inside
+    # not the rank, as run_checks does, rather than fail inside, and
+    # before it builds a shared table
+    def refuse(*args):
+        raise AssertionError("a shared table was built")
+    monkeypatch.setattr(verify, "_shared", refuse)
     for lam, r in [((1, 0), 3), ((1, 0, 0), 2), ((1, 0), 1)]:
         for name, check in verify.CHECKS.items():
             with pytest.raises(ValueError, match="length must equal the rank"):
@@ -695,10 +824,11 @@ def test_bijection_fails_at_the_flag_of_a_changed_census_state(
 
 def test_pattern_checks_validate_each_census_pattern_at_most_once(
         monkeypatch, fresh_caches):
-    # census patterns are built valid, so shortcut, tau and states hand
-    # them and what they derive from them to the unchecked cores, and
-    # bijection's crystal tableaux check each pattern as they read it off
-    # its state
+    # census patterns are built valid, so the checks hand them and what
+    # they derive from them to the unchecked cores; bijection reads its
+    # crystal tableaux off the census patterns, not back off the states
+    # (whose column read would check each pattern once), so no check may
+    # need to validate any
     lam, r = (3, 2, 1, 0), 4
     census = verify._census(lam, r, "closed")
     check = patterns.check_pattern
@@ -713,7 +843,7 @@ def test_pattern_checks_validate_each_census_pattern_at_most_once(
     for name in ("shortcut", "tau", "states", "bijection"):
         reports = verify.CHECKS[name](lam, r)
         assert reports[0].status == "pass", name
-    assert 0 < calls[0] <= len(census)
+    assert calls[0] <= len(census)
 
 
 @pytest.mark.parametrize("call", [
