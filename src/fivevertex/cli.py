@@ -93,6 +93,7 @@ def _cmd_crystal(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(verify.CHECKS) if args.check == "all" else [args.check]
+    verify._check_sweep(args.rank, args.lambda_max)  # before opening --out empties it
     # open the output first, so that an unwritable path fails before the sweep
     with (contextlib.nullcontext(sys.stdout) if args.out is None
           else Path(args.out).open("w")) as out:

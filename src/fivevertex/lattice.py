@@ -296,8 +296,8 @@ def state_flag(horizontal) -> tuple[int, ...]:
     w = [0] * r
     for i in range(1, r + 1):
         m = horizontal[i - 1][0]
-        if m == 0:
-            raise ValueError(f"right boundary of row {i} is uncolored")
+        if not 1 <= m <= r:
+            raise ValueError(f"right boundary of row {i} has color {m}, not in 1..{r}")
         w[m - 1] = i
     return weyl.check_permutation(w)
 

@@ -9,27 +9,23 @@ normalization findings and scope comparisons and never signal failure.
 JSON-lines serialization lives here too, one object per report.
 
 Within one check, every flag of a partition is answered from one piece
-of work per family: one census, which walks each left-strict pattern once
-and keeps its states of every flag as the walk yields them, pattern by
-pattern, so each check that reads states makes one pass over it; one row
-transfer giving every flag's partition function; and tables of
+of work per family: one census, which walks each left-strict pattern
+once and keeps its states of every flag as the walk yields them, pattern
+by pattern, so each check that reads states makes one pass over it; one
+row transfer giving every flag's partition function; and tables of
 characters, atoms, Demazure sets and atom sets for every flag, each flag
-one operator step from its left-descent parent.  Across checks, what
-two checks read is shared through two caches sized for the last
-partition (run_checks runs one partition's checks in a row).  _census
-keeps the closed census (partition, states, bijection) and the open one
-(partition, tau).  _shared is one memo keyed by the builder and its
-arguments, so a result is only ever handed to a reader of the builder
-that made it: the characters (partition, bijection, crystal), the atoms
-(partition, crystal), the Demazure sets (bijection, crystal) and the
-crystal table, each tableau's evacuation, e_i and f_i (bijection,
-shortcut, crystal), each table handed out read-only, and the Bruhat
-predicate over the support (partition, states, crystal).  Census
-patterns are built valid, so the checks hand them, and what they derive
-from them, to the unchecked cores of the public pattern functions, and
-bijection reads a state's crystal tableau off its census pattern, not
-off its grid.  Every check refuses a partition whose length is not the
-rank before it builds any table.
+one operator step from its left-descent parent.  What two checks read is
+built once, in one memo of the last partition asked for (run_checks runs
+one partition's checks in a row), keyed by the builder and its
+arguments, so a result only reaches readers of the builder that made it,
+and a table goes out read-only: the sorted left-strict patterns, the
+closed and the open census, the characters, atoms, Demazure sets and
+crystal table (each tableau's evacuation, e_i and f_i), and the Bruhat
+predicate over the support.  Census patterns are built valid, so the
+checks hand them, and what they derive from them, to the unchecked cores
+of the public pattern functions, and bijection reads a state's crystal
+tableau off its census pattern, not off its grid.  Every check first
+reads the memo, which refuses a partition whose length is not the rank.
 """
 
 import functools
@@ -37,7 +33,7 @@ import json
 import operator
 import time
 import types
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,26 +78,34 @@ def report_to_json(report: Report) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
+def _memo(lam, r):
+    """One partition's memo, dropped before another partition's first build."""
+    if len(lam) != r:
+        raise ValueError("partition length must equal the rank")
+    return {}
+
+
+def _shared(lam, r, build, *args):
+    """build(*args), read by several checks of the partition: the key holds
+    the builder, so no other builder's result is handed out; a table is read-only."""
+    memo = _memo(lam, r)
+    if (build, *args) not in memo:
+        made = build(*args)
+        memo[build, *args] = types.MappingProxyType(made) if isinstance(made, dict) else made
+    return memo[build, *args]
+
+
+def _patterns(lam, r):
+    return tuple(sorted(patterns.enumerate_left_strict(lam, r)))
+
+
 def _census(lam, r, family):
     """The sorted left-strict patterns, each paired with the tuple of its
     states of the family over every flag, in walk order (so a (flag,
     pattern) cell holding two states still shows), from one walk."""
-    pats = sorted(patterns.enumerate_left_strict(lam, r))
+    pats = _shared(lam, r, _patterns, lam, r)
     return tuple(zip(pats, lattice._walk(lattice.ModelSpec(lam, None, family), pats)))
-
-
-@functools.lru_cache(maxsize=5)
-def _shared(build, *args):
-    """build(*args), for what several checks read: the key holds the
-    builder, so no other builder's result is ever handed out.  Five entries
-    hold one partition's four tables and Bruhat predicate."""
-    return build(*args)
-
-
-def _table(build, *args):
-    """The table build(*args), shared and read-only."""
-    return types.MappingProxyType(_shared(build, *args))
 
 
 class _Crystal(NamedTuple):
@@ -144,24 +148,24 @@ def check_partition(lam, r):
     nonzero, that lie in the lower interval of w (weyl.bruhat_below over
     the support, shared with states and crystal)."""
     lam = tuple(lam)
-    flags = weyl.permutations_by_length(r)
-    rho = patterns.staircase(len(lam))
     enumerated = {}  # family -> flag -> Counter of its states' exponents
     for family in ("closed", "open"):
-        sums = enumerated[family] = {y: Counter() for y in flags}
-        for _, states in _census(lam, r, family):
+        sums = enumerated[family] = defaultdict(Counter)
+        for _, states in _shared(lam, r, _census, lam, r, family):
             for s in states:
                 sums[s.spec.w][lattice._slot_exponents(s.horizontal)] += 1
+    flags = weyl.permutations_by_length(r)
+    rho = patterns.staircase(len(lam))
     z_closed = lattice.partition_function(lattice.ModelSpec(lam, None, "closed"))
     z_open = lattice.partition_function(lattice.ModelSpec(lam, None, "open"))
-    chars = _table(laurent.demazure_char, lam, None)
-    atoms = _table(laurent.demazure_atom, lam, None)
+    chars = _shared(lam, r, laurent.demazure_char, lam, None)
+    atoms = _shared(lam, r, laurent.demazure_atom, lam, None)
 
     def shifted(f):
         return {tuple(map(operator.add, e, rho)): c for e, c in f.terms.items()}
 
     support = [y for y in flags if z_open[y]]
-    leq = _shared(weyl.bruhat_below, r, tuple(support))
+    leq = _shared(lam, r, weyl.bruhat_below, r, tuple(support))
     literal_matches = True
     for w in flags:
         char = chars[w]
@@ -226,12 +230,12 @@ def check_states(lam, r):
     int mask of pairs, built once per flag; _disagreeing_pair only names a
     failure's pair, the lex-first one."""
     lam = tuple(lam)
+    census = _shared(lam, r, _census, lam, r, "closed")
     flags = weyl.permutations_by_length(r)
     order = {y: k for k, y in enumerate(flags)}  # sweep order
-    census = _census(lam, r, "closed")
     forced = [weyl.inverse(adjust._exit_colors(p)) for p, _ in census]
     distinct = tuple(sorted(set(forced), key=order.__getitem__))
-    leq = _shared(weyl.bruhat_below, r, distinct)
+    leq = _shared(lam, r, weyl.bruhat_below, r, distinct)
     above = {w_a: frozenset(y for y in flags if leq(w_a, y)) for w_a in distinct}
 
     def mask(pairs):  # one bit per pair (a, b) of colors 0..r
@@ -291,16 +295,16 @@ def check_bijection(lam, r):
     pattern's plain tableau, read off the crystal table (shared with
     shortcut and crystal), whose tableaux it shares."""
     lam = tuple(lam)
+    census = _shared(lam, r, _census, lam, r, "closed")
     strict = len(set(lam)) == r
     reports = []
     unrestricted_holds = True
     unrestricted_example = None
     flags = weyl.permutations_by_length(r)
-    census = _census(lam, r, "closed")
     # the kept tables before the images, which are freed on return
-    dems = _table(crystal.demazure_crystal, lam, None)
-    chars = _table(laurent.demazure_char, lam, None)
-    table = _table(_crystal_table, lam, r)
+    dems = _shared(lam, r, crystal.demazure_crystal, lam, None)
+    chars = _shared(lam, r, laurent.demazure_char, lam, None)
+    table = _shared(lam, r, _crystal_table, lam, r)
     images = {y: set() for y in flags}
     counts = Counter()
     for pattern, states in census:
@@ -351,8 +355,8 @@ def check_shortcut(lam, r):
     f_{r-i} are read off the crystal table (shared with bijection and
     crystal); a raised tableau outside it fails the pattern."""
     lam = tuple(lam)
-    pats = sorted(patterns.enumerate_left_strict(lam, r))
-    table = _table(_crystal_table, lam, r)
+    pats = _shared(lam, r, _patterns, lam, r)
+    table = _shared(lam, r, _crystal_table, lam, r)
     for pattern in pats:
         shifted = patterns._subtract_staircase(pattern)
         plain = table.get(patterns._tableau_of(shifted))
@@ -385,7 +389,7 @@ def check_tau(lam, r):
     """Exit colors read off a pattern invert the flag of its one open state
     (open census); checked on the left-strict pattern and its staircase shift."""
     lam = tuple(lam)
-    for pattern, states in _census(lam, r, "open"):
+    for pattern, states in _shared(lam, r, _census, lam, r, "open"):
         if len(states) != 1:
             return [Report("tau", lam, r, "fail", "pattern has no unique open state",
                            counterexample={"pattern": [list(row) for row in pattern],
@@ -421,16 +425,14 @@ def check_crystal(lam, r):
     atom adds nothing to the union and meets nothing.  Sets, atoms and
     characters are computed for every flag at once."""
     lam = tuple(lam)
-    if len(lam) != r:
-        raise ValueError("partition length must equal the rank")
 
     def fail(detail, **extra):
         return [Report("crystal", lam, r, "fail", detail,
                        counterexample=extra or None)]
 
+    dems = _shared(lam, r, crystal.demazure_crystal, lam, None)
+    table = _shared(lam, r, _crystal_table, lam, r)
     flags = weyl.permutations_by_length(r)
-    dems = _table(crystal.demazure_crystal, lam, None)
-    table = _table(_crystal_table, lam, r)
     holds = Counter()  # tableau -> bit k set when Dem(flags[k]) holds it
     for k, w in enumerate(flags):
         for tab in dems[w].elements:
@@ -470,10 +472,10 @@ def check_crystal(lam, r):
                 cut |= holds[tab] & ~(holds[up] & below)
 
     atoms = {w: a.elements for w, a in crystal.demazure_atom_set(lam, None).items()}
-    chars = _table(laurent.demazure_char, lam, None)
-    atom_chars = _table(laurent.demazure_atom, lam, None)
+    chars = _shared(lam, r, laurent.demazure_char, lam, None)
+    atom_chars = _shared(lam, r, laurent.demazure_atom, lam, None)
     support = [y for y in flags if atoms[y]]
-    leq = _shared(weyl.bruhat_below, r, tuple(support))
+    leq = _shared(lam, r, weyl.bruhat_below, r, tuple(support))
     for k, w in enumerate(flags):
         dem = dems[w].elements
         if crystal.character(dem, r) != chars[w]:
@@ -513,8 +515,6 @@ CHECKS = {
 
 
 def run_checks(names, lam, r):
-    if len(lam) != r:
-        raise ValueError(f"partition {tuple(lam)} does not have rank {r}")
     if not names or any(name not in CHECKS for name in names):
         raise ValueError(f"checks {list(names)} are not a nonempty list of "
                          f"names from CHECKS: {', '.join(CHECKS)}")
@@ -529,14 +529,19 @@ def run_checks(names, lam, r):
     return reports
 
 
-def sweep(names, rank, lambda_max):
-    """Run the named checks over every dominant shape with parts at most
-    lambda_max, for every rank up to the given one, smallest cases first.
-    The first run_checks rejects the names before any check runs."""
+def _check_sweep(rank, lambda_max):
+    """Refuse a sweep over no rank or with a negative largest part."""
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
     if lambda_max < 0:
         raise ValueError(f"lambda-max must be at least 0, got {lambda_max}")
+
+
+def sweep(names, rank, lambda_max):
+    """Run the named checks over every dominant shape with parts at most
+    lambda_max, for every rank up to the given one, smallest cases first.
+    The first run_checks rejects the names before any check runs."""
+    _check_sweep(rank, lambda_max)
     reports = []
     for r in range(1, rank + 1):
         for lam in patterns.dominant_partitions(r, lambda_max):

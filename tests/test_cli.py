@@ -175,11 +175,19 @@ def test_verify_single_check(capsys):
                for line in out.strip().splitlines())
 
 
-def test_verify_rejects_empty_sweep(capsys):
+def test_verify_rejects_empty_sweep(tmp_path, capsys):
     code, out, err = _run(capsys, "verify", "--rank", "0", "--lambda-max", "1")
     assert code == 2 and out == "" and "rank" in err
     code, out, err = _run(capsys, "verify", "--rank", "2", "--lambda-max", "-1")
     assert code == 2 and out == "" and "lambda-max" in err
+    # a refused sweep leaves an existing --out file as it was
+    kept = tmp_path / "reports.jsonl"
+    kept.write_bytes(b'{"earlier": "reports"}\n')
+    for rank, lambda_max, word in [("0", "1", "rank"), ("2", "-1", "lambda-max")]:
+        code, out, err = _run(capsys, "verify", "--rank", rank, "--lambda-max", lambda_max,
+                              "--out", str(kept))
+        assert code == 2 and out == "" and word in err
+        assert kept.read_bytes() == b'{"earlier": "reports"}\n'
 
 
 def test_malformed_flags_exit_2(capsys):
@@ -221,6 +229,11 @@ def test_render_rejects_invalid_document(tmp_path, capsys):
     docs = [{"schema_version": 1}]
     for field, value in [("derived", [1]), ("lambda", [1.0, 0]), ("w", [2.0, 1])]:
         docs.append({**json.loads(out)[0], field: value})
+    for color in (99, -1):  # a right-boundary color outside 1..r
+        doc = json.loads(out)[0]
+        del doc["derived"]
+        doc["horizontal"][0][0] = color
+        docs.append(doc)
     bad = tmp_path / "bad.json"
     for doc in docs:
         bad.write_text(json.dumps(doc))

@@ -352,6 +352,14 @@ def test_color_path_rejects_a_color_outside_one_to_r(m):
         lattice.color_path(state, m)
 
 
+@pytest.mark.parametrize("m", [0, -1, 3])
+def test_state_flag_rejects_a_color_outside_one_to_r(m):
+    # a color m outside 1..r has no row w(m) to exit at: -1 would write the
+    # last slot of w, 3 past its end
+    with pytest.raises(ValueError, match=f"row 1 has color {m}, not in 1..2"):
+        lattice.state_flag(((m, 0), (1, 0)))
+
+
 def test_open_crossing_law():
     # meeting paths cross at their first meeting and never again
     for spec in _desk_specs(["open"]):

@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import json
 import math
 import time
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -16,7 +18,7 @@ def _statuses(reports):
 
 
 # every cache that verify holds, each cleared by fresh_caches
-_CACHES = ("_census", "_shared")
+_CACHES = ("_memo",)
 
 
 def _clear_caches():
@@ -26,9 +28,9 @@ def _clear_caches():
 
 @pytest.fixture
 def fresh_caches():
-    # a mutated census must neither come from nor stay in the census cache,
-    # whose key does not name the walk; a mutant builder needs no fixture,
-    # since the shared memo's key holds the builder
+    # a mutated census must neither come from nor stay in the memo, whose
+    # census key does not name the walk; a mutant table builder needs no
+    # fixture, since the memo's key holds the builder
     _clear_caches()
     yield
     _clear_caches()
@@ -85,10 +87,11 @@ def test_interval_checks_fail_under_a_reflexive_only_order(monkeypatch, check):
     assert [rep.status for rep in reports] == ["fail"]
 
 
-def test_checks_walk_each_census_once_and_keep_one_partition(monkeypatch):
+def test_checks_walk_each_census_once_and_keep_one_partition(
+        monkeypatch, fresh_caches):
     # the checks share one census per family of the partition's states, so
     # the closed and the open family are each walked once for every flag
-    # at once, and the census cache holds only the last partition's two
+    # at once, and the memo holds only the last partition, with its two
     walked = []
     walk = lattice._walk
 
@@ -96,18 +99,57 @@ def test_checks_walk_each_census_once_and_keep_one_partition(monkeypatch):
         walked.append(spec.family)
         return walk(spec, filters)
     monkeypatch.setattr(lattice, "_walk", counted)
-    verify._census.cache_clear()
     reports = verify.run_checks(list(verify.CHECKS), (2, 1, 1, 0), 4)
     assert all(not rep.failed for rep in reports)
     assert sorted(walked) == ["closed", "open"]
     verify.run_checks(list(verify.CHECKS), (2, 1, 0), 3)
     assert sorted(walked) == ["closed", "closed", "open", "open"]
-    census = verify._census.cache_info()
-    assert (census.misses, census.currsize) == (4, 2)
-    verify._census((2, 1, 0), 3, "closed")
-    verify._census((2, 1, 0), 3, "open")
-    assert verify._census.cache_info().hits == census.hits + 2
+    memo = verify._memo.cache_info()
+    assert (memo.misses, memo.currsize) == (2, 1)
+    for family in ("closed", "open"):
+        verify._shared((2, 1, 0), 3, verify._census, (2, 1, 0), 3, family)
     assert len(walked) == 4
+
+
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_a_check_of_another_partition_drops_the_last_one_first(
+        monkeypatch, fresh_caches, name):
+    # the memo holds one partition's work: a check of another partition
+    # drops the last one's census before its own first walk, so a sweep
+    # never holds two partitions' states at once
+    refs = []
+    walk = lattice._walk
+
+    def kept(spec, pats):
+        for states in walk(spec, pats):
+            refs.extend(map(weakref.ref, states))
+            yield states
+
+    def dropped(spec, pats):
+        assert not any(ref() for ref in refs), "the last partition's states are alive"
+        return walk(spec, pats)
+    monkeypatch.setattr(lattice, "_walk", kept)
+    assert verify.check_states((2, 1, 0), 3)[0].status == "pass"
+    assert all(ref() for ref in refs)
+    monkeypatch.setattr(lattice, "_walk", dropped)
+    reports = verify.CHECKS[name]((1, 1, 0), 3)
+    assert not any(rep.failed for rep in reports)
+    assert not any(ref() for ref in refs)
+
+
+def test_checks_enumerate_the_left_strict_patterns_once_per_partition(
+        monkeypatch, fresh_caches):
+    # both censuses and shortcut read one sorted list of the patterns
+    enumerated = []
+    enumerate_left_strict = patterns.enumerate_left_strict
+
+    def counted(lam, r):
+        enumerated.append(lam)
+        return enumerate_left_strict(lam, r)
+    monkeypatch.setattr(patterns, "enumerate_left_strict", counted)
+    reports = verify.run_checks(["partition", "states", "shortcut", "tau"], (2, 1, 1, 0), 4)
+    assert all(not rep.failed for rep in reports)
+    assert enumerated == [(2, 1, 1, 0)]
 
 
 def test_checks_build_each_shared_table_once_and_keep_one_partition(
@@ -117,7 +159,8 @@ def test_checks_build_each_shared_table_once_and_keep_one_partition(
     # table, bijection, shortcut and crystal one crystal table, and
     # partition, states and crystal one Bruhat predicate over the support
     # (states asks over its forced flags, the same ones); the memo then
-    # holds the last partition's five, each table read-only
+    # holds the last partition only, with these five, each table read-only,
+    # the two censuses and the sorted patterns they share
     def support(lam):
         return tuple(y for y, atom in laurent.demazure_atom(lam, None).items() if atom)
     supports = {lam: support(lam) for lam in [(2, 1, 1, 0), (2, 1, 0)]}
@@ -144,19 +187,24 @@ def test_checks_build_each_shared_table_once_and_keep_one_partition(
     assert sorted(key[0] for key in built) == (
         ["_crystal_table"] * 2 + ["bruhat_below"] * 2 + ["demazure_atom"] * 2
         + ["demazure_char"] * 2 + ["demazure_crystal"] * 2)
-    assert verify._shared.cache_info().currsize == 5
+    assert verify._memo.cache_info().currsize == 1
+    memo = verify._memo((2, 1, 0), 3)
+    assert len(memo) == 8
+    assert {key[0] for key in memo} == {
+        getattr(module, name) for module, name in tables} | {
+        weyl.bruhat_below, verify._crystal_table, verify._census, verify._patterns}
     calls = built.copy()
     for module, name in tables:
-        table = verify._table(getattr(module, name), (2, 1, 0), None)
+        table = verify._shared((2, 1, 0), 3, getattr(module, name), (2, 1, 0), None)
         with pytest.raises(TypeError):
             table[(1, 2, 3)] = table[(3, 2, 1)]
-    table = verify._table(verify._crystal_table, (2, 1, 0), 3)
+    table = verify._shared((2, 1, 0), 3, verify._crystal_table, (2, 1, 0), 3)
     top = crystal.highest_weight_tableau((2, 1, 0))
     with pytest.raises(TypeError):
         table[top] = table[top]
     with pytest.raises(AttributeError):
         table[top].evac = top
-    verify._shared(weyl.bruhat_below, 3, supports[(2, 1, 0)])
+    verify._shared((2, 1, 0), 3, weyl.bruhat_below, 3, supports[(2, 1, 0)])
     assert built == calls
 
 
@@ -332,13 +380,21 @@ def test_run_checks_rejects_a_rank_mismatch(lam, r):
 
 def test_every_check_rejects_a_partition_of_another_rank(monkeypatch):
     # each check is public, so each refuses a partition whose length is
-    # not the rank, as run_checks does, rather than fail inside, and
-    # before it builds a shared table
+    # not the rank, and so does run_checks, rather than fail inside, and
+    # before it builds anything: not even the rank's r! flags
     def refuse(*args):
-        raise AssertionError("a shared table was built")
-    monkeypatch.setattr(verify, "_shared", refuse)
+        raise AssertionError("built before the rank was checked")
+    for module, name in [
+            (lattice, "_walk"), (patterns, "enumerate_left_strict"),
+            (laurent, "demazure_char"), (laurent, "demazure_atom"),
+            (crystal, "demazure_crystal"), (crystal, "demazure_atom_set"),
+            (verify, "_crystal_table"), (weyl, "bruhat_below"),
+            (lattice, "partition_function"), (weyl, "permutations_by_length")]:
+        monkeypatch.setattr(module, name, refuse)
+    checks = {**verify.CHECKS,
+              "run_checks": functools.partial(verify.run_checks, list(verify.CHECKS))}
     for lam, r in [((1, 0), 3), ((1, 0, 0), 2), ((1, 0), 1)]:
-        for name, check in verify.CHECKS.items():
+        for name, check in checks.items():
             with pytest.raises(ValueError, match="length must equal the rank"):
                 check(lam, r)
                 pytest.fail(f"{name} accepted {lam} at rank {r}")
@@ -452,7 +508,7 @@ def test_check_states_builds_no_spec_once_the_census_is_cached(
     # the states check compares raw grids with the census: it builds no
     # model and no checked state, and validates nothing itself
     lam = (2, 1, 1, 0)
-    verify._census(lam, 4, "closed")
+    verify._shared(lam, 4, verify._census, lam, 4, "closed")
     built = [0]
     post_init = lattice.ModelSpec.__post_init__
 
@@ -553,7 +609,7 @@ def test_states_fails_at_a_census_cell_that_lost_its_state(
     census = verify._census(lam, 3, "closed")
     cell = _first_cell(lam, lambda y, p: any(
         _moved_crossing(s) is not None for s in _cell(census, y, p)))
-    verify._census.cache_clear()
+    verify._memo.cache_clear()
     _census_with(monkeypatch, lam, cell, mutate)
     _assert_states_fails_at(lam, cell, enumerated=enumerated, expected=1,
                             constructive_found=True)
@@ -583,7 +639,7 @@ def test_states_reports_a_state_whose_crossings_disagree_with_its_flag(
         _raised(s) for s in _cell(census, y, p)))
     (state,) = _cell(census, *cell)
     pair, raised = _raised(state)
-    verify._census.cache_clear()
+    verify._memo.cache_clear()
     _census_with(monkeypatch, lam, cell, lambda s: (lattice.LatticeState(
         s.spec, raised.horizontal, raised.vertical),))
     sweeps = adjust._sweeps
@@ -667,7 +723,7 @@ def test_states_crossing_failure_report_is_pinned(monkeypatch, fresh_caches):
     y, bad = _PINNED_CELL
     (state,) = _cell(verify._census(_PINNED_LAM, 4, "closed"), y, bad)
     _, raised = _raised(state)
-    verify._census.cache_clear()
+    verify._memo.cache_clear()
     _census_with(monkeypatch, _PINNED_LAM, _PINNED_CELL, lambda s: (
         lattice.LatticeState(s.spec, raised.horizontal, raised.vertical),))
     sweeps = adjust._sweeps
@@ -738,7 +794,7 @@ def _first_state_cell(lam, family):
     family, in walk order."""
     pattern = _middle_pattern(lam)
     (first, *_) = dict(verify._census(lam, len(lam), family))[pattern]
-    verify._census.cache_clear()
+    verify._memo.cache_clear()
     return first.spec.w, pattern
 
 
