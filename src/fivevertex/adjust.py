@@ -27,8 +27,8 @@ from dataclasses import replace
 
 from . import weyl
 from .lattice import (LatticeState, ModelSpec, _check_state_pattern, _columns,
-                      crosses, gtp_of_state, meetings, open_state_of_pattern,
-                      pair_intersections, validate_state)
+                      admissible_for, crosses, gtp_of_state, meetings,
+                      open_state_of_pattern, pair_intersections, validate_state)
 from .patterns import Pattern, check_pattern
 
 __all__ = [
@@ -167,7 +167,7 @@ def move_crossing(state: LatticeState, a: int, b: int, target) -> LatticeState:
     """Slide the unique crossing of the paths of colors a and b to the
     meeting vertex `target`, preserving flag, pattern, reducedness and
     every other pair's crossing status."""
-    if state.spec.family not in ("open", "closed", "reduced"):
+    if admissible_for("b1", state.spec.family):
         raise ValueError("state must be reduced (or open/closed)")
     _flag(state)
     a, b, target = min(a, b), max(a, b), tuple(target)

@@ -20,10 +20,10 @@ Boundary data for a model with partition lam and flag w: the top boundary
 carries color m at column lam_m + r - m, the right boundary carries color
 m at row w(m), and every other boundary edge is uncolored.
 
-Four vertex families share the grid: "generalized" admits all nine local
-configurations; "open" forbids a22, a23, b1; "closed" forbids a22, a24,
-b1; "reduced" forbids b1 and additionally caps every pair of colored
-paths at one crossing.
+Four vertex families share the grid and one table of the nine local
+configurations (_choices): "generalized" admits all nine; "open" forbids
+a22, a23, b1; "closed" forbids a22, a24, b1; "reduced" forbids b1 and
+additionally caps every pair of colored paths at one crossing.
 
 A model whose flag is None stands for every flag at once: its right
 boundary only has to be colored, and the colors leaving the rows spell
@@ -49,14 +49,14 @@ __all__ = [
     "color_path", "meetings", "crosses", "pair_intersections", "state_flag",
 ]
 
-FAMILIES = ("open", "closed", "generalized", "reduced")
-
 _FORBIDDEN = {
     "open": frozenset({"a22", "a23", "b1"}),
     "closed": frozenset({"a22", "a24", "b1"}),
     "generalized": frozenset(),
     "reduced": frozenset({"b1"}),
 }
+
+FAMILIES = tuple(_FORBIDDEN)
 
 # the row transfer's weight rule (_row_fillings): every other
 # configuration weighs z_i on row i
@@ -139,29 +139,22 @@ class LatticeState:
         return classify_vertex(*self.vertex_spins(i, j))
 
 
-def _choices(left: int, top: int, family: str):
-    """Admissible (right, bottom, kind, pair) completions of a vertex whose
-    left and top spins are known; pair is set for the crossing kinds."""
+def _choices(left: int, top: int):
+    """The vertex table: the (right, bottom, kind) completions of a vertex
+    whose left and top spins are known, over all nine kinds and for no
+    family in particular (_completions filters them).  Colors are
+    conserved, and a color met twice has no completion."""
     if left == 0 and top == 0:
-        return [(0, 0, "a1", None)]
-    if left and top == 0:
-        return [(left, 0, "b2", None), (0, left, "c1", None)]
-    if left == 0 and top:
-        out = [(top, 0, "c2", None)]
-        if admissible_for("b1", family):
-            out.append((0, top, "b1", None))
-        return out
+        return ((0, 0, "a1"),)
+    if top == 0:
+        return ((left, 0, "b2"), (0, left, "c1"))
+    if left == 0:
+        return ((top, 0, "c2"), (0, top, "b1"))
     if left == top:
-        return []
-    pair = (min(left, top), max(left, top))
-    out = []
-    pass_kind = "a21" if left < top else "a22"
-    if admissible_for(pass_kind, family):
-        out.append((left, top, pass_kind, pair))
-    turn_kind = "a23" if left < top else "a24"
-    if admissible_for(turn_kind, family):
-        out.append((top, left, turn_kind, pair))
-    return out
+        return ()
+    if left < top:
+        return ((left, top, "a21"), (top, left, "a23"))
+    return ((left, top, "a22"), (top, left, "a24"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -170,7 +163,7 @@ def classify_vertex(left: int, top: int, right: int, bottom: int) -> str:
     the given pair; color conservation follows, and anything that matches
     no completion raises (and so is not cached).  Spins run over 0..r, so
     the cache stays small."""
-    for r, b, kind, _ in _choices(left, top, "generalized"):
+    for r, b, kind in _choices(left, top):
         if (r, b) == (right, bottom):
             return kind
     raise NonAdmissibleError(
@@ -180,15 +173,15 @@ def classify_vertex(left: int, top: int, right: int, bottom: int) -> str:
 @functools.lru_cache(maxsize=None)
 def _completions(left: int, top: int, right_spin: int | None,
                  colored: bool | None, family: str):
-    """The _choices of a vertex that fit the boundary.  right_spin is None
-    except on the right edge and the vertices where _row_fillings requires
-    the right edge's color carried; there the right spin must be colored,
-    and be right_spin unless that is 0 (every flag).  The bottom spin must
-    be colored just when `colored` is True, unless that is None.  The only
-    filter over _choices; few distinct arguments occur, so the cache stays
-    small."""
-    return tuple(c for c in _choices(left, top, family)
-                 if (right_spin is None or c[0] and right_spin in (0, c[0]))
+    """The _choices of a vertex that the family admits (admissible_for) and
+    that fit the boundary.  right_spin is None except on the right edge and
+    the vertices where _row_fillings requires the right edge's color
+    carried; there the right spin must be colored, and be right_spin unless
+    that is 0 (every flag).  The bottom spin must be colored just when
+    `colored` is True, unless that is None.  The only filter over _choices;
+    few distinct arguments occur, so the cache stays small."""
+    return tuple(c for c in _choices(left, top) if admissible_for(c[2], family)
+                 and (right_spin is None or c[0] and right_spin in (0, c[0]))
                  and (colored is None or bool(c[1]) == colored))
 
 
@@ -200,10 +193,10 @@ def _row_fillings(top, right_spin: int, below: tuple[int, ...] | None, family: s
     the colored bottom columns are exactly those `below` lists (() for the
     last row, the next pattern row for a state of a pattern).  The weight
     counts the vertices outside _WEIGHT_ONE; the capped pairs are the
-    pairs that cross (a21, a22) in the row for the reduced family, and
-    none for the others.  The search keeps, per vertex, the completions
-    still to try, so no row is too long for the interpreter's recursion
-    limit.
+    pairs that cross (a21, a22) in the row for the reduced family, each
+    the sorted left and top spins of its vertex, and none for the others.
+    The search keeps, per vertex, the completions still to try, so no row
+    is too long for the interpreter's recursion limit.
 
     Colors move only right and down, and the color carried right changes
     only under a colored top edge.  So from the right edge up to the first
@@ -231,9 +224,10 @@ def _row_fillings(top, right_spin: int, below: tuple[int, ...] | None, family: s
         if choice is None:
             j += 1
             continue
-        horizontal[j], bottom[j], kind, pair = choice
+        horizontal[j], bottom[j], kind = choice
         weight[j] = weight[j + 1] + (kind not in _WEIGHT_ONE)
-        pairs[j] = pairs[j + 1] + (pair,) if kind in capped else pairs[j + 1]
+        pairs[j] = (pairs[j + 1] + (tuple(sorted((horizontal[j + 1], top[j]))),)
+                    if kind in capped else pairs[j + 1])
         if j:
             j -= 1
             todo[j] = iter(_completions(horizontal[j + 1], top[j],
@@ -377,7 +371,7 @@ def _columns(state: LatticeState) -> Pattern:
 def gtp_of_state(state: LatticeState) -> Pattern:
     """The pattern of the state: its column read (_columns), checked."""
     pattern = check_pattern(_columns(state))
-    if state.spec.family != "generalized" and not is_left_strict(pattern):
+    if not admissible_for("b1", state.spec.family) and not is_left_strict(pattern):
         raise RuntimeError("state without b1 vertices must give a left-strict pattern")
     return pattern
 
@@ -442,10 +436,10 @@ def crystal_tableau(state: LatticeState) -> Tableau:
     """The crystal embedding of a state: evacuation of the tableau of its
     staircase-lowered pattern.  Sends the unique flag-identity state
     family to highest weight.  The pattern is checked once, as it is read
-    off the state (gtp_of_state, which also requires it left-strict
-    outside the generalized family)."""
+    off the state (gtp_of_state, which also requires it left-strict where
+    the family forbids b1)."""
     pattern = gtp_of_state(state)
-    if state.spec.family == "generalized" and not is_left_strict(pattern):
+    if admissible_for("b1", state.spec.family) and not is_left_strict(pattern):
         raise ValueError("pattern is not left-strict")
     return schuetzenberger(_tableau_of(_subtract_staircase(pattern)), state.spec.r)
 

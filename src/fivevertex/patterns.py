@@ -60,7 +60,7 @@ def is_pattern(rows) -> bool:
 
 def check_pattern(rows) -> Pattern:
     rows = tuple(tuple(row) for row in rows)
-    if not is_pattern(rows):
+    if not all(type(x) is int for row in rows for x in row) or not is_pattern(rows):
         raise ValueError(f"not a Gelfand-Tsetlin pattern: {rows!r}")
     return rows
 

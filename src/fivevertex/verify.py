@@ -63,6 +63,18 @@ class Report:
         return self.status == "fail"
 
 
+def _fail(check, lam, r, detail, w=None, **counterexample):
+    """A check's one failure report, in a list: the flag where it failed,
+    if any, and the named values that show the failure."""
+    return [Report(check, lam, r, "fail", detail, w=w,
+                   counterexample=counterexample or None)]
+
+
+def _rows(rows):
+    """A pattern or tableau as JSON lists."""
+    return [list(row) for row in rows]
+
+
 def report_to_json(report: Report) -> str:
     doc = {
         "check": report.check,
@@ -175,25 +187,23 @@ def check_partition(lam, r):
             literal_matches = False
         if not (z_closed[w].terms == enum_c == want_c
                 and z_open[w].terms == enum_o == want_o):
-            return [Report("partition", lam, r, "fail",
-                           "partition function does not match the shifted character/atom",
-                           w=w, counterexample={
-                               "closed": laurent.format_poly(z_closed[w]),
-                               "closed_enumerated": _formatted(r, enum_c),
-                               "closed_expected": _formatted(r, want_c),
-                               "open": laurent.format_poly(z_open[w]),
-                               "open_enumerated": _formatted(r, enum_o),
-                               "open_expected": _formatted(r, want_o)})]
+            return _fail("partition", lam, r,
+                         "partition function does not match the shifted character/atom",
+                         w, closed=laurent.format_poly(z_closed[w]),
+                         closed_enumerated=_formatted(r, enum_c),
+                         closed_expected=_formatted(r, want_c),
+                         open=laurent.format_poly(z_open[w]),
+                         open_enumerated=_formatted(r, enum_o),
+                         open_expected=_formatted(r, want_o))
         below = Counter()
         for y in support:
             if leq(y, w):
                 below.update(z_open[y].terms)
         if below != Counter(z_closed[w].terms):
-            return [Report("partition", lam, r, "fail",
-                           "closed function is not the sum of open ones below",
-                           w=w, counterexample={
-                               "closed": laurent.format_poly(z_closed[w]),
-                               "sum_open_below": _formatted(r, below)})]
+            return _fail("partition", lam, r,
+                         "closed function is not the sum of open ones below",
+                         w, closed=laurent.format_poly(z_closed[w]),
+                         sum_open_below=_formatted(r, below))
     note = ("staircase-shifted identities hold; the unshifted form also holds"
             if literal_matches else
             "staircase-shifted identities hold; the unshifted character form "
@@ -256,21 +266,16 @@ def check_states(lam, r):
                   and (grids is None
                        or grids == (states[0].horizontal, states[0].vertical)))
             if not ok:
-                return [Report("states", lam, r, "fail",
-                               "state count or constructive state disagrees",
-                               w=y, counterexample={
-                                   "pattern": [list(row) for row in pattern],
-                                   "forced_flag": list(w_a),
-                                   "enumerated": len(states),
-                                   "expected": want,
-                                   "constructive_found": grids is not None})]
+                return _fail("states", lam, r,
+                             "state count or constructive state disagrees",
+                             y, pattern=_rows(pattern), forced_flag=list(w_a),
+                             enumerated=len(states), expected=want,
+                             constructive_found=grids is not None)
             if grids is not None and mask(adjust._crossings(states[0], pattern)) != inverted(y):
                 pair = adjust._disagreeing_pair(states[0], pattern)
-                return [Report("states", lam, r, "fail",
-                               "closed state's paths disagree with its flag "
-                               "about crossing", w=y, counterexample={
-                                   "pattern": [list(row) for row in pattern],
-                                   "pair": list(pair)})]
+                return _fail("states", lam, r,
+                             "closed state's paths disagree with its flag about crossing",
+                             y, pattern=_rows(pattern), pair=list(pair))
         del built, by_flag  # before the next pattern's descent, not after it
     return [Report("states", lam, r, "pass",
                    "every (flag, pattern) cell has the predicted size and "
@@ -281,9 +286,9 @@ def _untabled(check, lam, r, pattern):
     """The failure of a census pattern whose plain tableau, or its
     evacuation, is not a tableau of the crystal table: the left-strict and
     the SSYT enumerations (or evacuation) disagree."""
-    return [Report(check, lam, r, "fail",
-                   "pattern's tableau or its evacuation is missing from the crystal",
-                   counterexample={"pattern": [list(row) for row in pattern]})]
+    return _fail(check, lam, r,
+                 "pattern's tableau or its evacuation is missing from the crystal",
+                 pattern=_rows(pattern))
 
 
 def check_bijection(lam, r):
@@ -322,13 +327,10 @@ def check_bijection(lam, r):
         count_ok = count == laurent.eval_ones(chars[y])
         restricted = strict or weyl.coset_longest(y, lam) == y
         if restricted and not (matches and count_ok):
-            return [Report("bijection", lam, r, "fail",
-                           "image of closed states is not the Demazure set",
-                           w=y, counterexample={
-                               "injective": injective,
-                               "image_size": len(image),
-                               "demazure_size": len(target),
-                               "state_count": count})]
+            return _fail("bijection", lam, r,
+                         "image of closed states is not the Demazure set",
+                         y, injective=injective, image_size=len(image),
+                         demazure_size=len(target), state_count=count)
         if not matches:
             unrestricted_holds = False
             if unrestricted_example is None:
@@ -373,14 +375,11 @@ def check_shortcut(lam, r):
                 ok = (direct in table and bridge_ok and raised
                       == patterns.tableau_to_gt(table[direct].evac, r))
             if not ok:
-                return [Report("shortcut", lam, r, "fail",
-                               "pattern-level raising disagrees with the composite",
-                               w=weyl.inverse(adjust._exit_colors(pattern)),
-                               counterexample={
-                                   "pattern": [list(row) for row in shifted],
-                                   "index": i,
-                                   "rule_null": raised is None,
-                                   "direct_null": direct is None})]
+                return _fail("shortcut", lam, r,
+                             "pattern-level raising disagrees with the composite",
+                             weyl.inverse(adjust._exit_colors(pattern)),
+                             pattern=_rows(shifted), index=i,
+                             rule_null=raised is None, direct_null=direct is None)
     return [Report("shortcut", lam, r, "pass",
                    "rule and composite agree on every closed state and index")]
 
@@ -391,21 +390,16 @@ def check_tau(lam, r):
     lam = tuple(lam)
     for pattern, states in _shared(lam, r, _census, lam, r, "open"):
         if len(states) != 1:
-            return [Report("tau", lam, r, "fail", "pattern has no unique open state",
-                           counterexample={"pattern": [list(row) for row in pattern],
-                                           "open_states": len(states)})]
+            return _fail("tau", lam, r, "pattern has no unique open state",
+                         pattern=_rows(pattern), open_states=len(states))
         lattice.validate_state(states[0])
         w_a = states[0].spec.w
         expected = weyl.inverse(w_a)
         got = adjust._exit_colors(pattern)
         got_shifted = adjust._exit_colors(patterns._subtract_staircase(pattern))
         if got != expected or got_shifted != expected:
-            return [Report("tau", lam, r, "fail",
-                           "exit colors do not invert the open-state flag",
-                           counterexample={
-                               "pattern": [list(row) for row in pattern],
-                               "flag": list(w_a),
-                               "exit_colors": list(got)})]
+            return _fail("tau", lam, r, "exit colors do not invert the open-state flag",
+                         pattern=_rows(pattern), flag=list(w_a), exit_colors=list(got))
     return [Report("tau", lam, r, "pass",
                    "exit colors invert the forced flag on every pattern")]
 
@@ -425,11 +419,6 @@ def check_crystal(lam, r):
     atom adds nothing to the union and meets nothing.  Sets, atoms and
     characters are computed for every flag at once."""
     lam = tuple(lam)
-
-    def fail(detail, **extra):
-        return [Report("crystal", lam, r, "fail", detail,
-                       counterexample=extra or None)]
-
     dems = _shared(lam, r, crystal.demazure_crystal, lam, None)
     table = _shared(lam, r, _crystal_table, lam, r)
     flags = weyl.permutations_by_length(r)
@@ -442,31 +431,34 @@ def check_crystal(lam, r):
         wt = patterns.weight(tab, r)
         # first, so that the axioms below read only entries of the table
         if evac not in table or table[evac].evac != tab:
-            return fail("evacuation is not an involution",
-                        tableau=[list(row) for row in tab])
+            return _fail("crystal", lam, r, "evacuation is not an involution",
+                         tableau=_rows(tab))
         if patterns.weight(evac, r) != wt[::-1]:
-            return fail("evacuation does not reverse the weight")
+            return _fail("crystal", lam, r, "evacuation does not reverse the weight")
         mirrored = table[evac].down  # f_{r-i} of the evacuation at r-i-1
         for i in range(1, r):
             up, down = ups[i - 1], downs[i - 1]
             if up is not None and (up not in table or table[up].down[i - 1] != tab or
                                    patterns.weight(up, r) !=
                                    wt[:i - 1] + (wt[i - 1] + 1, wt[i] - 1) + wt[i + 1:]):
-                return fail("raising is not inverted by lowering",
-                            tableau=[list(row) for row in tab], index=i)
+                return _fail("crystal", lam, r, "raising is not inverted by lowering",
+                             tableau=_rows(tab), index=i)
             if down is not None and (down not in table or table[down].up[i - 1] != tab):
-                return fail("lowering is not inverted by raising",
-                            tableau=[list(row) for row in tab], index=i)
+                return _fail("crystal", lam, r, "lowering is not inverted by raising",
+                             tableau=_rows(tab), index=i)
             e, p = crystal.eps(tab, i), crystal.phi(tab, i)
             if (up is None) != (e == 0):
-                return fail("raising nullity disagrees with the string statistic")
+                return _fail("crystal", lam, r,
+                             "raising nullity disagrees with the string statistic")
             if (down is None) != (p == 0):
-                return fail("lowering nullity disagrees with the string statistic")
+                return _fail("crystal", lam, r,
+                             "lowering nullity disagrees with the string statistic")
             if p != wt[i - 1] - wt[i] + e:
-                return fail("string statistics do not satisfy the weight relation")
+                return _fail("crystal", lam, r,
+                             "string statistics do not satisfy the weight relation")
             if (None if up is None else table[up].evac) != mirrored[r - i - 1]:
-                return fail("evacuation does not intertwine raising with "
-                            "the mirrored lowering")
+                return _fail("crystal", lam, r, "evacuation does not intertwine "
+                             "raising with the mirrored lowering")
             if up is not None:  # below its head, tab needs e_i and any f_i
                 below = -1 if down is None else holds[down]  # -1: every flag
                 cut |= holds[tab] & ~(holds[up] & below)
@@ -479,26 +471,27 @@ def check_crystal(lam, r):
     for k, w in enumerate(flags):
         dem = dems[w].elements
         if crystal.character(dem, r) != chars[w]:
-            return fail("Demazure set character mismatch", w=list(w))
+            return _fail("crystal", lam, r, "Demazure set character mismatch", w)
         atom = atoms[w]
         if crystal.character(atom, r) != atom_chars[w]:
-            return fail("atom character mismatch", w=list(w))
+            return _fail("crystal", lam, r, "atom character mismatch", w)
         if cut >> k & 1:
-            return fail("string trichotomy violated", w=list(w))
+            return _fail("crystal", lam, r, "string trichotomy violated", w)
         union = set()
         for y in support:
             if not leq(y, w):
                 continue
             part = atoms[y]
             if union & part:
-                return fail("atoms are not disjoint", w=list(w))
+                return _fail("crystal", lam, r, "atoms are not disjoint", w)
             union |= part
         if union != dem:
-            return fail("atoms below w do not tile the Demazure set", w=list(w))
+            return _fail("crystal", lam, r,
+                         "atoms below w do not tile the Demazure set", w)
         keys = [t for t in atom if crystal.is_key(t)]
         if atom and len(keys) != 1:
-            return fail("nonempty atom without a unique key tableau",
-                        w=list(w), keys=len(keys))
+            return _fail("crystal", lam, r,
+                         "nonempty atom without a unique key tableau", w, keys=len(keys))
     return [Report("crystal", lam, r, "pass",
                    "axioms, trichotomy, involution, characters, atom "
                    "tiling and keys all verified")]

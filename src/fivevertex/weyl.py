@@ -32,18 +32,20 @@ Perm = tuple[int, ...]
 
 
 def check_permutation(w: Perm) -> Perm:
-    """w as a tuple, after checking that it rearranges (1, ..., len(w))."""
+    """w as a tuple, after checking that its ints rearrange (1, ..., len(w))."""
     w = tuple(w)
-    if sorted(w) != list(range(1, len(w) + 1)):
+    if not all(type(x) is int for x in w) or sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w!r}")
     return w
 
 
 def check_dominant(lam, w: Perm | None) -> tuple[tuple[int, ...], Perm | None]:
     """(lam, w) as tuples, after checking that w is a permutation and lam a
-    partition of the same rank: weakly decreasing and nonnegative.  A flag
-    of None, meaning every flag, passes through."""
+    partition of the same rank: ints, weakly decreasing and nonnegative.  A
+    flag of None, meaning every flag, passes through."""
     lam = tuple(lam)
+    if not all(type(p) is int for p in lam):
+        raise ValueError(f"partition must hold integers: {lam!r}")
     if w is not None:
         w = check_permutation(w)
         if len(lam) != len(w):
@@ -226,7 +228,9 @@ def coset_longest(w: Perm, lam: tuple[int, ...]) -> Perm:
 
 
 def all_permutations(r: int) -> list[Perm]:
-    """All of S_r in lexicographic order."""
+    """All of S_r in lexicographic order; r must not be negative."""
+    if r < 0:
+        raise ValueError(f"rank must not be negative, got {r}")
     return [tuple(p) for p in itertools.permutations(range(1, r + 1))]
 
 

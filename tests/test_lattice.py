@@ -37,15 +37,21 @@ def test_classify_vertex_rejects():
 
 
 def test_classify_vertex_matches_the_completions():
+    # the vertex table (_choices) is family-free; _completions, with no
+    # boundary to fit, is that table filtered by admissible_for, in order
     for left, top, right, bottom in itertools.product(range(4), repeat=4):
-        kinds = [kind for r, b, kind, _ in
-                 lattice._choices(left, top, "generalized")
+        kinds = [kind for r, b, kind in lattice._choices(left, top)
                  if (r, b) == (right, bottom)]
         if kinds:
             assert [classify_vertex(left, top, right, bottom)] == kinds
         else:
             with pytest.raises(NonAdmissibleError):
                 classify_vertex(left, top, right, bottom)
+    for family in lattice.FAMILIES:
+        for left, top in itertools.product(range(4), repeat=2):
+            table = lattice._choices(left, top)
+            assert lattice._completions(left, top, None, None, family) == tuple(
+                c for c in table if lattice.admissible_for(c[2], family))
 
 
 def test_classify_vertex_raises_again_on_a_repeat_call():
@@ -350,6 +356,11 @@ def test_color_path_rejects_a_color_outside_one_to_r(m):
     (state,) = lattice.enumerate_states(ModelSpec((1, 0), (1, 2), "closed"))
     with pytest.raises(ValueError, match="not in 1..2"):
         lattice.color_path(state, m)
+
+
+def test_model_spec_rejects_a_flag_of_floats():
+    with pytest.raises(ValueError, match=r"not a permutation of 1..2: \(2.0, 1.0\)"):
+        ModelSpec((1, 0), (2.0, 1.0), "closed")
 
 
 @pytest.mark.parametrize("m", [0, -1, 3])

@@ -195,6 +195,13 @@ def test_format_poly_matches_the_factor_by_factor_oracle():
     assert polys == 2 * (4 * 1 + 10 * 2 + 20 * 6 + 35 * 24)  # shapes x flags per rank
 
 
+def test_a_partition_of_floats_is_refused_before_any_operator():
+    # a ValueError naming the partition, not a TypeError from deep inside
+    for every in (None, (2, 1)):
+        with pytest.raises(ValueError, match=r"\(1.5, 0\)"):
+            laurent.demazure_char((1.5, 0), every)
+
+
 def test_rank_checks():
     with pytest.raises(ValueError):
         monomial((1, 0)) + monomial((1, 0, 0))

@@ -179,6 +179,13 @@ def test_enumerate_ssyt_matches_brute_force(lam, r):
     assert patterns.enumerate_ssyt(lam, r) == _ssyt_by_brute_force(lam, r)
 
 
+@pytest.mark.parametrize("rows", [((2.5, 0), (1,)), ((2, 0.0), (1,)), ((True,),)], ids=str)
+def test_check_pattern_rejects_an_entry_that_is_not_an_int(rows):
+    # ((2.5, 0), (1,)) interleaves, and 0.0 == 0 and True == 1
+    with pytest.raises(ValueError, match="not a Gelfand-Tsetlin pattern"):
+        patterns.check_pattern(rows)
+
+
 def test_enumerators_reject_bad_shapes():
     for bad in [(1, 2), (0, 1), (2, -1), (-1,)]:
         with pytest.raises(ValueError):

@@ -235,9 +235,9 @@ def test_a_shared_table_reaches_only_readers_of_its_builder(
         assert not any(rep.failed for rep in verify.run_checks(list(verify.CHECKS), lam, r))
         monkeypatch.setattr(crystal, "demazure_crystal", dropped)
         (report,) = verify.check_crystal(lam, r)
-        assert report.failed and report.w is None
+        assert report.failed and report.w == w0
         assert report.detail == "Demazure set character mismatch"
-        assert report.counterexample == {"w": list(w0)}
+        assert report.counterexample is None
 
 
 # a tableau of the crystal table of (2,1,0) and an index where f_i is defined
@@ -463,7 +463,7 @@ def test_crystal_reports_a_demazure_set_that_cuts_a_string(monkeypatch):
     monkeypatch.setattr(crystal, "demazure_crystal", swapped)
     (report,) = verify.check_crystal(lam, 3)
     assert report.failed and report.detail == "string trichotomy violated"
-    assert report.counterexample == {"w": list(w)}
+    assert report.w == w and report.counterexample is None
 
 
 def _middle_pattern(lam):
@@ -499,8 +499,14 @@ def test_tau_reports_the_pattern_whose_exit_colors_are_wrong(
     monkeypatch.setattr(adjust, "_exit_colors", lambda pattern: (
         exit_colors(pattern)[::-1] if pattern == bad else exit_colors(pattern)))
     (report,) = verify.check_tau(lam, 3)
-    assert report.failed
-    assert report.counterexample["pattern"] == [list(row) for row in bad]
+    assert report.failed and report.w is None
+    assert report.detail == "exit colors do not invert the open-state flag"
+    # the open state's flag, and the reversed exit colors that fail to invert it
+    (flag,) = [s.spec.w for p, states in verify._census(lam, 3, "open")
+               if p == bad for s in states]
+    assert report.counterexample == {
+        "pattern": [list(row) for row in bad], "flag": list(flag),
+        "exit_colors": list(exit_colors(bad)[::-1])}
 
 
 def test_check_states_builds_no_spec_once_the_census_is_cached(
@@ -964,7 +970,7 @@ def test_crystal_trichotomy_agrees_with_the_string_oracle(lam):
                  and patterns.weight(into, r) == patterns.weight(out, r)]
         for mutant in swaps + [dem ^ {t} for t in elements]:
             report = _crystal_with_set(lam, w, mutant)
-            assert report.failed and report.counterexample == {"w": list(w)}
+            assert report.failed and report.w == w and report.counterexample is None
             cut = report.detail == "string trichotomy violated"
             assert cut == bool(cut_strings(elements, mutant, r))
             named[cut] += 1

@@ -191,6 +191,31 @@ def test_permutations_by_length_is_sorted_once_per_rank():
     assert weyl.permutations_by_length(4) is weyl.permutations_by_length(4)
 
 
+@pytest.mark.parametrize("w", [(1.0, 2.0), (True,), (2, "1")], ids=str)
+def test_check_permutation_rejects_an_entry_that_is_not_an_int(w):
+    # 1.0 == 1 and True == 1, so only the type tells them apart
+    with pytest.raises(ValueError, match=f"not a permutation of 1..{len(w)}"):
+        weyl.check_permutation(w)
+
+
+def test_check_dominant_rejects_a_part_that_is_not_an_int():
+    with pytest.raises(ValueError, match=r"partition must hold integers: \(1.5, 0\)"):
+        weyl.check_dominant((1.5, 0), None)
+    with pytest.raises(ValueError, match="not a permutation"):
+        weyl.check_dominant((1, 0), (2.0, 1.0))
+
+
+def test_a_negative_rank_has_no_permutations():
+    # S_0 holds the empty permutation; a negative rank is refused, not
+    # answered with ((),)
+    assert weyl.permutations_by_length(0) == ((),)
+    for r in (-1, -2):
+        with pytest.raises(ValueError, match=f"rank must not be negative, got {r}"):
+            weyl.all_permutations(r)
+        with pytest.raises(ValueError, match=f"got {r}"):
+            weyl.permutations_by_length(r)
+
+
 def test_coset_longest():
     assert weyl.coset_longest((2, 3, 1), (3, 1, 0)) == (2, 3, 1)  # strict stabilizer
     assert weyl.coset_longest((1, 2), (0, 0)) == (2, 1)
