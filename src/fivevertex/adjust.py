@@ -23,8 +23,6 @@ its flag's inverted pairs (_inverted), and _disagreeing_pair, the
 lex-first pair where they differ, for a failure's report.
 """
 
-from dataclasses import replace
-
 from . import weyl
 from .lattice import (LatticeState, ModelSpec, _check_state_pattern, _columns,
                       admissible_for, crosses, gtp_of_state, meetings,
@@ -176,7 +174,7 @@ def move_crossing(state: LatticeState, a: int, b: int, target) -> LatticeState:
         raise ValueError(f"paths {a} and {b} must cross exactly once")
     if target not in meets:
         raise ValueError(f"{target} is not a meeting vertex of paths {a},{b}")
-    return _surgery(state, replace(state.spec, family="reduced"), a, b, target)
+    return _surgery(state, ModelSpec(state.spec.lam, state.spec.w, "reduced"), a, b, target)
 
 
 def to_closed(state: LatticeState) -> LatticeState:
@@ -217,7 +215,7 @@ def raise_flag(state: LatticeState, a: int, b: int) -> LatticeState:
         raise ValueError(f"transposition ({a},{b}) does not raise the length")
     if not any(crosses(state, v) for v in meetings(state).get((a, b), [])):
         raise ValueError(f"paths {a} and {b} do not cross")
-    return _surgery(state, replace(spec, w=yt, family="reduced"), a, b, None)
+    return _surgery(state, ModelSpec(spec.lam, yt, "reduced"), a, b, None)
 
 
 def exit_colors(pattern: Pattern) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import crystal, lattice, laurent, patterns, render, statedoc, verify
+from . import crystal, lattice, laurent, patterns, verify
 
 __all__ = ["main"]
 
@@ -59,9 +59,11 @@ def _cmd_states(args) -> int:
     if args.out == "count":
         print(len(states))
     elif args.out == "json":
+        from . import statedoc  # loaded by the commands that write documents
         docs = [statedoc.state_to_doc(s) for s in states]
         print(json.dumps(docs, indent=2, sort_keys=True))
     else:  # svg
+        from . import render  # loaded by the commands that draw
         dest = Path(args.dest)
         dest.mkdir(parents=True, exist_ok=True)
         for k, state in enumerate(states):
@@ -103,6 +105,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import render, statedoc
     try:
         state = statedoc.load_state(Path(args.state).read_text())
     except (OSError, ValueError, json.JSONDecodeError) as exc:

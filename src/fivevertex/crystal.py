@@ -20,7 +20,7 @@ the k rightmost unmatched i into i+1.
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import laurent, patterns, weyl
 from .patterns import Pattern, Tableau
@@ -35,8 +35,11 @@ __all__ = [
 
 def _unmatched(tab: Tableau, i: int):
     """Positions (cell coordinates) of the unmatched letters i and i+1 in
-    the reading word, each list in reading order; i must be at least 1.
-    Rows are read bottom to top, each up to its first entry past i+1."""
+    the reading word, each list in reading order; i must be an int of at
+    least 1.  Rows are read bottom to top, each up to its first entry past
+    i+1."""
+    if type(i) is not int:
+        raise ValueError(f"simple index {i!r} is not an int")
     if i < 1:
         raise ValueError(f"simple index {i} out of range")
     j = i + 1
@@ -142,8 +145,7 @@ def demazure_closure(elements, i: int) -> frozenset[Tableau]:
     return frozenset(elements).union(reached)
 
 
-@dataclass(frozen=True)
-class DemazureSet:
+class DemazureSet(NamedTuple):
     lam: tuple[int, ...]
     w: tuple[int, ...]
     elements: frozenset[Tableau]

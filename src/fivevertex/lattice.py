@@ -33,7 +33,6 @@ with a filter on that boundary.
 """
 
 import functools
-from dataclasses import dataclass, replace
 from itertools import compress
 
 from . import laurent, weyl
@@ -73,22 +72,57 @@ def admissible_for(kind: str, family: str) -> bool:
     return kind not in _FORBIDDEN[family]
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    """A model: partition, flag and family.  A flag of None stands for
-    every flag at once, for enumerate_states and partition_function."""
-    lam: tuple[int, ...]
-    w: tuple[int, ...] | None
-    family: str
+_set = object.__setattr__  # how a _Frozen record sets its slots, once
 
-    def __post_init__(self):
-        lam, w = weyl.check_dominant(self.lam, self.w)
+
+class _Frozen:
+    """A record whose slots named in _fields are set once, in __init__:
+    it is equal, hashed, shown and copied by their values."""
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ModelSpec(_Frozen):
+    """A model: partition, flag and family, checked on every construction.
+    A flag of None stands for every flag at once, for enumerate_states and
+    partition_function."""
+    __slots__ = ("lam", "w", "family", "_top_columns", "_top_boundary")
+    _fields = ("lam", "w", "family")
+
+    def __init__(self, lam, w, family: str):
+        lam, w = weyl.check_dominant(lam, w)
         if not lam:
             raise ValueError("a model needs a nonempty partition")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "w", w)
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        _set(self, "lam", lam)
+        _set(self, "w", w)
+        _set(self, "family", family)
+        _set(self, "_top_columns", None)
+        _set(self, "_top_boundary", None)
 
     @property
     def r(self) -> int:
@@ -98,10 +132,13 @@ class ModelSpec:
     def n(self) -> int:
         return self.lam[0] + self.r
 
-    @functools.cached_property
+    @property
     def top_columns(self) -> tuple[int, ...]:
         """Column of color m at index m-1; strictly decreasing; cached."""
-        return tuple(p + s for p, s in zip(self.lam, staircase(self.r)))
+        if self._top_columns is None:
+            _set(self, "_top_columns",
+                 tuple(p + s for p, s in zip(self.lam, staircase(self.r))))
+        return self._top_columns
 
     @property
     def flag_spins(self) -> tuple[int, ...] | None:
@@ -109,20 +146,26 @@ class ModelSpec:
         None for every flag."""
         return None if self.w is None else weyl.inverse(self.w)
 
-    @functools.cached_property
+    @property
     def top_boundary(self) -> tuple[int, ...]:
         """Top-boundary spins: color m at column top_columns[m-1]; cached."""
-        row = [0] * self.n
-        for m, col in enumerate(self.top_columns, start=1):
-            row[col] = m
-        return tuple(row)
+        if self._top_boundary is None:
+            row = [0] * self.n
+            for m, col in enumerate(self.top_columns, start=1):
+                row[col] = m
+            _set(self, "_top_boundary", tuple(row))
+        return self._top_boundary
 
 
-@dataclass(frozen=True)
-class LatticeState:
-    spec: ModelSpec
-    horizontal: tuple[tuple[int, ...], ...]
-    vertical: tuple[tuple[int, ...], ...]
+class LatticeState(_Frozen):
+    __slots__ = ("spec", "horizontal", "vertical", "__weakref__")
+    _fields = ("spec", "horizontal", "vertical")
+
+    def __init__(self, spec: ModelSpec, horizontal: tuple[tuple[int, ...], ...],
+                 vertical: tuple[tuple[int, ...], ...]):
+        _set(self, "spec", spec)
+        _set(self, "horizontal", horizontal)
+        _set(self, "vertical", vertical)
 
     def vertex_spins(self, i: int, j: int) -> tuple[int, int, int, int]:
         """(left, top, right, bottom) at vertex (i, j)."""
@@ -270,7 +313,7 @@ def _walk(spec: ModelSpec, patterns):
             colors = tuple(row[0] for row in rows)
             own = specs.get(colors)
             if own is None:
-                own = specs[colors] = replace(spec, w=state_flag(rows))
+                own = specs[colors] = ModelSpec(spec.lam, state_flag(rows), spec.family)
             states.append(LatticeState(own, rows, cols))
         yield tuple(states)
 

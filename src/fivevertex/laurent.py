@@ -87,8 +87,10 @@ def zero(nvars: int) -> LaurentPoly:
 
 
 def monomial(mu) -> LaurentPoly:
-    """The single term z^mu with coefficient 1."""
+    """The single term z^mu with coefficient 1; every exponent is an int."""
     mu = tuple(mu)
+    if not all(type(e) is int for e in mu):
+        raise ValueError(f"monomial exponents must be ints: {mu!r}")
     return LaurentPoly(len(mu), {mu: 1})
 
 

@@ -164,7 +164,7 @@ def is_ssyt(tab) -> bool:
 
 def check_tableau(tab) -> Tableau:
     tab = tuple(tuple(row) for row in tab)
-    if not is_ssyt(tab):
+    if not all(type(x) is int for row in tab for x in row) or not is_ssyt(tab):
         raise ValueError(f"not a semistandard tableau: {tab!r}")
     return tab
 

@@ -34,7 +34,6 @@ import operator
 import time
 import types
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import adjust, crystal, laurent, lattice, patterns, weyl
@@ -47,16 +46,17 @@ __all__ = [
 ]
 
 
-@dataclass
 class Report:
-    check: str
-    lam: tuple[int, ...]
-    r: int
-    status: str
-    detail: str
-    w: tuple[int, ...] | None = None
-    counterexample: object = None
-    millis: int = 0
+    """One finding of a check; millis is set once the check has run."""
+    __slots__ = ("check", "lam", "r", "status", "detail", "w",
+                 "counterexample", "millis")
+
+    def __init__(self, check: str, lam: tuple[int, ...], r: int, status: str,
+                 detail: str, w: tuple[int, ...] | None = None,
+                 counterexample: object = None, millis: int = 0):
+        self.check, self.lam, self.r, self.status = check, lam, r, status
+        self.detail, self.w, self.counterexample, self.millis = (
+            detail, w, counterexample, millis)
 
     @property
     def failed(self) -> bool:

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -169,7 +168,7 @@ def test_to_closed_matches_enumeration():
 
 def _unflagged(state):
     """The state's grids under the every-flag model, which has no flag."""
-    return lattice.LatticeState(replace(state.spec, w=None),
+    return lattice.LatticeState(ModelSpec(state.spec.lam, None, state.spec.family),
                                 state.horizontal, state.vertical)
 
 

@@ -293,3 +293,22 @@ def test_a_closed_stdout_exits_141_quietly():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_states_json_is_the_golden_document(capsys):
+    code, out, _ = _run(capsys, "states", "--lambda", "2,1,0", "--w", "2,3,1",
+                        "--family", "closed", "--out", "json")
+    assert code == 0
+    assert out == (GOLDEN / "states_2-1-0_2-3-1_closed.json").read_text()
+
+
+def test_render_is_the_golden_svg(tmp_path, capsys):
+    # five colors, so the fifth comes from the golden-angle hues
+    svg = tmp_path / "state.svg"
+    assert _run(capsys, "render", "--state",
+                str(GOLDEN / "state_1-0-0-0-0_2-1-3-4-5_open.json"),
+                "--out", str(svg)) == (0, "", "")
+    assert svg.read_bytes() == (GOLDEN / "state_1-0-0-0-0_2-1-3-4-5_open.svg").read_bytes()

@@ -115,6 +115,15 @@ def test_schuetzenberger_rejects_an_entry_outside_the_alphabet():
             crystal.schuetzenberger(tab, 3)
 
 
+@pytest.mark.parametrize("op", [crystal.raising, crystal.lowering, crystal.eps, crystal.phi],
+                         ids=lambda op: op.__name__)
+@pytest.mark.parametrize("i", [1.0, True, "1"], ids=repr)
+def test_operators_reject_a_simple_index_that_is_not_an_int(op, i):
+    # raising(((1, 2),), 1.0) used to give ((1, 1.0),)
+    with pytest.raises(ValueError, match=f"simple index {i!r} is not an int"):
+        op(((1, 2),), i)
+
+
 def test_weight_relation():
     for tab in patterns.enumerate_ssyt((3, 1, 0), 3):
         wt = patterns.weight(tab, 3)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import weakref
 
 import pytest
 
@@ -431,3 +432,39 @@ def test_every_open_and_closed_state_is_reduced():
         for state in lattice.enumerate_states(spec):
             assert lattice.LatticeState(reduced_spec, state.horizontal,
                                         state.vertical) in reduced
+
+
+def test_a_spec_copied_with_a_new_flag_is_checked_again(monkeypatch):
+    # the walk gives each state its own flag's spec, a copy of the model
+    # with the flag it read; the copy refuses a bad flag as a new spec does
+    monkeypatch.setattr(lattice, "state_flag", lambda rows: (1, 2, 3))
+    with pytest.raises(ValueError, match="partition and flag must have the same rank"):
+        lattice.enumerate_states.__wrapped__(ModelSpec((1, 0), None, "closed"))
+    monkeypatch.setattr(lattice, "state_flag", lambda rows: (2.0, 1.0))
+    with pytest.raises(ValueError, match=r"not a permutation of 1..2: \(2.0, 1.0\)"):
+        lattice.enumerate_states.__wrapped__(ModelSpec((1, 0), None, "closed"))
+
+
+def test_specs_and_states_are_frozen_records_of_their_fields():
+    spec = ModelSpec((2, 1, 0), (2, 3, 1), "closed")
+    twin = ModelSpec([2, 1, 0], [2, 3, 1], "closed")
+    assert spec == twin and hash(spec) == hash(twin) and spec is not twin
+    assert spec != ModelSpec((2, 1, 0), (2, 3, 1), "open")
+    assert spec != ModelSpec((2, 1, 0), None, "closed")
+    assert spec != ((2, 1, 0), (2, 3, 1), "closed")
+    assert repr(spec) == "ModelSpec(lam=(2, 1, 0), w=(2, 3, 1), family='closed')"
+    state, *_ = lattice.enumerate_states(spec)
+    copy = lattice.LatticeState(twin, state.horizontal, state.vertical)
+    assert copy == state and hash(copy) == hash(state)
+    assert lattice.LatticeState(spec, state.horizontal[::-1], state.vertical) != state
+    assert len({state, copy}) == 1
+    for record, name in [(spec, "w"), (spec, "top_columns"), (state, "spec"),
+                         (state, "horizontal")]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert weakref.ref(state)() is state
+    # the cached boundaries are computed once and survive the refusals
+    assert spec.top_columns is spec.top_columns == (4, 2, 0)
+    assert spec.top_boundary is spec.top_boundary == (3, 0, 2, 0, 1)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -193,6 +194,13 @@ def test_format_poly_matches_the_factor_by_factor_oracle():
                     assert laurent.format_poly(f) == oracles.format_poly(f)
                     polys += 1
     assert polys == 2 * (4 * 1 + 10 * 2 + 20 * 6 + 35 * 24)  # shapes x flags per rank
+
+
+@pytest.mark.parametrize("mu", [(1.5, 0), (1, 0.0), (True, 0)], ids=str)
+def test_monomial_rejects_an_exponent_that_is_not_an_int(mu):
+    # monomial((1.5, 0)) used to print as z1^1.5
+    with pytest.raises(ValueError, match=re.escape(f"{mu!r}")):
+        monomial(mu)
 
 
 def test_a_partition_of_floats_is_refused_before_any_operator():

@@ -186,6 +186,16 @@ def test_check_pattern_rejects_an_entry_that_is_not_an_int(rows):
         patterns.check_pattern(rows)
 
 
+@pytest.mark.parametrize("tab", [((1.0, 2),), ((1, 2), (2.0,)), ((True, 2),)], ids=str)
+def test_check_tableau_rejects_an_entry_that_is_not_an_int(tab):
+    # each is semistandard by value, since 1.0 == 1, 2.0 == 2 and True == 1
+    assert patterns.is_ssyt(tab)
+    with pytest.raises(ValueError, match="not a semistandard tableau"):
+        patterns.check_tableau(tab)
+    with pytest.raises(ValueError, match="not a semistandard tableau"):
+        patterns.tableau_to_gt(tab, 2)
+
+
 def test_enumerators_reject_bad_shapes():
     for bad in [(1, 2), (0, 1), (2, -1), (-1,)]:
         with pytest.raises(ValueError):
