@@ -102,11 +102,13 @@ def schuetzenberger(tab: Tableau, r: int) -> Tableau:
     the complemented entries of the rows top to bottom, each right to left.
 
     An involution; reverses the weight and swaps the raising operator at i
-    with the lowering operator at r-i.  Every entry must lie in 1..r.
+    with the lowering operator at r-i.  Every entry must be an int in 1..r.
     """
     rows = []
     for tab_row in tab:
         for entry in reversed(tab_row):
+            if type(entry) is not int:
+                raise ValueError(f"entry {entry!r} is not an int")
             if not 1 <= entry <= r:
                 raise ValueError(f"entry {entry} out of range 1..{r}")
             x = r + 1 - entry
@@ -219,6 +221,8 @@ def gtp_raise(pattern: Pattern, i: int):
     """
     pattern = patterns.check_pattern(pattern)
     r = len(pattern)
+    if type(i) is not int:
+        raise ValueError(f"simple index {i!r} is not an int")
     if not 1 <= i <= r - 1:
         raise ValueError(f"simple index {i} out of range for rank {r}")
     raised = _gtp_raise(pattern, i)

@@ -103,6 +103,12 @@ def tableau_to_gt(tab: Tableau, r: int) -> Pattern:
         raise ValueError("tableau entries exceed the requested rank")
     if len(tab) > r:
         raise ValueError("tableau has more rows than the requested rank")
+    return _tableau_to_gt(tab, r)
+
+
+def _tableau_to_gt(tab: Tableau, r: int) -> Pattern:
+    """tableau_to_gt of a tableau already known to be semistandard with
+    entries at most r and at most r rows; unchecked."""
     out = []
     for k in range(1, r + 1):
         bound = r - k + 1  # keep entries <= bound

@@ -19,13 +19,15 @@ built once, in one memo of the last partition asked for (run_checks runs
 one partition's checks in a row), keyed by the builder and its
 arguments, so a result only reaches readers of the builder that made it,
 and a table goes out read-only: the sorted left-strict patterns, the
-closed and the open census, the characters, atoms, Demazure sets and
-crystal table (each tableau's evacuation, e_i and f_i), and the Bruhat
-predicate over the support.  Census patterns are built valid, so the
-checks hand them, and what they derive from them, to the unchecked cores
-of the public pattern functions, and bijection reads a state's crystal
-tableau off its census pattern, not off its grid.  Every check first
-reads the memo, which refuses a partition whose length is not the rank.
+closed and the open census, the pattern table (each pattern's staircase
+shift, plain tableau and exit colors), the characters, atoms, Demazure
+sets and crystal table (each tableau's evacuation, e_i and f_i), and the
+Bruhat predicate over the support.  Census patterns are built valid, and
+so is what the tables derive from them, so the checks hand both to the
+unchecked cores of the public pattern, tableau and flag functions, and
+bijection reads a state's crystal tableau off its census pattern, not off
+its grid.  Every check first reads the memo, which refuses a partition
+whose length is not the rank.
 """
 
 import functools
@@ -37,7 +39,7 @@ from collections import Counter, defaultdict
 from typing import NamedTuple
 
 from . import adjust, crystal, laurent, lattice, patterns, weyl
-from .patterns import Tableau
+from .patterns import Pattern, Tableau
 
 __all__ = [
     "Report", "report_to_json", "CHECKS", "run_checks", "sweep",
@@ -118,6 +120,27 @@ def _census(lam, r, family):
     pattern) cell holding two states still shows), from one walk."""
     pats = _shared(lam, r, _patterns, lam, r)
     return tuple(zip(pats, lattice._walk(lattice.ModelSpec(lam, None, family), pats)))
+
+
+class _Derived(NamedTuple):
+    """One census pattern's entry in the pattern table: its staircase
+    shift, that weak pattern's plain tableau, and the pattern's exit
+    colors, the inverse of its forced flag."""
+    shifted: Pattern
+    tableau: Tableau
+    exits: tuple[int, ...]
+
+
+def _pattern_table(lam, r):
+    """Every sorted left-strict pattern mapped to its _Derived entry, each
+    part computed once with the unchecked cores, which are looked up on
+    their modules at each call."""
+    table = {}
+    for pattern in _shared(lam, r, _patterns, lam, r):
+        shifted = patterns._subtract_staircase(pattern)
+        table[pattern] = _Derived(shifted, patterns._tableau_of(shifted),
+                                  adjust._exit_colors(pattern))
+    return table
 
 
 class _Crystal(NamedTuple):
@@ -229,10 +252,12 @@ def check_states(lam, r):
     agreed state's paths must cross exactly where its flag inverts their
     colors.
 
-    The flags above each distinct forced flag w_a are read once, as a set,
-    from weyl.bruhat_below over those flags in sweep order: the open
-    support when the checks pass, so this is the predicate partition and
-    crystal share, and other flags build their own.  A cell that is not
+    The forced flag w_a of a pattern inverts its exit colors, read off the
+    pattern table (shared with bijection, shortcut and tau).  The flags
+    above each distinct w_a are read once, as a set, from
+    weyl.bruhat_below over those flags in sweep order: the open support
+    when the checks pass, so this is the predicate partition and crystal
+    share, and other flags build their own.  A cell that is not
     above w_a, holds no state and has no grids passes, so each pattern
     visits, in sweep order, only the flags above its w_a, built, or
     holding a state: the work follows the states, not the r! cells.  Each
@@ -241,9 +266,10 @@ def check_states(lam, r):
     failure's pair, the lex-first one."""
     lam = tuple(lam)
     census = _shared(lam, r, _census, lam, r, "closed")
+    derived = _shared(lam, r, _pattern_table, lam, r)
     flags = weyl.permutations_by_length(r)
     order = {y: k for k, y in enumerate(flags)}  # sweep order
-    forced = [weyl.inverse(adjust._exit_colors(p)) for p, _ in census]
+    forced = [weyl.inverse(derived[p].exits) for p, _ in census]
     distinct = tuple(sorted(set(forced), key=order.__getitem__))
     leq = _shared(lam, r, weyl.bruhat_below, r, distinct)
     above = {w_a: frozenset(y for y in flags if leq(w_a, y)) for w_a in distinct}
@@ -297,8 +323,8 @@ def check_bijection(lam, r):
     flags carry the asserted claim; for non-strict shapes the unrestricted
     reading is compared separately and reported as a note.  A state's
     tableau depends on its census pattern alone: the evacuation of the
-    pattern's plain tableau, read off the crystal table (shared with
-    shortcut and crystal), whose tableaux it shares."""
+    pattern's plain tableau (pattern table), read off the crystal table
+    (shared with shortcut and crystal), whose tableaux it shares."""
     lam = tuple(lam)
     census = _shared(lam, r, _census, lam, r, "closed")
     strict = len(set(lam)) == r
@@ -310,10 +336,11 @@ def check_bijection(lam, r):
     dems = _shared(lam, r, crystal.demazure_crystal, lam, None)
     chars = _shared(lam, r, laurent.demazure_char, lam, None)
     table = _shared(lam, r, _crystal_table, lam, r)
+    derived = _shared(lam, r, _pattern_table, lam, r)
     images = {y: set() for y in flags}
     counts = Counter()
     for pattern, states in census:
-        entry = table.get(patterns._tableau_of(patterns._subtract_staircase(pattern)))
+        entry = table.get(derived[pattern].tableau)
         if entry is None:
             return _untabled("bijection", lam, r, pattern)
         for s in states:
@@ -325,7 +352,7 @@ def check_bijection(lam, r):
         target = dems[y].elements
         matches = injective and image == target
         count_ok = count == laurent.eval_ones(chars[y])
-        restricted = strict or weyl.coset_longest(y, lam) == y
+        restricted = strict or weyl._coset_longest(y, lam) == y
         if restricted and not (matches and count_ok):
             return _fail("bijection", lam, r,
                          "image of closed states is not the Demazure set",
@@ -353,15 +380,15 @@ def check_shortcut(lam, r):
     including the bridge that raising vanishes iff the mirrored lowering
     does.  Both sides depend on the pattern alone, so no state is built; a
     failure reports the pattern's forced flag, the first flag in sweep
-    order that holds it.  The composite's evacuations, e_i and mirrored
-    f_{r-i} are read off the crystal table (shared with bijection and
-    crystal); a raised tableau outside it fails the pattern."""
+    order that holds it.  Each pattern's shift, plain tableau and exit
+    colors are read off the pattern table (shared with states, bijection
+    and tau), and the composite's evacuations, e_i and mirrored f_{r-i} off
+    the crystal table (shared with bijection and crystal); a raised
+    tableau outside it fails the pattern."""
     lam = tuple(lam)
-    pats = _shared(lam, r, _patterns, lam, r)
     table = _shared(lam, r, _crystal_table, lam, r)
-    for pattern in pats:
-        shifted = patterns._subtract_staircase(pattern)
-        plain = table.get(patterns._tableau_of(shifted))
+    for pattern, (shifted, tab, exits) in _shared(lam, r, _pattern_table, lam, r).items():
+        plain = table.get(tab)
         embedded = None if plain is None else table.get(plain.evac)
         if embedded is None:
             return _untabled("shortcut", lam, r, pattern)
@@ -373,11 +400,11 @@ def check_shortcut(lam, r):
                 ok = raised is None and bridge_ok
             else:
                 ok = (direct in table and bridge_ok and raised
-                      == patterns.tableau_to_gt(table[direct].evac, r))
+                      == patterns._tableau_to_gt(table[direct].evac, r))
             if not ok:
                 return _fail("shortcut", lam, r,
                              "pattern-level raising disagrees with the composite",
-                             weyl.inverse(adjust._exit_colors(pattern)),
+                             weyl.inverse(exits),
                              pattern=_rows(shifted), index=i,
                              rule_null=raised is None, direct_null=direct is None)
     return [Report("shortcut", lam, r, "pass",
@@ -386,8 +413,10 @@ def check_shortcut(lam, r):
 
 def check_tau(lam, r):
     """Exit colors read off a pattern invert the flag of its one open state
-    (open census); checked on the left-strict pattern and its staircase shift."""
+    (open census); checked on the left-strict pattern, whose exit colors
+    the pattern table holds, and on its staircase shift, read here."""
     lam = tuple(lam)
+    derived = _shared(lam, r, _pattern_table, lam, r)
     for pattern, states in _shared(lam, r, _census, lam, r, "open"):
         if len(states) != 1:
             return _fail("tau", lam, r, "pattern has no unique open state",
@@ -395,8 +424,8 @@ def check_tau(lam, r):
         lattice.validate_state(states[0])
         w_a = states[0].spec.w
         expected = weyl.inverse(w_a)
-        got = adjust._exit_colors(pattern)
-        got_shifted = adjust._exit_colors(patterns._subtract_staircase(pattern))
+        shifted, _, got = derived[pattern]
+        got_shifted = adjust._exit_colors(shifted)
         if got != expected or got_shifted != expected:
             return _fail("tau", lam, r, "exit colors do not invert the open-state flag",
                          pattern=_rows(pattern), flag=list(w_a), exit_colors=list(got))
@@ -446,7 +475,8 @@ def check_crystal(lam, r):
             if down is not None and (down not in table or table[down].up[i - 1] != tab):
                 return _fail("crystal", lam, r, "lowering is not inverted by raising",
                              tableau=_rows(tab), index=i)
-            e, p = crystal.eps(tab, i), crystal.phi(tab, i)
+            lone, opened = crystal._unmatched(tab, i)  # phi and eps, one scan
+            e, p = len(opened), len(lone)
             if (up is None) != (e == 0):
                 return _fail("crystal", lam, r,
                              "raising nullity disagrees with the string statistic")

@@ -221,6 +221,12 @@ def coset_longest(w: Perm, lam: tuple[int, ...]) -> Perm:
     (2, 1, 3)
     """
     lam, w = check_dominant(lam, w)
+    return _coset_longest(w, lam)
+
+
+def _coset_longest(w: Perm, lam: tuple[int, ...]) -> Perm:
+    """coset_longest of a permutation and a partition of its rank already
+    known to be valid; unchecked."""
     out = []
     for _, block in itertools.groupby(zip(lam, w), key=lambda pair: pair[0]):
         out.extend(sorted((x for _, x in block), reverse=True))

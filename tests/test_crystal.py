@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -113,6 +114,15 @@ def test_schuetzenberger_rejects_an_entry_outside_the_alphabet():
     for tab in [((5,),), ((1, 2), (4,)), ((0,),)]:
         with pytest.raises(ValueError, match="out of range 1..3"):
             crystal.schuetzenberger(tab, 3)
+
+
+@pytest.mark.parametrize("tab,entry", [
+    (((1.0, 2),), 1.0), (((1, 2), (True,)), True), (((1, "2"),), "2")], ids=str)
+def test_schuetzenberger_rejects_an_entry_that_is_not_an_int(tab, entry):
+    # schuetzenberger(((1.0, 2),), 2) used to give ((1, 2.0),): entries are
+    # read right to left, so the first one refused is named
+    with pytest.raises(ValueError, match=re.escape(f"entry {entry!r} is not an int")):
+        crystal.schuetzenberger(tab, 2)
 
 
 @pytest.mark.parametrize("op", [crystal.raising, crystal.lowering, crystal.eps, crystal.phi],

@@ -104,6 +104,14 @@ def test_bijection_roundtrip_exhaustive(lam, r):
     assert seen == patterns.enumerate_patterns(tuple(lam))
 
 
+@pytest.mark.parametrize("lam,r", [((2, 1), 2), ((3, 2, 0), 3), ((2, 1, 1, 0), 4)], ids=str)
+def test_unchecked_tableau_to_gt_matches_the_checked_one(lam, r):
+    # the core behind tableau_to_gt, which verify's shortcut calls on the
+    # tableaux of its crystal table
+    for tab in patterns.enumerate_ssyt(lam, r):
+        assert patterns._tableau_to_gt(tab, r) == patterns.tableau_to_gt(tab, r)
+
+
 def test_subtract_staircase_examples():
     assert patterns.subtract_staircase(PAPER_PATTERN) == ((3, 2, 0), (2, 1), (1,))
     assert patterns.subtract_staircase(((2, 0), (0,))) == ((1, 0), (0,))

@@ -155,11 +155,12 @@ def test_checks_build_each_shared_table_once_and_keep_one_partition(
         monkeypatch, fresh_caches):
     # partition, bijection and crystal read one character table, partition
     # and crystal one atom table, bijection and crystal one Demazure-set
-    # table, bijection, shortcut and crystal one crystal table, and
-    # partition, states and crystal one Bruhat predicate over the support
-    # (states asks over its forced flags, the same ones); the memo then
-    # holds the last partition only, with these five, each table read-only,
-    # the two censuses and the sorted patterns they share
+    # table, bijection, shortcut and crystal one crystal table, states,
+    # bijection, shortcut and tau one pattern table, and partition, states
+    # and crystal one Bruhat predicate over the support (states asks over
+    # its forced flags, the same ones); the memo then holds the last
+    # partition only, with these six, each table read-only, the two
+    # censuses and the sorted patterns they share
     def support(lam):
         return tuple(y for y, atom in laurent.demazure_atom(lam, None).items() if atom)
     supports = {lam: support(lam) for lam in [(2, 1, 1, 0), (2, 1, 0)]}
@@ -174,7 +175,8 @@ def test_checks_build_each_shared_table_once_and_keep_one_partition(
         monkeypatch.setattr(module, name, call)
     tables = [(laurent, "demazure_char"), (laurent, "demazure_atom"),
               (crystal, "demazure_crystal")]
-    for module, name in tables + [(weyl, "bruhat_below"), (verify, "_crystal_table")]:
+    for module, name in tables + [(weyl, "bruhat_below"), (verify, "_crystal_table"),
+                                  (verify, "_pattern_table")]:
         counted(module, name)
     for lam, r in [((2, 1, 1, 0), 4), ((2, 1, 0), 3)]:
         reports = verify.run_checks(list(verify.CHECKS), lam, r)
@@ -182,16 +184,18 @@ def test_checks_build_each_shared_table_once_and_keep_one_partition(
         for _, name in tables:
             assert built[name, lam, None] == 1, name
         assert built["_crystal_table", lam, r] == 1
+        assert built["_pattern_table", lam, r] == 1
         assert built["bruhat_below", r, supports[lam]] == 1
     assert sorted(key[0] for key in built) == (
-        ["_crystal_table"] * 2 + ["bruhat_below"] * 2 + ["demazure_atom"] * 2
-        + ["demazure_char"] * 2 + ["demazure_crystal"] * 2)
+        ["_crystal_table"] * 2 + ["_pattern_table"] * 2 + ["bruhat_below"] * 2
+        + ["demazure_atom"] * 2 + ["demazure_char"] * 2 + ["demazure_crystal"] * 2)
     assert verify._memo.cache_info().currsize == 1
     memo = verify._memo((2, 1, 0), 3)
-    assert len(memo) == 8
+    assert len(memo) == 9
     assert {key[0] for key in memo} == {
         getattr(module, name) for module, name in tables} | {
-        weyl.bruhat_below, verify._crystal_table, verify._census, verify._patterns}
+        weyl.bruhat_below, verify._crystal_table, verify._pattern_table,
+        verify._census, verify._patterns}
     calls = built.copy()
     for module, name in tables:
         table = verify._shared((2, 1, 0), 3, getattr(module, name), (2, 1, 0), None)
@@ -203,6 +207,12 @@ def test_checks_build_each_shared_table_once_and_keep_one_partition(
         table[top] = table[top]
     with pytest.raises(AttributeError):
         table[top].evac = top
+    derived = verify._shared((2, 1, 0), 3, verify._pattern_table, (2, 1, 0), 3)
+    first = next(iter(derived))
+    with pytest.raises(TypeError):
+        derived[first] = derived[first]
+    with pytest.raises(AttributeError):
+        derived[first].exits = ()
     verify._shared((2, 1, 0), 3, weyl.bruhat_below, 3, supports[(2, 1, 0)])
     assert built == calls
 
@@ -354,6 +364,50 @@ def test_crystal_checks_evacuate_raise_and_lower_each_tableau_once(
                 for tab in tabs for i in range(1, r))
     assert set(once.values()) == {1}
     assert calls == once
+
+
+def test_pattern_checks_shift_and_read_exit_colors_of_each_pattern_once(
+        monkeypatch, fresh_caches):
+    # states, bijection, shortcut and tau read one pattern table: each
+    # pattern is shifted once and its exit colors read once, and tau reads
+    # those of its shift once more itself, which is its shift check
+    lam, r = (2, 1, 1, 0), 4
+    pats = verify._patterns(lam, r)
+    once = Counter(("_subtract_staircase", p) for p in pats)
+    once.update(("_exit_colors", p) for p in pats)
+    once.update(("_exit_colors", patterns.subtract_staircase(p)) for p in pats)
+    assert set(once.values()) == {1}
+    calls = Counter()
+
+    def counted(module, name):
+        derive = getattr(module, name)
+
+        def call(pattern):
+            calls[name, pattern] += 1
+            return derive(pattern)
+        monkeypatch.setattr(module, name, call)
+    counted(adjust, "_exit_colors")
+    counted(patterns, "_subtract_staircase")
+    reports = verify.run_checks(["states", "bijection", "shortcut", "tau"], lam, r)
+    assert all(not rep.failed for rep in reports)
+    assert calls == once
+
+
+def test_bijection_and_shortcut_recheck_no_tableau_or_flag_they_built(
+        monkeypatch, fresh_caches):
+    # with the memo warm, the crystal table's tableaux go to the unchecked
+    # core of tableau_to_gt and the flags to that of coset_longest, so
+    # neither check validates a tableau or a partition and flag again
+    lam, r = (2, 1, 1, 0), 4
+    assert not any(rep.failed for rep in verify.run_checks(["bijection", "shortcut"], lam, r))
+
+    def refuse(*args):
+        raise AssertionError("a check validated what the memo built valid")
+    monkeypatch.setattr(patterns, "check_tableau", refuse)
+    monkeypatch.setattr(weyl, "check_dominant", refuse)
+    reports = verify.run_checks(["bijection", "shortcut"], lam, r)
+    assert [(rep.check, rep.status) for rep in reports] == [
+        ("bijection", "pass"), ("bijection", "convention-note"), ("shortcut", "pass")]
 
 
 @pytest.mark.parametrize("lam", [(2, 1, 0), (2, 1, 1, 0), (1, 1, 0, 0, 0),
@@ -913,9 +967,12 @@ def test_pattern_checks_validate_each_census_pattern_at_most_once(
     lambda: adjust.exit_colors(((2, 0), (3,))),
     lambda: adjust.exit_colors(((2, 1, 0), (1,))),
     lambda: crystal.gtp_raise(((1, 0), (2,)), 1),
-    lambda: crystal.gtp_raise(((1, 0), (0,)), 2)],
+    lambda: crystal.gtp_raise(((1, 0), (0,)), 2),
+    lambda: crystal.gtp_raise(((2, 0), (1,)), 1.0),
+    lambda: crystal.gtp_raise(((2, 0), (1,)), True)],
     ids=["shift-malformed", "shift-not-left-strict", "exits-malformed",
-         "exits-short-row", "raise-malformed", "raise-index"])
+         "exits-short-row", "raise-malformed", "raise-index",
+         "raise-float-index", "raise-bool-index"])
 def test_public_pattern_functions_still_check_their_input(call):
     # the public functions around the unchecked cores keep every input check
     with pytest.raises(ValueError):

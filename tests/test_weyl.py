@@ -253,6 +253,14 @@ def test_coset_longest_matches_search(r):
             assert weyl.coset_longest(w, lam) == _coset_longest_by_search(w, lam)
 
 
+def test_unchecked_coset_longest_matches_the_checked_one():
+    # the core behind coset_longest, which verify's bijection calls on
+    # every flag
+    for lam in patterns.dominant_partitions(4, 3):
+        for w in weyl.all_permutations(4):
+            assert weyl._coset_longest(w, lam) == weyl.coset_longest(w, lam)
+
+
 def test_weyl_doctests():
     failed, attempted = doctest.testmod(weyl)
     assert failed == 0 and attempted >= 10
