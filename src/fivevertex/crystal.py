@@ -38,11 +38,7 @@ def _unmatched(tab: Tableau, i: int):
     the reading word, each list in reading order; i must be an int of at
     least 1.  Rows are read bottom to top, each up to its first entry past
     i+1."""
-    if type(i) is not int:
-        raise ValueError(f"simple index {i!r} is not an int")
-    if i < 1:
-        raise ValueError(f"simple index {i} out of range")
-    j = i + 1
+    j = weyl._check_simple_index(i) + 1
     open_j = []   # unmatched i+1 so far
     lone_i = []   # i with no i+1 before it
     for r in range(len(tab) - 1, -1, -1):
@@ -104,6 +100,7 @@ def schuetzenberger(tab: Tableau, r: int) -> Tableau:
     An involution; reverses the weight and swaps the raising operator at i
     with the lowering operator at r-i.  Every entry must be an int in 1..r.
     """
+    weyl._check_int(r, "alphabet bound")
     rows = []
     for tab_row in tab:
         for entry in reversed(tab_row):
@@ -130,8 +127,7 @@ def demazure_closure(elements, i: int) -> frozenset[Tableau]:
     One scan of an element lists its whole string below.  A walk stops at
     an element an earlier walk reached, whose tail is already in; an
     input element reached that way is not walked at all."""
-    if i < 1:
-        raise ValueError(f"simple index {i} out of range")
+    weyl._check_simple_index(i)
     reached = set()
     for tab in elements:
         if tab in reached:
@@ -220,11 +216,7 @@ def gtp_raise(pattern: Pattern, i: int):
     evacuate, convert back.
     """
     pattern = patterns.check_pattern(pattern)
-    r = len(pattern)
-    if type(i) is not int:
-        raise ValueError(f"simple index {i!r} is not an int")
-    if not 1 <= i <= r - 1:
-        raise ValueError(f"simple index {i} out of range for rank {r}")
+    weyl._check_simple_index(i, len(pattern))
     raised = _gtp_raise(pattern, i)
     return None if raised is None else patterns.check_pattern(raised)
 

@@ -108,8 +108,10 @@ class _Frozen:
 class ModelSpec(_Frozen):
     """A model: partition, flag and family, checked on every construction.
     A flag of None stands for every flag at once, for enumerate_states and
-    partition_function."""
-    __slots__ = ("lam", "w", "family", "_top_columns", "_top_boundary")
+    partition_function.  The rank r and the column count n are set from
+    lam beside the fields, which alone decide equality, hash and repr; the
+    boundaries are computed on each read, and nothing is cached."""
+    __slots__ = ("lam", "w", "family", "r", "n")
     _fields = ("lam", "w", "family")
 
     def __init__(self, lam, w, family: str):
@@ -121,24 +123,13 @@ class ModelSpec(_Frozen):
         _set(self, "lam", lam)
         _set(self, "w", w)
         _set(self, "family", family)
-        _set(self, "_top_columns", None)
-        _set(self, "_top_boundary", None)
-
-    @property
-    def r(self) -> int:
-        return len(self.lam)
-
-    @property
-    def n(self) -> int:
-        return self.lam[0] + self.r
+        _set(self, "r", len(lam))
+        _set(self, "n", lam[0] + len(lam))
 
     @property
     def top_columns(self) -> tuple[int, ...]:
-        """Column of color m at index m-1; strictly decreasing; cached."""
-        if self._top_columns is None:
-            _set(self, "_top_columns",
-                 tuple(p + s for p, s in zip(self.lam, staircase(self.r))))
-        return self._top_columns
+        """Column of color m at index m-1; strictly decreasing."""
+        return tuple(p + s for p, s in zip(self.lam, staircase(self.r)))
 
     @property
     def flag_spins(self) -> tuple[int, ...] | None:
@@ -148,13 +139,11 @@ class ModelSpec(_Frozen):
 
     @property
     def top_boundary(self) -> tuple[int, ...]:
-        """Top-boundary spins: color m at column top_columns[m-1]; cached."""
-        if self._top_boundary is None:
-            row = [0] * self.n
-            for m, col in enumerate(self.top_columns, start=1):
-                row[col] = m
-            _set(self, "_top_boundary", tuple(row))
-        return self._top_boundary
+        """Top-boundary spins: color m at column top_columns[m-1]."""
+        row = [0] * self.n
+        for m, col in enumerate(self.top_columns, start=1):
+            row[col] = m
+        return tuple(row)
 
 
 class LatticeState(_Frozen):
@@ -298,9 +287,10 @@ def _walk(spec: ModelSpec, patterns):
     fillings = functools.cache(_row_fillings)  # for this walk only
     right_spins = spec.flag_spins or (0,) * spec.r
     specs = {} if spec.w is None else {spec.flag_spins: spec}
+    top = spec.top_boundary
     for pattern in patterns:
         rows_below = (None,) * (spec.r - 1) if pattern is None else pattern[1:]
-        partial = [((), (spec.top_boundary,), frozenset())]  # (horizontal, vertical, crossed)
+        partial = [((), (top,), frozenset())]  # (horizontal, vertical, crossed)
         for right_spin, below in zip(right_spins, rows_below + ((),)):
             partial = [(rows + (h,), cols + (bottom,),
                         crossed.union(pairs) if pairs else crossed)

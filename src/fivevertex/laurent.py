@@ -107,8 +107,7 @@ def demazure(f: LaurentPoly, i: int) -> LaurentPoly:
 
     Idempotent, and fixes anything symmetric in z_i, z_{i+1}.
     """
-    if not 1 <= i <= f.nvars - 1:
-        raise ValueError(f"simple index {i} out of range")
+    weyl._check_simple_index(i, f.nvars)
     out = {}
     for expo, coeff in f.terms.items():
         p, q = expo[i - 1], expo[i]

@@ -146,7 +146,7 @@ def _subtract_staircase(pattern: Pattern) -> Pattern:
 def weight(tab: Tableau, r: int) -> tuple[int, ...]:
     """Entry i of the result counts the occurrences of i in the tableau,
     whose entries must lie in 1..r."""
-    counts = [0] * r
+    counts = [0] * weyl._check_int(r, "alphabet bound")
     for row in tab:
         for x in row:
             if not 1 <= x <= r:

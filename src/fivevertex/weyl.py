@@ -39,6 +39,21 @@ def check_permutation(w: Perm) -> Perm:
     return w
 
 
+def _check_int(x, what: str) -> int:
+    """x, once checked to be an int and not a bool; the ValueError names it."""
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an int")
+    return x
+
+
+def _check_simple_index(i, r: int | None = None) -> int:
+    """i, once checked to be an int of at least 1, and at most r-1 when the
+    rank r is known: the one rule for a simple index."""
+    if _check_int(i, "simple index") < 1 or r is not None and i >= r:
+        raise ValueError(f"simple index {i} out of range")
+    return i
+
+
 def check_dominant(lam, w: Perm | None) -> tuple[tuple[int, ...], Perm | None]:
     """(lam, w) as tuples, after checking that w is a permutation and lam a
     partition of the same rank: ints, weakly decreasing and nonnegative.  A

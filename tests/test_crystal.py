@@ -134,6 +134,36 @@ def test_operators_reject_a_simple_index_that_is_not_an_int(op, i):
         op(((1, 2),), i)
 
 
+_ONE_ROW = ((1, 2),)
+
+
+@pytest.mark.parametrize("call", [
+    lambda i: laurent.demazure(laurent.monomial((1, 0)), i),
+    lambda i: laurent.demazure_atom_op(laurent.monomial((1, 0)), i),
+    lambda i: crystal._unmatched(_ONE_ROW, i),
+    lambda i: crystal.gtp_raise(((2, 0), (1,)), i),
+    lambda i: crystal.demazure_closure(frozenset({_ONE_ROW}), i),
+    lambda i: crystal.demazure_closure(frozenset(), i),
+    lambda i: crystal.demazure_closure([], i),
+], ids=["demazure", "demazure_atom_op", "_unmatched", "gtp_raise", "closure",
+        "closure-empty", "closure-empty-list"])
+@pytest.mark.parametrize("i,message", [
+    (1.0, "simple index 1.0 is not an int"), (True, "simple index True is not an int"),
+    (0, "simple index 0 out of range")], ids=repr)
+def test_every_simple_index_check_refuses_a_float_a_bool_and_zero(call, i, message):
+    # demazure(f, 1.0) raised TypeError from inside, demazure(f, True)
+    # answered as for 1, and an empty closure took any numeric index
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(i)
+
+
+@pytest.mark.parametrize("r", [2.0, True], ids=repr)
+def test_schuetzenberger_refuses_an_alphabet_bound_that_is_not_an_int(r):
+    # schuetzenberger(((1, 2),), 2.0) used to give ((1.0, 2.0),)
+    with pytest.raises(ValueError, match=re.escape(f"alphabet bound {r!r} is not an int")):
+        crystal.schuetzenberger(_ONE_ROW, r)
+
+
 def test_weight_relation():
     for tab in patterns.enumerate_ssyt((3, 1, 0), 3):
         wt = patterns.weight(tab, 3)

@@ -458,13 +458,32 @@ def test_specs_and_states_are_frozen_records_of_their_fields():
     assert copy == state and hash(copy) == hash(state)
     assert lattice.LatticeState(spec, state.horizontal[::-1], state.vertical) != state
     assert len({state, copy}) == 1
-    for record, name in [(spec, "w"), (spec, "top_columns"), (state, "spec"),
-                         (state, "horizontal")]:
+    for record, name in [(spec, "w"), (spec, "r"), (spec, "n"), (spec, "top_columns"),
+                         (state, "spec"), (state, "horizontal")]:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert weakref.ref(state)() is state
-    # the cached boundaries are computed once and survive the refusals
-    assert spec.top_columns is spec.top_columns == (4, 2, 0)
-    assert spec.top_boundary is spec.top_boundary == (3, 0, 2, 0, 1)
+    # the boundaries are computed on each read
+    assert spec.top_columns == (4, 2, 0)
+    assert spec.top_boundary == (3, 0, 2, 0, 1)
+
+
+def test_spec_rank_columns_and_boundary_follow_the_partition():
+    # over the (3,3) sweep, for one flag and for every flag: r and n are
+    # read off lam, and color m sits on the top boundary at lam_m + r - m
+    checked = 0
+    for r in range(1, 4):
+        for lam in patterns.dominant_partitions(r, 3):
+            columns = tuple(p + r - m for m, p in enumerate(lam, start=1))
+            boundary = [0] * (lam[0] + r)
+            for m, col in enumerate(columns, start=1):
+                boundary[col] = m
+            for w in (tuple(range(r, 0, -1)), None):
+                spec = ModelSpec(lam, w, "closed")
+                assert (spec.r, spec.n) == (len(lam), lam[0] + r)
+                assert spec.top_columns == columns
+                assert spec.top_boundary == tuple(boundary)
+                checked += 1
+    assert checked == 2 * (4 + 10 + 20)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -147,6 +148,14 @@ def test_weight_rejects_an_entry_outside_the_alphabet(tab):
         patterns.weight(tab, 2)
     with pytest.raises(ValueError, match="out of range 1..2"):
         crystal.character([tab], 2)
+
+
+@pytest.mark.parametrize("r", [2.0, True], ids=repr)
+def test_weight_refuses_an_alphabet_bound_that_is_not_an_int(r):
+    # weight(((1,),), 2.0) and character({((1,),)}, 2.0) raised TypeError
+    for call in (patterns.weight, lambda tab, r: crystal.character({tab}, r)):
+        with pytest.raises(ValueError, match=re.escape(f"alphabet bound {r!r} is not an int")):
+            call(((1,),), r)
 
 
 def test_partial_row_sums_give_weights():

@@ -981,16 +981,17 @@ def test_public_pattern_functions_still_check_their_input(call):
 
 @pytest.mark.parametrize("rank,lambda_max", [(3, 3), (4, 2)])
 def test_every_closed_census_state_is_admissible(rank, lambda_max):
-    # the states check trusts the forward walk's admissibility, which it
-    # no longer re-checks: validate_state accepts every closed state the
-    # census files, over the pinned sweeps' partitions
+    # the states and tau checks trust the forward walk's admissibility,
+    # which neither re-checks: validate_state accepts every closed and open
+    # state the censuses file, over the pinned sweeps' partitions
     checked = 0
     for r in range(1, rank + 1):
         for lam in patterns.dominant_partitions(r, lambda_max):
-            for _, states in verify._census(lam, r, "closed"):
-                for state in states:
-                    lattice.validate_state(state)
-                    checked += 1
+            for family in ("closed", "open"):
+                for _, states in verify._census(lam, r, family):
+                    for state in states:
+                        lattice.validate_state(state)
+                        checked += 1
     assert checked
 
 
