@@ -9,7 +9,9 @@ every spin from the pattern and the exits, one row step (_row) at a time,
 apart from whether the paths cross or touch at each meeting: the closed
 rule decides that for closed states, and the input state for surgery.
 The exits it may take are data: one color per row for one flag, every
-color for every flag.  Nothing is remembered between calls.
+color for every flag.  The row step comes from the caller: _row itself,
+or verify's memo of it, which lives in one call.  Nothing is remembered
+between calls.
 
 All operations keep the set of colored edges, so the underlying
 Gelfand-Tsetlin pattern is preserved by construction.  Results are not
@@ -118,16 +120,17 @@ def _closed(i, j, right, bottom):
     return right < bottom
 
 
-def _sweeps(pattern: Pattern, passes, exits) -> dict:
+def _sweeps(pattern: Pattern, passes, exits, row=None) -> dict:
     """Each flag whose reverse sweep ends, mapped to its grids, unchecked.
     Depth first over rows r..1, where row i may exit any color of
-    exits[i-1] that no row below it exits: row i is swept (_row, passes
+    exits[i-1] that no row below it exits: row i is swept (row, passes
     deciding each meeting) once per distinct suffix of exits of rows i..r,
     and a row without a filling prunes every flag whose exits end with its
-    suffix.  A sweep that ends has the top boundary as its top row.  The
-    grid is N = pattern[0][0] + 1 columns wide: the pattern's top row is
-    the partition plus the staircase, whose first entry is N - 1."""
-    r, found = len(pattern), {}
+    suffix.  The caller may pass its own row step in _row's place, such as
+    a memo of it.  A sweep that ends has the top boundary as its top row.
+    The grid is N = pattern[0][0] + 1 columns wide: the pattern's top row
+    is the partition plus the staircase, whose first entry is N - 1."""
+    r, found, row = len(pattern), {}, row or _row
     # (exits of rows i+1..r, those rows, the edges above them and below row r)
     stack = [((), (), ((0,) * (pattern[0][0] + 1),))]
     while stack:
@@ -139,7 +142,7 @@ def _sweeps(pattern: Pattern, passes, exits) -> dict:
         for carry in exits[i - 1]:
             if carry in suffix:
                 continue
-            swept = _row(pattern, i, carry, vertical[0], passes)
+            swept = row(pattern, i, carry, vertical[0], passes)
             if swept is not None:
                 stack.append(((carry,) + suffix, (swept[0],) + horizontal,
                               (swept[1],) + vertical))

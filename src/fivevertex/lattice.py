@@ -441,11 +441,12 @@ def partition_function(spec: ModelSpec) -> laurent.LaurentPoly | dict:
     spell the flag, so one transfer gives every flag's sum: for a spec
     with flag None the result is a dict from every flag of S_r (zero where
     there is no state) to its polynomial, and a flag is a filter on the
-    colors leaving each row.  Open and closed families only."""
+    colors leaving each row.  Open and closed families only.  Only the
+    every-flag transfer caches its rows' fillings: one flag's rarely repeat."""
     if spec.family not in ("open", "closed"):
         raise ValueError(f"weights are undefined for family {spec.family!r}")
     r = spec.r
-    fillings = functools.cache(_row_fillings)  # for this call only
+    fillings = _row_fillings if spec.w is not None else functools.cache(_row_fillings)
     rows = {(spec.top_boundary, ()): {(): 1}}
     for i, right_spin in enumerate(spec.flag_spins or (0,) * r, start=1):
         below = {}

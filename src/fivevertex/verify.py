@@ -27,7 +27,8 @@ so is what the tables derive from them, so the checks hand both to the
 unchecked cores of the public pattern, tableau and flag functions, and
 bijection reads a state's crystal tableau off its census pattern, not off
 its grid.  Every check first reads the memo, which refuses a partition
-whose length is not the rank.
+whose length is not the rank.  What one check alone reads stays in its
+call: states' memo of the descent's row steps, and crystal's weights.
 """
 
 import functools
@@ -254,16 +255,18 @@ def check_states(lam, r):
 
     The forced flag w_a of a pattern inverts its exit colors, read off the
     pattern table (shared with bijection, shortcut and tau).  The flags
-    above each distinct w_a are read once, as a set, from
+    above each distinct w_a are listed once, in sweep order, from
     weyl.bruhat_below over those flags in sweep order: the open support
     when the checks pass, so this is the predicate partition and crystal
-    share, and other flags build their own.  A cell that is not
-    above w_a, holds no state and has no grids passes, so each pattern
-    visits, in sweep order, only the flags above its w_a, built, or
-    holding a state: the work follows the states, not the r! cells.  Each
-    state's crossings are compared with its flag's inverted pairs, as one
-    int mask of pairs, built once per flag; _disagreeing_pair only names a
-    failure's pair, the lex-first one."""
+    share, and other flags build their own; a cell asks it again whether
+    its flag is above.  A cell that is not above w_a, holds no state and
+    has no grids passes, so each pattern visits, in sweep order, only the
+    flags above its w_a, built, or holding a state: the work follows the
+    states, not the r! cells.  Each state's crossings are compared with
+    its flag's inverted pairs, as one int mask of pairs, built once per
+    flag; _disagreeing_pair only names a failure's pair, the lex-first one.
+    The descents share one memo of adjust._row, made here and dropped on
+    return: its key leaves out λ + ρ and adjust._closed, fixed in a call."""
     lam = tuple(lam)
     census = _shared(lam, r, _census, lam, r, "closed")
     derived = _shared(lam, r, _pattern_table, lam, r)
@@ -272,21 +275,28 @@ def check_states(lam, r):
     forced = [weyl.inverse(derived[p].exits) for p, _ in census]
     distinct = tuple(sorted(set(forced), key=order.__getitem__))
     leq = _shared(lam, r, weyl.bruhat_below, r, distinct)
-    above = {w_a: frozenset(y for y in flags if leq(w_a, y)) for w_a in distinct}
+    above = {w_a: tuple(y for y in flags if leq(w_a, y)) for w_a in distinct}
 
     def mask(pairs):  # one bit per pair (a, b) of colors 0..r
         return sum(1 << a * (r + 1) + b for a, b in pairs)
     # one int per flag, for this call only: sets of pairs weigh 67 MB at rank 8
     inverted = functools.cache(lambda y: mask(adjust._inverted(y)))
+    steps = {}  # (i, pattern row i, exit color, spins below) -> adjust._row's result
+
+    def row(pattern, i, carry, below, passes):
+        key = i, pattern[i - 1], carry, below
+        if key not in steps:
+            steps[key] = adjust._row(pattern, i, carry, below, passes)
+        return steps[key]
     for (pattern, found), w_a in zip(census, forced):
-        built = adjust._sweeps(pattern, adjust._closed, [range(1, r + 1)] * r)
+        built = adjust._sweeps(pattern, adjust._closed, [range(1, r + 1)] * r, row)
         by_flag = {}  # flag -> this pattern's states of it, in walk order
         for s in found:
             by_flag.setdefault(s.spec.w, []).append(s)
-        for y in sorted(above[w_a].union(built, by_flag), key=order.__getitem__):
+        for y in sorted({*above[w_a], *built, *by_flag}, key=order.__getitem__):
             states = by_flag.get(y, [])
             grids = built.get(y)
-            want = 1 if y in above[w_a] else 0
+            want = 1 if leq(w_a, y) else 0
             ok = (len(states) == want
                   and (grids is None) == (want == 0)
                   and (grids is None
@@ -443,10 +453,13 @@ def check_crystal(lam, r):
     the nonempty atoms in the lower interval of w (weyl.bruhat_below over
     them, shared with partition and states), in sweep order; an empty
     atom adds nothing to the union and meets nothing.  Sets, atoms and
-    characters are computed for every flag at once."""
+    characters are computed for every flag at once.  Each tableau of the
+    crystal table is weighed once, for the weight tests and the set and
+    atom characters; one outside it weighs None, so its set's fails."""
     lam = tuple(lam)
     dems = _shared(lam, r, crystal.demazure_crystal, lam, None)
     table = _shared(lam, r, _crystal_table, lam, r)
+    weights = {tab: patterns.weight(tab, r) for tab in table}
     flags = weyl.permutations_by_length(r)
     holds = Counter()  # tableau -> bit k set when Dem(flags[k]) holds it
     for k, w in enumerate(flags):
@@ -454,18 +467,18 @@ def check_crystal(lam, r):
             holds[tab] |= 1 << k
     cut = 0  # bit k set when Dem(flags[k]) cuts an i-string
     for tab, (evac, ups, downs) in table.items():
-        wt = patterns.weight(tab, r)
+        wt = weights[tab]
         # first, so that the axioms below read only entries of the table
         if evac not in table or table[evac].evac != tab:
             return _fail("crystal", lam, r, "evacuation is not an involution",
                          tableau=_rows(tab))
-        if patterns.weight(evac, r) != wt[::-1]:
+        if weights[evac] != wt[::-1]:
             return _fail("crystal", lam, r, "evacuation does not reverse the weight")
         mirrored = table[evac].down  # f_{r-i} of the evacuation at r-i-1
         for i in range(1, r):
             up, down = ups[i - 1], downs[i - 1]
             if up is not None and (up not in table or table[up].down[i - 1] != tab or
-                                   patterns.weight(up, r) !=
+                                   weights[up] !=
                                    wt[:i - 1] + (wt[i - 1] + 1, wt[i] - 1) + wt[i + 1:]):
                 return _fail("crystal", lam, r, "raising is not inverted by lowering",
                              tableau=_rows(tab), index=i)
@@ -497,10 +510,10 @@ def check_crystal(lam, r):
     leq = _shared(lam, r, weyl.bruhat_below, r, tuple(support))
     for k, w in enumerate(flags):
         dem = dems[w].elements
-        if crystal.character(dem, r) != chars[w]:
+        if Counter(map(weights.get, dem)) != chars[w].terms:
             return _fail("crystal", lam, r, "Demazure set character mismatch", w)
         atom = atoms[w]
-        if crystal.character(atom, r) != atom_chars[w]:
+        if Counter(map(weights.get, atom)) != atom_chars[w].terms:
             return _fail("crystal", lam, r, "atom character mismatch", w)
         if cut >> k & 1:
             return _fail("crystal", lam, r, "string trichotomy violated", w)

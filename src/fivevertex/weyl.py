@@ -159,10 +159,9 @@ def apply_to_every_flag(x, r: int, op) -> dict:
     >>> apply_to_every_flag("", 2, lambda x, a: x + str(a))
     {(1, 2): '', (2, 1): '1'}
     """
-    flags = permutations_by_length(r)
+    flags, letters, parents, _ = _flag_graph(r)
     out = {flags[0]: x}
-    for w in flags[1:]:
-        a, parent = _left_descent_parent(w)
+    for w, a, parent in zip(flags[1:], letters[1:], parents[1:]):
         out[w] = op(out[parent], a)
     return out
 
@@ -218,9 +217,10 @@ def bruhat_below(r: int, xs):
     """
     bit = {x: 1 << k for k, x in enumerate(dict.fromkeys(xs))}
     masks = {}
-    for w in permutations_by_length(r):
+    flags, _, _, covers = _flag_graph(r)
+    for w, below in zip(flags, covers):
         mask = bit.get(w, 0)
-        for _, v in lower_covers(w):
+        for v in below:
             mask |= masks[v]
         masks[w] = mask
     return lambda x, w: bool(masks[w] & bit[x])
@@ -260,3 +260,21 @@ def permutations_by_length(r: int) -> tuple[Perm, ...]:
     """S_r by (length, one-line lex), once per rank: the order of every
     every-flag result, so a sweep's first counterexample is minimal."""
     return tuple(sorted(all_permutations(r), key=lambda w: (length(w), w)))
+
+
+@functools.lru_cache(maxsize=None)
+def _flag_graph(r: int):
+    """(flags, letters, parents, covers), once per rank: for the k-th flag
+    w of permutations_by_length(r), (letters[k], parents[k]) is
+    _left_descent_parent(w), or (0, None) for the identity, and covers[k]
+    the lower covers of w (lower_covers) without their pairs, all flags'
+    own tuples; 5.5 MB at rank 8, growing with r!."""
+    flags = permutations_by_length(r)
+    own = {w: w for w in flags}
+    letters, parents = [0], [None]
+    for w in flags[1:]:
+        a, parent = _left_descent_parent(w)
+        letters.append(a)
+        parents.append(own[parent])
+    covers = tuple(tuple(own[v] for _, v in lower_covers(w)) for w in flags)
+    return flags, tuple(letters), tuple(parents), covers

@@ -13,6 +13,7 @@ RANK_BOUNDED = {
     "lattice._completions": "two spins in 0..r, a right spin in 0..r or "
                             "None, a bool or None and one of three families",
     "weyl.permutations_by_length": "one key per rank",
+    "weyl._flag_graph": "one key per rank",
 }
 
 

@@ -519,6 +519,24 @@ def test_crystal_reports_a_demazure_set_that_cuts_a_string(monkeypatch):
     assert report.w == w and report.counterexample is None
 
 
+def test_crystal_fails_a_demazure_set_outside_the_crystal_table(monkeypatch, fresh_caches):
+    # a tableau that the crystal table does not hold, here one with an
+    # entry past r, planted in Dem(w0): the characters, read off the
+    # table's weights, fail w0 rather than raise
+    lam, r = (2, 1, 0), 3
+    w0, outside = longest_element(r), ((1, 4), (2,))
+    demazure_crystal = crystal.demazure_crystal
+
+    def planted(lam, flag):
+        dems = demazure_crystal(lam, flag)
+        dems[w0] = crystal.DemazureSet(dems[w0].lam, w0, dems[w0].elements | {outside})
+        return dems
+    monkeypatch.setattr(crystal, "demazure_crystal", planted)
+    (report,) = verify.check_crystal(lam, r)
+    assert report.failed and report.w == w0
+    assert report.detail == "Demazure set character mismatch"
+
+
 def _middle_pattern(lam):
     pats = sorted(patterns.enumerate_left_strict(lam, len(lam)))
     return pats[len(pats) // 2]
@@ -703,8 +721,8 @@ def test_states_reports_a_state_whose_crossings_disagree_with_its_flag(
         s.spec, raised.horizontal, raised.vertical),))
     sweeps = adjust._sweeps
 
-    def agreeing(pattern, passes, exits):
-        found = sweeps(pattern, passes, exits)
+    def agreeing(pattern, passes, exits, row):
+        found = sweeps(pattern, passes, exits, row)
         if pattern == cell[1]:
             found[cell[0]] = raised.horizontal, raised.vertical
         return found
@@ -731,8 +749,8 @@ def _respun(monkeypatch):
     sweeps = adjust._sweeps
     y, bad = _PINNED_CELL
 
-    def respun(pattern, passes, exits):
-        found = sweeps(pattern, passes, exits)
+    def respun(pattern, passes, exits, row):
+        found = sweeps(pattern, passes, exits, row)
         if pattern == bad:
             horizontal, vertical = found[y]
             found[y] = horizontal[:-1] + (horizontal[-1][:-1] + (1,),), vertical
@@ -787,8 +805,8 @@ def test_states_crossing_failure_report_is_pinned(monkeypatch, fresh_caches):
         lattice.LatticeState(s.spec, raised.horizontal, raised.vertical),))
     sweeps = adjust._sweeps
 
-    def agreeing(pattern, passes, exits):
-        found = sweeps(pattern, passes, exits)
+    def agreeing(pattern, passes, exits, row):
+        found = sweeps(pattern, passes, exits, row)
         if pattern == bad:
             found[y] = raised.horizontal, raised.vertical
         return found
@@ -823,6 +841,25 @@ def test_states_asks_in_proportion_to_its_states(monkeypatch, fresh_caches, lam)
     (report,) = verify.check_states(lam, r)
     assert report.status == "pass"
     assert asked[0] <= states + len(forced) * math.factorial(r)
+
+
+def test_states_steps_each_row_once_per_call(monkeypatch, fresh_caches):
+    # one call's every-flag descents share one memo of the row step, keyed
+    # by (i, pattern row i, exit color, spins below), so each key is swept
+    # once; the memo is the call's, so a second call sweeps as many again
+    lam, r = (2, 1, 1, 0), 4
+    row, keys = adjust._row, []
+
+    def recorded(pattern, i, carry, below, passes):
+        keys.append((i, pattern[i - 1], carry, below))
+        return row(pattern, i, carry, below, passes)
+    monkeypatch.setattr(adjust, "_row", recorded)
+    (report,) = verify.check_states(lam, r)
+    first = len(keys)
+    assert report.status == "pass" and first == len(set(keys))
+    (report,) = verify.check_states(lam, r)
+    assert report.status == "pass"
+    assert len(keys) == 2 * first and set(keys[first:]) == set(keys[:first])
 
 
 def test_partition_builds_no_polynomial_per_state(monkeypatch, fresh_caches):

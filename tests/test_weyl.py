@@ -191,6 +191,26 @@ def test_permutations_by_length_is_sorted_once_per_rank():
     assert weyl.permutations_by_length(4) is weyl.permutations_by_length(4)
 
 
+def test_flag_graph_is_each_flags_parent_and_covers_once_per_rank():
+    # the every-flag builders read each flag's left-descent parent and
+    # lower covers off one graph per rank, whose flags are the order's own
+    # tuples, and build it on the first call at a rank only
+    weyl._flag_graph.cache_clear()
+    for r in range(1, 7):
+        flags, letters, parents, covers = weyl._flag_graph(r)
+        assert flags is weyl.permutations_by_length(r)
+        own = {id(w) for w in flags}
+        for w, a, parent, below in zip(flags, letters, parents, covers, strict=True):
+            assert (a, parent) == (weyl._left_descent_parent(w) or (0, None))
+            assert below == tuple(v for _, v in weyl.lower_covers(w))
+            assert all(id(v) in own for v in (parent, *below) if v is not None)
+        weyl.apply_to_every_flag(0, r, lambda x, a: x + 1)
+        weyl.bruhat_below(r, flags[-1:])
+        weyl.bruhat_below(r, flags[:1])
+    info = weyl._flag_graph.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (6, 18, 6)
+
+
 @pytest.mark.parametrize("w", [(1.0, 2.0), (True,), (2, "1")], ids=str)
 def test_check_permutation_rejects_an_entry_that_is_not_an_int(w):
     # 1.0 == 1 and True == 1, so only the type tells them apart
